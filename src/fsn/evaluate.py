@@ -5,7 +5,9 @@ stable input order) and AP sums precision at every true-positive rank divided
 by the number of positives. A segment prediction counts as a true positive
 only when its IoU with an unmatched same-class ground truth in the same video
 is strictly above the threshold; matching is greedy in rank order, best IoU
-first, earliest ground truth on ties.
+first, earliest ground truth on ties. Matching runs per video: each (class,
+video) pair gets one prediction x ground-truth IoU matrix, reused at every
+threshold, so the cost follows the per-video counts rather than the corpus.
 
 Classes with no ground-truth instance get AP 0 by definition but are left out
 of the mAP average, so a prediction set identical to the ground truth scores
@@ -21,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import AnnotationSet
-from .localize import FrameScoreTrack, SegmentPrediction, temporal_iou
+from .localize import FrameScoreTrack, SegmentPrediction, pairwise_iou
 from .nncore import Array
 
 DEFAULT_STRONG_IOUS = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -42,8 +44,11 @@ class EvalConfig:
         for t in self.iou_thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"IoU threshold {t} outside (0, 1]")
-        if list(self.iou_thresholds) != sorted(self.iou_thresholds):
-            raise ValueError(f"thresholds must ascend, got {self.iou_thresholds}")
+        pairs = zip(self.iou_thresholds, self.iou_thresholds[1:])
+        if any(later <= earlier for earlier, later in pairs):
+            raise ValueError(
+                f"thresholds must strictly ascend, got {self.iou_thresholds}"
+            )
 
 
 @dataclass
@@ -137,31 +142,25 @@ def frame_level_map(
     return ap, mean
 
 
-def _match_class(
-    predictions: Sequence[SegmentPrediction],
-    gts: Sequence[tuple[str, int, int]],
-    threshold: float,
-) -> list[tuple[float, bool]]:
-    """Greedy TP/FP flags for one class at one threshold, in rank order."""
-    order = np.argsort(
-        -np.array([p.confidence for p in predictions]), kind="stable"
-    )
-    taken = [False] * len(gts)
-    ranked = []
-    for i in order:
-        p = predictions[i]
-        best = -1
-        best_iou = 0.0
-        for j, (video_id, start, end) in enumerate(gts):
-            if taken[j] or video_id != p.video_id:
-                continue
-            iou = temporal_iou((p.start, p.end), (start, end))
-            if iou > threshold and iou > best_iou:
-                best, best_iou = j, iou
-        if best >= 0:
-            taken[best] = True
-        ranked.append((p.confidence, best >= 0))
-    return ranked
+def _match_video(iou: Array, thresholds: Sequence[float]) -> Array:
+    """Greedy TP flags of one video's ranked predictions at every threshold.
+
+    ``iou`` is the (predictions in rank order, ground truths in annotation
+    order) matrix. Each prediction takes the untaken ground truth with IoU
+    strictly above the threshold and the best IoU, the earliest on ties.
+    Returns (thresholds, predictions) booleans.
+    """
+    flags = np.zeros((len(thresholds), iou.shape[0]), dtype=bool)
+    for t_idx, threshold in enumerate(thresholds):
+        hits = iou > threshold
+        taken = np.zeros(iou.shape[1], dtype=bool)
+        for row in np.flatnonzero(hits.any(axis=1)):
+            free = np.where(hits[row] & ~taken, iou[row], -1.0)
+            best = int(free.argmax())
+            if free[best] > threshold:
+                taken[best] = True
+                flags[t_idx, row] = True
+    return flags
 
 
 def segment_level_map(
@@ -194,17 +193,36 @@ def segment_level_map(
     preds_by_class: dict[int, list[SegmentPrediction]] = {}
     for p in predictions:
         preds_by_class.setdefault(p.class_id, []).append(p)
-    gts_by_class: dict[int, list[tuple[str, int, int]]] = {}
+    gts_by_class: dict[int, dict[str, list[tuple[int, int]]]] = {}
     for s in gt.segments:
-        gts_by_class.setdefault(s.class_id, []).append((s.video_id, s.start, s.end))
+        by_video = gts_by_class.setdefault(s.class_id, {})
+        by_video.setdefault(s.video_id, []).append((s.start, s.end))
     thresholds = config.iou_thresholds
     ap = np.zeros((config.num_classes, len(thresholds)))
     for class_id in range(1, config.num_classes + 1):
         class_preds = preds_by_class.get(class_id, [])
-        class_gts = gts_by_class.get(class_id, [])
-        for t_idx, threshold in enumerate(thresholds):
-            ranked = _match_class(class_preds, class_gts, threshold)
-            ap[class_id - 1, t_idx] = average_precision(ranked, len(class_gts))
+        class_gts = gts_by_class.get(class_id, {})
+        confidences = np.array([p.confidence for p in class_preds])
+        ranked_by_video: dict[str, list[int]] = {}
+        for i in np.argsort(-confidences, kind="stable"):
+            ranked_by_video.setdefault(class_preds[i].video_id, []).append(int(i))
+        flags = np.zeros((len(thresholds), len(class_preds)), dtype=bool)
+        for video_id, ranked in ranked_by_video.items():
+            video_gts = class_gts.get(video_id)
+            if not video_gts:
+                continue
+            iou = pairwise_iou(
+                [class_preds[i].start for i in ranked],
+                [class_preds[i].end for i in ranked],
+                [start for start, _ in video_gts],
+                [end for _, end in video_gts],
+            )
+            flags[:, ranked] = _match_video(iou, thresholds)
+        num_gts = sum(len(v) for v in class_gts.values())
+        for t_idx in range(len(thresholds)):
+            ap[class_id - 1, t_idx] = _ap_from_arrays(
+                confidences, flags[t_idx], num_gts
+            )
     represented = np.array(
         [bool(gts_by_class.get(k)) for k in range(1, config.num_classes + 1)]
     )
@@ -255,50 +273,3 @@ def load_report(path) -> dict[str, dict[str, float]]:
             column: float(value) for column, value in zip(header[1:], cells[1:])
         }
     return out
-
-
-def precision_recall_points(
-    ranked: Iterable[tuple[float, bool]], num_positives: int
-) -> tuple[Array, Array]:
-    """Precision and recall after each ranked prediction."""
-    pairs = list(ranked)
-    if num_positives < 0:
-        raise ValueError(f"num_positives must be >= 0, got {num_positives}")
-    if not pairs:
-        return np.zeros(0), np.zeros(0)
-    confidences = np.array([float(c) for c, _ in pairs])
-    flags = np.array([bool(f) for _, f in pairs])
-    order = np.argsort(-confidences, kind="stable")
-    hits = flags[order]
-    tp = np.cumsum(hits)
-    ranks = np.arange(1, hits.size + 1)
-    precision = tp / ranks
-    recall = tp / num_positives if num_positives else np.zeros(hits.size)
-    return precision, recall
-
-
-def dump_pr_curves(
-    predictions: Sequence[SegmentPrediction],
-    gt: AnnotationSet,
-    config: EvalConfig,
-    directory,
-) -> list[Path]:
-    """One precision/recall CSV per class and threshold; returns the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for class_id in range(1, config.num_classes + 1):
-        class_preds = [p for p in predictions if p.class_id == class_id]
-        class_gts = [
-            (s.video_id, s.start, s.end) for s in gt.segments if s.class_id == class_id
-        ]
-        for threshold in config.iou_thresholds:
-            ranked = _match_class(class_preds, class_gts, threshold)
-            precision, recall = precision_recall_points(ranked, len(class_gts))
-            lines = ["rank,precision,recall"]
-            for rank, (p, r) in enumerate(zip(precision, recall), start=1):
-                lines.append(f"{rank},{p:.4f},{r:.4f}")
-            out = directory / f"pr_class{class_id:02d}_iou{threshold:g}.csv"
-            out.write_text("\n".join(lines) + "\n")
-            written.append(out)
-    return written

@@ -3,8 +3,9 @@
 A trained head scores every frame of an untrimmed video (``slide_predict`` for
 the strongly supervised heads, ``weak_score_track`` for the weak one). Those
 tracks are thresholded at several levels into candidate segments, deduplicated,
-and pruned with per-class non-maximum suppression. Predictions travel in a
-tab-separated file with a fixed header.
+and pruned with per-class non-maximum suppression, which runs per video on
+one IoU matrix per class. Predictions travel in a tab-separated file with a
+fixed header.
 """
 
 from __future__ import annotations
@@ -202,6 +203,26 @@ def temporal_iou(a, b) -> float:
     return intersection / union
 
 
+def pairwise_iou(a_start, a_end, b_start, b_end) -> Array:
+    """IoU of every interval of ``a`` with every interval of ``b``.
+
+    Returns a float64 (len(a), len(b)) matrix. The float operations are those
+    of ``temporal_iou``, in the same order, so every entry equals the scalar
+    result bit for bit.
+    """
+    a_start = np.asarray(a_start, dtype=np.float64)[:, None]
+    a_end = np.asarray(a_end, dtype=np.float64)[:, None]
+    b_start = np.asarray(b_start, dtype=np.float64)[None, :]
+    b_end = np.asarray(b_end, dtype=np.float64)[None, :]
+    if np.any(a_end <= a_start) or np.any(b_end <= b_start):
+        raise ValueError("bad interval: every end must exceed its start")
+    intersection = np.maximum(
+        0.0, np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
+    )
+    union = ((a_end - a_start) + (b_end - b_start)) - intersection
+    return intersection / union
+
+
 def nms(
     segments: Sequence[SegmentPrediction], iou_threshold: float
 ) -> list[SegmentPrediction]:
@@ -209,7 +230,9 @@ def nms(
 
     Candidates are visited by confidence (descending), ties broken by earlier
     start then shorter length; a candidate survives iff its IoU with every
-    already kept segment of its class is at most the threshold.
+    already kept segment of its class is at most the threshold. Each class
+    gets one candidate x candidate ``pairwise_iou`` matrix: a kept candidate
+    suppresses every candidate its row overlaps above the threshold.
     """
     if iou_threshold < 0.0:
         raise ValueError(f"IoU threshold must be >= 0, got {iou_threshold}")
@@ -219,17 +242,19 @@ def nms(
     if len(videos) > 1:
         raise ValueError(f"NMS runs per video, got {sorted(videos)}")
     kept: list[SegmentPrediction] = []
-    by_class: dict[int, list[SegmentPrediction]] = {}
     for class_id in sorted({s.class_id for s in segments}):
         candidates = sorted(
             (s for s in segments if s.class_id == class_id),
             key=lambda s: (-s.confidence, s.start, s.length),
         )
-        survivors = by_class.setdefault(class_id, [])
-        for candidate in candidates:
-            if all(temporal_iou(candidate, other) <= iou_threshold for other in survivors):
-                survivors.append(candidate)
-        kept.extend(survivors)
+        starts = [s.start for s in candidates]
+        ends = [s.end for s in candidates]
+        overlaps = pairwise_iou(starts, ends, starts, ends) > iou_threshold
+        suppressed = np.zeros(len(candidates), dtype=bool)
+        for i, candidate in enumerate(candidates):
+            if not suppressed[i]:
+                kept.append(candidate)
+                suppressed |= overlaps[i]
     return kept
 
 

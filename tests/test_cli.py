@@ -414,6 +414,21 @@ def test_eval_echoes_requested_thresholds(corpus, predicted, tmp_path):
     assert header == "class,iou_0.2,iou_0.5,frame_ap"
 
 
+def test_eval_rejects_duplicate_thresholds(corpus, predicted, tmp_path, capsys):
+    out = tmp_path / "eval"
+    rc = main([
+        "eval",
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--predictions", str(predicted / "predictions.tsv"),
+        "--tracks", str(predicted / "tracks"),
+        "--out", str(out),
+        "--eval-iou", "0.5,0.5",
+    ])
+    assert rc == 1
+    assert "strictly ascend" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 def test_eval_rejects_predictions_for_unknown_video(corpus, predicted, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     text = (predicted / "predictions.tsv").read_text().splitlines()

@@ -9,11 +9,9 @@ from fsn.evaluate import (
     DEFAULT_WEAK_IOUS,
     EvalConfig,
     average_precision,
-    dump_pr_curves,
     emit_report,
     frame_level_map,
     load_report,
-    precision_recall_points,
     segment_level_map,
 )
 from fsn.localize import FrameScoreTrack, SegmentPrediction
@@ -211,6 +209,60 @@ class TestSegmentLevelMap:
             oracle = ap_by_pr_points(flags, len(gts))
             assert report.segment_ap[0, 0] == pytest.approx(oracle, abs=1e-12)
 
+    def test_multi_video_multi_class_matches_oracle(self):
+        # GTs of each class spread over several videos, tied (2-decimal)
+        # confidences, several thresholds at once, and predictions whose IoU
+        # with a GT equals a threshold exactly
+        rng = np.random.default_rng(5)
+        thresholds = (0.2, 0.4, 0.5, 0.6, 0.75)
+        videos = ["a", "b", "c", "d"]
+        for trial in range(30):
+            gts, preds = [], []
+            for video in videos:
+                for class_id in (1, 2, 3):
+                    cursor = 0
+                    for _ in range(int(rng.integers(0, 4))):
+                        start = cursor + int(rng.integers(0, 8))
+                        end = start + int(rng.integers(4, 16))
+                        gts.append(gt(start, end, class_id, video))
+                        cursor = end + 1
+                    for _ in range(int(rng.integers(0, 6))):
+                        start = int(rng.integers(0, max(2, cursor)))
+                        end = start + int(rng.integers(1, 14))
+                        conf = float(np.round(rng.uniform(), 2))
+                        preds.append(seg(start, end, conf, class_id, video))
+            # IoU exactly 4/8 = 0.5, 3/5 = 0.6, 1/5 = 0.2 and 3/4 = 0.75
+            for video in videos[:2]:
+                gts.append(gt(100, 108, 1, video))
+                preds.append(seg(100, 104, 0.5, 1, video))
+                gts.append(gt(200, 205, 2, video))
+                preds.append(seg(200, 203, 0.5, 2, video))
+                preds.append(seg(204, 205, 0.5, 2, video))
+                gts.append(gt(300, 304, 3, video))
+                preds.append(seg(300, 303, 0.5, 3, video))
+            annotations = self.annotations(gts, 3)
+            config = EvalConfig(num_classes=3, iou_thresholds=thresholds)
+            report = segment_level_map(preds, annotations, config)
+            for class_id in (1, 2, 3):
+                class_preds = [
+                    (p.video_id, p.class_id, p.start, p.end, p.confidence)
+                    for p in preds
+                    if p.class_id == class_id
+                ]
+                class_gts = [
+                    (g.video_id, g.class_id, g.start, g.end)
+                    for g in gts
+                    if g.class_id == class_id
+                ]
+                for t_idx, threshold in enumerate(thresholds):
+                    flags, _ = match_predictions(
+                        class_preds, class_gts, threshold, iou_by_frames
+                    )
+                    oracle = ap_by_pr_points(flags, len(class_gts))
+                    assert report.segment_ap[class_id - 1, t_idx] == pytest.approx(
+                        oracle, abs=1e-12
+                    )
+
     def test_map_never_increases_with_threshold(self):
         rng = np.random.default_rng(3)
         gts = [gt(i * 30, i * 30 + 12) for i in range(5)]
@@ -275,6 +327,8 @@ class TestSegmentLevelMap:
             EvalConfig(num_classes=1, iou_thresholds=(0.0, 0.5))
         with pytest.raises(ValueError):
             EvalConfig(num_classes=1, iou_thresholds=())
+        with pytest.raises(ValueError, match="strictly ascend"):
+            EvalConfig(num_classes=1, iou_thresholds=(0.5, 0.5))
 
 
 class TestReports:
@@ -329,22 +383,3 @@ class TestReports:
         header = path.read_text().splitlines()[0]
         assert header == "class,iou_0.3,iou_0.4,iou_0.5,iou_0.6,iou_0.7"
 
-
-class TestPrCurves:
-    def test_curves_are_written_and_consistent(self, tmp_path):
-        gts = [gt(0, 10), gt(20, 30)]
-        preds = [seg(0, 10, 0.9), seg(20, 30, 0.7), seg(50, 55, 0.8)]
-        config = EvalConfig(num_classes=1, iou_thresholds=(0.3, 0.5))
-        paths = dump_pr_curves(preds, AnnotationSet(["a"], gts), config, tmp_path)
-        assert len(paths) == 2
-        for path in paths:
-            lines = path.read_text().splitlines()
-            assert lines[0] == "rank,precision,recall"
-            recalls = [float(l.split(",")[2]) for l in lines[1:]]
-            assert recalls == sorted(recalls)
-
-    def test_points_match_ap_kernel(self):
-        ranked = [(0.9, True), (0.8, False), (0.7, True)]
-        precision, recall = precision_recall_points(ranked, 3)
-        np.testing.assert_allclose(precision, [1.0, 0.5, 2.0 / 3.0])
-        np.testing.assert_allclose(recall, [1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0])

@@ -16,6 +16,7 @@ from fsn.localize import (
     multi_threshold_group,
     nms,
     nms_threshold_for,
+    pairwise_iou,
     slide_predict,
     temporal_iou,
     threshold_group,
@@ -212,10 +213,29 @@ class TestTemporalIoU:
         b = (b_start, b_start + b_len)
         assert temporal_iou(a, b) == pytest.approx(iou_by_frames(a, b), abs=1e-12)
         assert temporal_iou(a, b) == temporal_iou(b, a)
+        matrix = pairwise_iou([a[0], b[0]], [a[1], b[1]], [b[0], a[0]], [b[1], a[1]])
+        assert matrix.shape == (2, 2)
+        assert matrix[0, 0] == temporal_iou(a, b)
+        assert matrix[0, 1] == temporal_iou(a, a)
+        assert matrix[1, 0] == temporal_iou(b, b)
+        assert matrix[1, 1] == temporal_iou(b, a)
+
+    def test_pairwise_equals_scalar_on_fractional_bounds(self):
+        # non-integer bounds round, so only the same op order gives equal bits
+        rng = np.random.default_rng(9)
+        starts = rng.uniform(0, 50, size=40)
+        ends = starts + rng.uniform(0.1, 30, size=40)
+        matrix = pairwise_iou(starts[:20], ends[:20], starts[20:], ends[20:])
+        for i in range(20):
+            for j in range(20):
+                scalar = temporal_iou((starts[i], ends[i]), (starts[20 + j], ends[20 + j]))
+                assert matrix[i, j] == scalar
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             temporal_iou((5, 5), (0, 3))
+        with pytest.raises(ValueError):
+            pairwise_iou([0, 5], [3, 5], [0], [3])
 
 
 class TestNms:
@@ -257,6 +277,37 @@ class TestNms:
                 threshold,
             )
             assert sorted((s.start, s.end, s.confidence) for s in kept) == sorted(oracle)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.4, 0.6])
+    def test_matches_greedy_oracle_on_grouped_tracks(self, threshold):
+        # grouping a wandering track quantized to one decimal gives nested
+        # candidate sets of ~150-190 per class, many with tied confidences
+        rng = np.random.default_rng(100 + int(threshold * 10))
+        for trial in range(3):
+            walk = np.cumsum(rng.normal(0, 0.15, size=(500, 2)), axis=0)
+            track = FrameScoreTrack(
+                "v", np.round(np.abs(np.sin(walk)), 1), includes_background=False
+            )
+            candidates = [
+                s for class_id in (1, 2) for s in multi_threshold_group(track, class_id)
+            ]
+            kept = nms(candidates, threshold)
+            for class_id in (1, 2):
+                triples = [
+                    (s.start, s.end, s.confidence)
+                    for s in candidates
+                    if s.class_id == class_id
+                ]
+                assert len(triples) > 100
+                assert len({c for _, _, c in triples}) < len(triples)
+                oracle = greedy_nms(
+                    triples,
+                    lambda x, y: iou_by_frames((x[0], x[1]), (y[0], y[1])),
+                    threshold,
+                )
+                assert [
+                    (s.start, s.end, s.confidence) for s in kept if s.class_id == class_id
+                ] == oracle
 
     def test_rejects_mixed_videos(self):
         with pytest.raises(ValueError):
