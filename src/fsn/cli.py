@@ -247,6 +247,14 @@ def build_config(file_values: dict[str, str], flag_values: dict) -> RunConfig:
 
 
 def resolve_threads(cfg: RunConfig) -> int:
+    """Worker count for scoring videos: ``--threads``, else ``FSN_THREADS``,
+    else 1.
+
+    One worker is the default because each video is already one batched
+    forward pass whose matrix products OpenBLAS spreads over every CPU; a
+    pool on top of that competes for the same cores. The pool pays off when
+    BLAS itself runs single-threaded (``OPENBLAS_NUM_THREADS=1``).
+    """
     if cfg.threads is not None:
         value = cfg.threads
     else:
@@ -367,10 +375,12 @@ def cmd_synth(cfg: RunConfig) -> dict:
 def _load_corpus(cfg: RunConfig, default_split: str):
     videos, split = _select_videos(cfg, default_split)
     _require(cfg, "annotations")
-    frame_counts = {
-        p.stem: load_features(p).frame_count
-        for p in sorted(Path(cfg.features_dir).glob("*.fsnf"))
-    }
+    # the split's videos are loaded already; every other file is still read
+    # in full, so a corrupt file outside the split fails the command too
+    frame_counts = {v.video_id: v.frame_count for v in videos}
+    for path in sorted(Path(cfg.features_dir).glob("*.fsnf")):
+        if path.stem not in frame_counts:
+            frame_counts[path.stem] = load_features(path).frame_count
     annotations = load_annotations(cfg.annotations, frame_counts=frame_counts)
     return videos, split, annotations
 

@@ -264,11 +264,15 @@ def load_report(path) -> dict[str, dict[str, float]]:
     header = lines[0].split(",")
     if header[0] != "class":
         raise ValueError(f"{path}: malformed report header")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate report column in {lines[0]!r}")
     out: dict[str, dict[str, float]] = {}
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: ragged report row {cells[0]!r}")
+        if cells[0] in out:
+            raise ValueError(f"{path}: duplicate report row {cells[0]!r}")
         out[cells[0]] = {
             column: float(value) for column, value in zip(header[1:], cells[1:])
         }

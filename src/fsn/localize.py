@@ -89,30 +89,29 @@ class SegmentPrediction:
 def slide_predict(head: Head, video: VideoFeatures) -> FrameScoreTrack:
     """Score every frame with non-overlapping clip windows.
 
-    The tail window is padded by repeating the final frame descriptor, and its
-    surplus scores are cut off, so the track length equals the frame count.
+    Every window of the video goes through the head in one
+    (windows, snippets, feature_dim) batch. The tail window is padded by
+    repeating the final frame descriptor, and its surplus scores are cut off,
+    so the track length equals the frame count.
     """
     if isinstance(head, WfsnHead):
         raise TypeError("use weak_score_track for weakly supervised heads")
     config = head.config
-    if video.frame_count < config.snippet_len:
+    frames = video.frame_count
+    if frames < config.snippet_len:
         raise ValueError(
-            f"{video.video_id}: {video.frame_count} frames is shorter than one "
+            f"{video.video_id}: {frames} frames is shorter than one "
             f"{config.snippet_len}-frame snippet"
         )
     clip_len = config.clip_len
     offsets = np.arange(config.snippets_per_clip) * config.snippet_len
     offsets = offsets + config.snippet_len // 2
-    rows = []
-    for start in range(0, video.frame_count, clip_len):
-        window = video.features[start : start + clip_len]
-        remaining = window.shape[0]
-        if remaining < clip_len:
-            pad = np.tile(window[-1], (clip_len - remaining, 1))
-            window = np.vstack([window, pad])
-        scores = fsn_forward(window[offsets], head, clip_len)
-        rows.append(scores[:remaining])
-    return FrameScoreTrack(video.video_id, np.vstack(rows), head.includes_background)
+    starts = np.arange(0, frames, clip_len)
+    # frames past the end read the last frame: the tail window's padding
+    picks = np.minimum(starts[:, None] + offsets[None, :], frames - 1)
+    scores = fsn_forward(video.features[picks], head, clip_len)
+    scores = scores.reshape(-1, scores.shape[-1])[:frames]
+    return FrameScoreTrack(video.video_id, scores, head.includes_background)
 
 
 def weak_score_track(
@@ -136,6 +135,28 @@ def weak_score_track(
     return FrameScoreTrack(video.video_id, expanded, includes_background=False)
 
 
+def _runs(column: Array, threshold: float) -> tuple[Array, Array]:
+    """Starts and ends of the maximal runs of ``column`` above ``threshold``."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    mask = np.concatenate([[False], column > threshold, [False]])
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
+    return edges[::2], edges[1::2]
+
+
+def _run_segment(
+    track: FrameScoreTrack, class_id: int, column: Array, start, end
+) -> SegmentPrediction:
+    """The segment of one run; its confidence is the run's mean class score."""
+    return SegmentPrediction(
+        video_id=track.video_id,
+        start=int(start),
+        end=int(end),
+        class_id=class_id,
+        confidence=float(column[start:end].mean()),
+    )
+
+
 def threshold_group(
     track: FrameScoreTrack, class_id: int, threshold: float
 ) -> list[SegmentPrediction]:
@@ -144,23 +165,11 @@ def threshold_group(
     Each run becomes a segment whose confidence is the mean class score over
     its frames.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
     column = track.class_scores(class_id)
-    mask = np.concatenate([[False], column > threshold, [False]])
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
-    segments = []
-    for start, end in zip(edges[::2], edges[1::2]):
-        segments.append(
-            SegmentPrediction(
-                video_id=track.video_id,
-                start=int(start),
-                end=int(end),
-                class_id=class_id,
-                confidence=float(column[start:end].mean()),
-            )
-        )
-    return segments
+    return [
+        _run_segment(track, class_id, column, start, end)
+        for start, end in zip(*_runs(column, threshold))
+    ]
 
 
 def multi_threshold_group(
@@ -171,16 +180,18 @@ def multi_threshold_group(
     """Union of threshold groupings over a threshold sweep, deduplicated.
 
     Segments that come out identical (same start, end, class) at several
-    thresholds are kept once, at their first appearance.
+    thresholds are kept once, at their first appearance; a repeat is
+    recognised by its bounds before any segment is built for it.
     """
+    column = track.class_scores(class_id)
     seen: set[tuple[int, int]] = set()
     merged = []
     for threshold in thresholds:
-        for segment in threshold_group(track, class_id, threshold):
-            key = (segment.start, segment.end)
+        for start, end in zip(*_runs(column, threshold)):
+            key = (int(start), int(end))
             if key not in seen:
                 seen.add(key)
-                merged.append(segment)
+                merged.append(_run_segment(track, class_id, column, start, end))
     return merged
 
 

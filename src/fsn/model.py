@@ -12,6 +12,13 @@ Three heads share one fully convolutional trunk recipe:
 * ``AblationHead``: a single kernel-1 classifier, i.e. no temporal context,
   used as the contrast model for the dilated stack.
 
+Every forward and backward function is rank-polymorphic over
+(..., positions, channels), like the ``nncore`` ops beneath it: a training
+step stacks its samples into one (batch, positions, channels) array, and
+``localize.slide_predict`` stacks every window of a video, so each layer runs
+once per step or per video. Input features are checked for NaN and infinity
+once, here at the model boundary, and not again inside the layers.
+
 Parameters live in the layers as float64 numpy arrays; updates mutate them
 in place through ``nncore.sgd_update``.
 """
@@ -41,6 +48,7 @@ from .nncore import (
     framewise_softmax,
     relu,
     relu_backward,
+    require_finite,
     sgd_update,
     softmax_vec,
     temporal_pool,
@@ -211,11 +219,15 @@ def receptive_field(head: Head) -> int:
 
 
 def _stack_forward(features: Array, head: Head) -> tuple[Array, tuple]:
-    """Per-position class logits from snippet descriptors."""
-    x = as_seq(features)
-    if x.shape[1] != head.config.feature_dim:
+    """Per-position class logits from snippet descriptors.
+
+    ``features`` is (..., positions, feature_dim); this is where the model
+    rejects non-finite input, once for the whole batch.
+    """
+    x = require_finite(as_seq(features))
+    if x.shape[-1] != head.config.feature_dim:
         raise ValueError(
-            f"features have dim {x.shape[1]}, head expects {head.config.feature_dim}"
+            f"features have dim {x.shape[-1]}, head expects {head.config.feature_dim}"
         )
     caches = []
     h = x
@@ -259,62 +271,53 @@ def fsn_backward(grad_frame_logits: Array, cache: tuple) -> list[Array]:
 
 
 def fsn_forward(features: Array, head: Head, target_len: int | None = None) -> Array:
-    """Per-frame class probabilities, shape (target_len, K+1); rows sum to 1."""
+    """Per-frame class probabilities, shape (..., target_len, K+1); rows sum to 1."""
     logits, _ = fsn_frame_logits(features, head, target_len)
     return framewise_softmax(logits)
 
 
 def one_hot_frames(labels: Array, num_outputs: int) -> Array:
+    """One-hot rows for integer frame labels of any shape (..., frames)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.ndim < 1 or labels.size == 0:
+        raise ValueError(
+            f"labels must be non-empty (..., frames), got shape {labels.shape}"
+        )
     if labels.min() < 0 or labels.max() >= num_outputs:
         raise ValueError(
             f"labels must lie in [0, {num_outputs}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    out = np.zeros((labels.size, num_outputs))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return np.eye(num_outputs)[labels]
 
 
 def fsn_loss_and_grads(
     batch: Sequence[ClipSample], head: Head
 ) -> tuple[float, list[Array]]:
-    """Dense cross-entropy over a clip batch plus parameter gradients."""
+    """Dense cross-entropy over a clip batch plus parameter gradients.
+
+    The clips are stacked into one (batch, snippets, feature_dim) array, so
+    the step is one forward and one backward pass.
+    """
     if not batch:
         raise ValueError("empty batch")
     config = head.config
-    logits_rows = []
-    caches = []
-    labels_rows = []
     for clip in batch:
         if clip.labels.shape != (config.clip_len,):
             raise ValueError(
                 f"clip labels have shape {clip.labels.shape}, expected "
                 f"({config.clip_len},)"
             )
-        if clip.features.shape[0] != config.snippets_per_clip:
+        if clip.features.shape != (config.snippets_per_clip, config.feature_dim):
             raise ValueError(
-                f"clip has {clip.features.shape[0]} snippets, expected "
-                f"{config.snippets_per_clip}"
+                f"clip features have shape {clip.features.shape}, expected "
+                f"({config.snippets_per_clip}, {config.feature_dim})"
             )
-        logits, cache = fsn_frame_logits(clip.features, head, config.clip_len)
-        logits_rows.append(logits)
-        caches.append(cache)
-        labels_rows.append(one_hot_frames(clip.labels, head.num_outputs))
-    loss, grad = framewise_cross_entropy(
-        np.stack(logits_rows), np.stack(labels_rows)
-    )
-    totals: list[Array] | None = None
-    for sample_grad, cache in zip(grad, caches):
-        grads = fsn_backward(sample_grad, cache)
-        if totals is None:
-            totals = grads
-        else:
-            for acc, g in zip(totals, grads):
-                acc += g
-    return loss, totals
+    features = np.stack([clip.features for clip in batch])
+    labels = one_hot_frames(np.stack([clip.labels for clip in batch]), head.num_outputs)
+    logits, cache = fsn_frame_logits(features, head, config.clip_len)
+    loss, grad = framewise_cross_entropy(logits, labels)
+    return loss, fsn_backward(grad, cache)
 
 
 def fsn_train_step(
@@ -329,7 +332,7 @@ def fsn_train_step(
 
 
 def wfsn_position_logits(features: Array, head: WfsnHead) -> Array:
-    """Pre-softmax class scores per sampled position, shape (positions, K)."""
+    """Pre-softmax class scores per sampled position, shape (..., positions, K)."""
     logits, _ = _stack_forward(features, head)
     return logits
 
@@ -351,36 +354,33 @@ def wfsn_loss_and_grads(
     """Video-label cross-entropy averaged over the batch, plus gradients.
 
     Multi-label videos average the cross-entropy over their positive classes.
+    The samples are stacked into one (batch, positions, feature_dim) array and
+    pooled over the positions axis, so the step is one forward and one
+    backward pass; every sample must therefore carry the same position count.
     """
     if not batch:
         raise ValueError("empty batch")
     num_classes = head.config.num_classes
-    loss = 0.0
-    totals: list[Array] | None = None
-    for sample in batch:
-        label = np.asarray(sample.video_label, dtype=np.float64)
-        if label.shape != (num_classes,):
-            raise ValueError(
-                f"video label has shape {label.shape}, expected ({num_classes},)"
-            )
-        if not np.isin(label, (0.0, 1.0)).all() or label.sum() < 1:
-            raise ValueError("video label must be multi-hot with >= 1 positive")
-        pos_logits, stack_cache = _stack_forward(sample.features, head)
-        pooled, pool_cache = temporal_pool(pos_logits, head.pooling)
-        shifted = pooled - pooled.max()
-        log_probs = shifted - np.log(np.exp(shifted).sum())
-        positives = label.sum()
-        loss += float(-(label * log_probs).sum() / positives)
-        grad_pooled = (np.exp(log_probs) - label / positives) / len(batch)
-        grads = _stack_backward(
-            temporal_pool_backward(grad_pooled, pool_cache), stack_cache
+    shapes = {sample.features.shape for sample in batch}
+    if len(shapes) > 1:
+        raise ValueError(f"weak samples differ in shape: {sorted(shapes)}")
+    labels = np.stack([sample.video_label for sample in batch])
+    if labels.shape[1:] != (num_classes,):
+        raise ValueError(
+            f"video label has shape {labels.shape[1:]}, expected ({num_classes},)"
         )
-        if totals is None:
-            totals = grads
-        else:
-            for acc, g in zip(totals, grads):
-                acc += g
-    return loss / len(batch), totals
+    if not np.isin(labels, (0.0, 1.0)).all() or labels.sum(axis=1).min() < 1:
+        raise ValueError("video label must be multi-hot with >= 1 positive")
+    features = np.stack([sample.features for sample in batch])
+    pos_logits, stack_cache = _stack_forward(features, head)
+    pooled, pool_cache = temporal_pool(pos_logits, head.pooling)
+    shifted = pooled - pooled.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    positives = labels.sum(axis=1, keepdims=True)
+    loss = float((-(labels * log_probs).sum(axis=1) / positives[:, 0]).mean())
+    grad_pooled = (np.exp(log_probs) - labels / positives) / len(batch)
+    grad_logits = temporal_pool_backward(grad_pooled, pool_cache)
+    return loss, _stack_backward(grad_logits, stack_cache)
 
 
 def wfsn_train_step(

@@ -3,7 +3,15 @@
 Everything is plain numpy in double precision. Each operation exposes a forward
 pass returning ``(output, cache)`` and a matching backward pass consuming that
 cache; there is no autograd graph, the model module wires layers together by
-hand. Sequences are 2-D float64 arrays laid out as (time, channels).
+hand. Sequences are float64 arrays laid out as (..., time, channels): any
+leading axes are batch axes, and a plain (time, channels) array is the case
+with none. Every op runs the whole batch at once, so a training step or a
+video costs one call per layer rather than one per sample.
+
+The ops check shapes and channel counts but not finiteness: scanning every
+activation of every layer for NaN would cost a pass over each array per call.
+The model validates its input features once, at its boundary
+(``require_finite``), and the loss rejects non-finite logits.
 """
 
 from __future__ import annotations
@@ -20,15 +28,22 @@ GMP = "gmp"
 
 
 def as_seq(x) -> Array:
-    """Coerce to a (time, channels) float64 array and validate it."""
+    """Coerce to a non-empty (..., time, channels) float64 array."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"sequence must be 2-D (time, channels), got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim < 2:
+        raise ValueError(
+            f"sequence must be (..., time, channels), got shape {a.shape}"
+        )
+    if a.size == 0:
         raise ValueError(f"sequence must be non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("sequence contains non-finite values")
     return a
+
+
+def require_finite(x: Array) -> Array:
+    """Reject arrays holding NaN or infinity; returns ``x`` unchanged."""
+    if not np.isfinite(x).all():
+        raise ValueError("sequence contains non-finite values")
+    return x
 
 
 @dataclass
@@ -82,54 +97,71 @@ class ConvLayer1D:
 def dilated_conv1d_forward(x: Array, layer: ConvLayer1D) -> tuple[Array, tuple]:
     """Stride-1 dilated temporal convolution with symmetric zero padding.
 
-    out[t, o] = bias[o] + sum_{i, j} weights[o, i, j] * x_pad[t + j*d, i]
+    out[..., t, o] = bias[o] + sum_{i, j} weights[o, i, j] * x_pad[..., t + j*d, i]
 
     where d is the dilation and the input is zero padded by d*(kernel-1)/2
     frames on each side, so the output has the same length as the input.
+
+    The padded samples are laid end to end as one long (rows, channels)
+    sequence. Each kernel tap is then a single matrix product over a
+    contiguous slice of it, for the whole batch at once; the rows that would
+    straddle two samples land in the padding gaps and are dropped.
     """
     x = as_seq(x)
-    if x.shape[1] != layer.in_channels:
+    if x.shape[-1] != layer.in_channels:
         raise ValueError(
-            f"input has {x.shape[1]} channels, layer expects {layer.in_channels}"
+            f"input has {x.shape[-1]} channels, layer expects {layer.in_channels}"
         )
-    length = x.shape[0]
-    pad = layer.padding
-    xp = np.zeros((length + 2 * pad, layer.in_channels))
-    xp[pad : pad + length] = x
-    out = np.tile(layer.bias, (length, 1))
-    d = layer.dilation
-    for j in range(layer.kernel_size):
-        out += xp[j * d : j * d + length] @ layer.weights[:, :, j].T
-    return out, (xp, length, layer)
+    length, pad, d = x.shape[-2], layer.padding, layer.dilation
+    span = length + 2 * pad
+    xp = np.zeros((x.size // (length * layer.in_channels), span, layer.in_channels))
+    xp[:, pad : pad + length] = x.reshape(-1, length, layer.in_channels)
+    flat = xp.reshape(-1, layer.in_channels)
+    rows = flat.shape[0] - 2 * pad
+    out = np.empty((flat.shape[0], layer.out_channels))
+    out[:rows] = flat[:rows] @ layer.weights[:, :, 0].T
+    for j in range(1, layer.kernel_size):
+        out[:rows] += flat[j * d : j * d + rows] @ layer.weights[:, :, j].T
+    out[:rows] += layer.bias
+    out = out.reshape(-1, span, layer.out_channels)[:, :length]
+    return out.reshape(*x.shape[:-1], layer.out_channels), (flat, x.shape, layer)
 
 
 def dilated_conv1d_backward(
     grad_out: Array, cache: tuple
 ) -> tuple[Array, Array, Array]:
-    """Gradients of a dilated conv: returns (grad_x, grad_weights, grad_bias)."""
-    xp, length, layer = cache
+    """Gradients of a dilated conv: returns (grad_x, grad_weights, grad_bias).
+
+    The weight and bias gradients are summed over every batch axis.
+    """
+    flat, x_shape, layer = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (length, layer.out_channels):
+    expected = (*x_shape[:-1], layer.out_channels)
+    if grad_out.shape != expected:
         raise ValueError(
-            f"grad shape {grad_out.shape} does not match output "
-            f"({length}, {layer.out_channels})"
+            f"grad shape {grad_out.shape} does not match output {expected}"
         )
-    d = layer.dilation
-    grad_b = grad_out.sum(axis=0)
+    length, pad, d = x_shape[-2], layer.padding, layer.dilation
+    span = length + 2 * pad
+    # gradient rows laid out like the forward output; the gap rows stay zero
+    grad_flat = np.zeros((flat.shape[0] // span, span, layer.out_channels))
+    grad_flat[:, :length] = grad_out.reshape(-1, length, layer.out_channels)
+    rows = flat.shape[0] - 2 * pad
+    grad_rows = grad_flat.reshape(-1, layer.out_channels)[:rows]
+    grad_b = grad_rows.sum(axis=0)
     grad_w = np.empty_like(layer.weights)
-    grad_xp = np.zeros_like(xp)
+    grad_xp = np.zeros_like(flat)
     for j in range(layer.kernel_size):
-        window = slice(j * d, j * d + length)
-        grad_w[:, :, j] = grad_out.T @ xp[window]
-        grad_xp[window] += grad_out @ layer.weights[:, :, j]
-    pad = layer.padding
-    return grad_xp[pad : pad + length], grad_w, grad_b
+        window = slice(j * d, j * d + rows)
+        grad_w[:, :, j] = grad_rows.T @ flat[window]
+        grad_xp[window] += grad_rows @ layer.weights[:, :, j]
+    grad_x = grad_xp.reshape(-1, span, layer.in_channels)[:, pad : pad + length]
+    return grad_x.reshape(x_shape), grad_w, grad_b
 
 
 def relu(x: Array) -> tuple[Array, Array]:
     x = np.asarray(x, dtype=np.float64)
-    mask = x > 0.0
-    return np.where(mask, x, 0.0), mask
+    return np.maximum(x, 0.0), x > 0.0
 
 
 def relu_backward(grad_out: Array, cache: Array) -> Array:
@@ -142,42 +174,45 @@ def bilinear_upsample_1d(x: Array, target_len: int) -> tuple[Array, tuple]:
     Output position t reads the fractional source coordinate
     s = t * (N - 1) / (target_len - 1) and blends the two bracketing inputs;
     a single input row is replicated. target_len below N is rejected
-    (this is an upsampler).
+    (this is an upsampler). The time axis is the second to last.
     """
     x = as_seq(x)
-    n = x.shape[0]
+    n = x.shape[-2]
     if target_len < n:
         raise ValueError(f"target length {target_len} is below input length {n}")
     if n == 1:
-        return np.repeat(x, target_len, axis=0), (None, None, n, target_len)
+        return np.repeat(x, target_len, axis=-2), (np.ones((1, target_len)), target_len)
     s = np.arange(target_len) * (n - 1) / (target_len - 1)
     lo = np.minimum(np.floor(s).astype(np.int64), n - 2)
-    alpha = s - lo
-    out = (1.0 - alpha)[:, None] * x[lo] + alpha[:, None] * x[lo + 1]
-    return out, (lo, alpha, n, target_len)
+    alpha = (s - lo)[:, None]
+    out = (1.0 - alpha) * x[..., lo, :] + alpha * x[..., lo + 1, :]
+    # the transposed blend, (n, target_len): backward is one matrix product
+    blend = np.zeros((n, target_len))
+    frames = np.arange(target_len)
+    blend[lo, frames] = 1.0 - alpha[:, 0]
+    blend[lo + 1, frames] += alpha[:, 0]
+    return out, (blend, target_len)
 
 
 def bilinear_upsample_1d_backward(grad_out: Array, cache: tuple) -> Array:
-    lo, alpha, n, target_len = cache
+    blend, target_len = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape[0] != target_len:
+    if grad_out.ndim < 2 or grad_out.shape[-2] != target_len:
         raise ValueError(
-            f"grad has {grad_out.shape[0]} rows, expected {target_len}"
+            f"grad shape {grad_out.shape} does not have {target_len} time steps"
         )
-    if lo is None:
-        return grad_out.sum(axis=0, keepdims=True)
-    grad_x = np.zeros((n, grad_out.shape[1]))
-    np.add.at(grad_x, lo, (1.0 - alpha)[:, None] * grad_out)
-    np.add.at(grad_x, lo + 1, alpha[:, None] * grad_out)
-    return grad_x
+    return blend @ grad_out
 
 
 def framewise_softmax(x: Array) -> Array:
-    """Row-wise softmax over the channel axis, numerically stabilized."""
-    x = as_seq(x)
-    z = x - x.max(axis=1, keepdims=True)
+    """Softmax over the channel (last) axis, numerically stabilized.
+
+    Non-finite scores are rejected: they would come out as NaN rows.
+    """
+    x = require_finite(as_seq(x))
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_vec(x: Array) -> Array:
@@ -192,7 +227,7 @@ def softmax_vec(x: Array) -> Array:
 
 
 def _check_one_hot(labels: Array) -> None:
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise ValueError("labels must be one-hot (entries 0 or 1)")
     sums = labels.sum(axis=-1)
     if not np.all(sums == 1.0):
@@ -227,29 +262,31 @@ def framewise_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]
 
 
 def temporal_pool(x: Array, mode: str) -> tuple[Array, tuple]:
-    """Pool a (positions, channels) sequence down to one vector per channel.
+    """Pool (..., positions, channels) down to one vector per channel.
 
     ``gap`` averages over positions; ``gmp`` takes the per-channel max, and its
     backward routes the gradient to the earliest maximizing position.
     """
     x = as_seq(x)
     if mode == GAP:
-        return x.mean(axis=0), (GAP, x.shape, None)
+        return x.mean(axis=-2), (GAP, x.shape, None)
     if mode == GMP:
-        idx = np.argmax(x, axis=0)
-        return x[idx, np.arange(x.shape[1])], (GMP, x.shape, idx)
+        idx = np.expand_dims(np.argmax(x, axis=-2), -2)
+        return np.take_along_axis(x, idx, axis=-2)[..., 0, :], (GMP, x.shape, idx)
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
 def temporal_pool_backward(grad_out: Array, cache: tuple) -> Array:
     mode, shape, idx = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (shape[1],):
-        raise ValueError(f"grad shape {grad_out.shape} does not match ({shape[1]},)")
+    expected = (*shape[:-2], shape[-1])
+    if grad_out.shape != expected:
+        raise ValueError(f"grad shape {grad_out.shape} does not match {expected}")
+    grad_out = np.expand_dims(grad_out, -2)
     if mode == GAP:
-        return np.tile(grad_out / shape[0], (shape[0], 1))
+        return np.repeat(grad_out / shape[-2], shape[-2], axis=-2)
     grad_x = np.zeros(shape)
-    grad_x[idx, np.arange(shape[1])] = grad_out
+    np.put_along_axis(grad_x, idx, grad_out, axis=-2)
     return grad_x
 
 

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line surface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,51 @@ def test_train_rejects_class_count_mismatch(corpus, capsys):
     ])
     assert rc == 1
     assert "9 classes" in capsys.readouterr().err
+
+
+def test_train_reads_each_feature_file_once(corpus, tmp_path, monkeypatch):
+    import fsn.cli
+    import fsn.data
+
+    read = []
+    original = fsn.data.load_features
+
+    def counting(path, *args, **kwargs):
+        read.append(Path(path).name)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(fsn.data, "load_features", counting)
+    monkeypatch.setattr(fsn.cli, "load_features", counting)
+    rc = main([
+        "train",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(tmp_path / "out"),
+        "--iterations", "2",
+    ])
+    assert rc == 0
+    assert sorted(read) == sorted(p.name for p in corpus.glob("*.fsnf"))
+
+
+def test_train_fails_on_corrupt_file_outside_the_split(corpus, tmp_path, capsys):
+    # the test split is only read for frame counts, but it is still validated
+    features = tmp_path / "features"
+    features.mkdir()
+    for path in corpus.glob("*.fsnf"):
+        (features / path.name).write_bytes(path.read_bytes())
+    victim = features / f"{load_manifest(corpus / 'manifest.tsv')['test_ids'][0]}.fsnf"
+    victim.write_bytes(victim.read_bytes()[:-4])
+    rc = main([
+        "train",
+        "--features-dir", str(features),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(tmp_path / "out"),
+        "--iterations", "2",
+    ])
+    assert rc == 1
+    assert victim.name in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- train-weak

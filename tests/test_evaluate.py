@@ -374,6 +374,20 @@ class TestReports:
             )
         assert parsed["mAP"]["frame_ap"] == pytest.approx(report.frame_map, abs=5e-5)
 
+    def test_rejects_duplicate_column(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("class,iou_0.5,iou_0.5\na,0.1000,0.9000\n")
+        with pytest.raises(ValueError, match="duplicate report column") as err:
+            load_report(path)
+        assert str(path) in str(err.value)
+
+    def test_rejects_duplicate_row(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("class,iou_0.5\na,0.1000\na,0.9000\nmAP,0.5000\n")
+        with pytest.raises(ValueError, match="duplicate report row") as err:
+            load_report(path)
+        assert str(path) in str(err.value)
+
     def test_report_without_frame_column(self, tmp_path):
         report = self.make_report()
         report.frame_ap = None

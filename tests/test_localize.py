@@ -90,6 +90,30 @@ class TestSlidePredict:
         direct = fsn_forward(padded[offsets], head, 35)
         np.testing.assert_allclose(track.scores[35:], direct[:1])
 
+    @pytest.mark.parametrize("frames", [12, 35, 87])
+    def test_matches_per_window_forward(self, frames):
+        # below, equal to and not divisible by clip_len
+        rng = np.random.default_rng(frames + 5)
+        head = init_fsn(CFG, seed=5)
+        feats = rng.standard_normal((frames, 4))
+        track = slide_predict(head, VideoFeatures("v", feats))
+        offsets = np.arange(7) * 5 + 2
+        rows = []
+        for start in range(0, frames, 35):
+            window = feats[start : start + 35]
+            pad = np.tile(window[-1], (35 - window.shape[0], 1))
+            rows.append(fsn_forward(np.vstack([window, pad])[offsets], head, 35))
+        expected = np.vstack(rows)[:frames]
+        assert track.scores.shape == expected.shape
+        assert np.max(np.abs(track.scores - expected)) <= 1e-12
+
+    def test_rejects_non_finite_features(self):
+        head = init_fsn(CFG, seed=0)
+        video = VideoFeatures("v", np.ones((40, 4)))
+        video.features[37, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            slide_predict(head, video)
+
     def test_rejects_video_shorter_than_a_snippet(self):
         head = init_fsn(CFG, seed=0)
         with pytest.raises(ValueError, match="snippet"):
@@ -190,6 +214,23 @@ class TestMultiThresholdGroup:
         track = track_from_column([0.0, 1.0, 1.0, 0.0])
         segments = multi_threshold_group(track, 1)
         assert [(s.start, s.end) for s in segments] == [(1, 3)]
+
+
+    def test_equals_first_appearance_union_of_single_thresholds(self):
+        rng = np.random.default_rng(19)
+        track = track_from_column(np.round(rng.uniform(size=200), 2))
+        expected, seen = [], set()
+        for threshold in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
+            for s in threshold_group(track, 1, threshold):
+                if (s.start, s.end) not in seen:
+                    seen.add((s.start, s.end))
+                    expected.append(s)
+        got = multi_threshold_group(track, 1, (0.0, 0.1, 0.25, 0.5, 0.75, 1.0))
+        assert got == expected
+
+    def test_rejects_threshold_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="threshold"):
+            multi_threshold_group(track_from_column([0.5, 0.7]), 1, (0.2, 1.5))
 
 
 class TestTemporalIoU:

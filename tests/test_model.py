@@ -344,6 +344,84 @@ class TestWfsn:
         assert gradient_check(fn, head_parameters(head)).passed
 
 
+def _assert_batch_matches_singles(loss_fn, batch, head):
+    """A batch's loss is the mean of the batch-of-one losses and its
+    gradients are their sum scaled by 1/B."""
+    loss, grads = loss_fn(batch, head)
+    singles = [loss_fn([sample], head) for sample in batch]
+    assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
+    for k, grad in enumerate(grads):
+        expected = sum(g[k] for _, g in singles) / len(batch)
+        assert np.max(np.abs(grad - expected)) <= 1e-12
+
+
+class TestBatchedTraining:
+    def test_fsn_batch_matches_single_samples(self):
+        rng = np.random.default_rng(50)
+        head = init_fsn(TINY, seed=50)
+        batch = [
+            ClipSample(
+                features=rng.standard_normal((7, 5)),
+                labels=rng.integers(0, 3, size=35),
+            )
+            for _ in range(5)
+        ]
+        _assert_batch_matches_singles(fsn_loss_and_grads, batch, head)
+
+    def test_ablation_batch_matches_single_samples(self):
+        rng = np.random.default_rng(51)
+        head = init_ablation(TINY, seed=51)
+        batch = [tiny_clip(rng, TINY, label) for label in (1, 2, 1)]
+        _assert_batch_matches_singles(fsn_loss_and_grads, batch, head)
+
+    @pytest.mark.parametrize("pooling", [GAP, GMP])
+    def test_wfsn_batch_matches_single_samples(self, pooling):
+        rng = np.random.default_rng(52)
+        head = init_wfsn(TINY, seed=52, pooling=pooling)
+        labels = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
+        batch = [
+            WeakSample(features=rng.standard_normal((9, 5)), video_label=np.array(label))
+            for label in labels
+        ]
+        _assert_batch_matches_singles(wfsn_loss_and_grads, batch, head)
+
+    def test_wfsn_rejects_samples_of_different_lengths(self):
+        head = init_wfsn(TINY, seed=0)
+        label = np.array([1.0, 0.0])
+        batch = [
+            WeakSample(features=np.zeros((4, 5)), video_label=label),
+            WeakSample(features=np.zeros((5, 5)), video_label=label),
+        ]
+        with pytest.raises(ValueError, match="shape"):
+            wfsn_loss_and_grads(batch, head)
+
+
+class TestModelBoundary:
+    def test_nan_clip_features_are_rejected(self):
+        rng = np.random.default_rng(53)
+        head = init_fsn(TINY, seed=53)
+        batch = [tiny_clip(rng, TINY), tiny_clip(rng, TINY)]
+        batch[1].features[3, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fsn_loss_and_grads(batch, head)
+
+    def test_nan_weak_features_are_rejected(self):
+        head = init_wfsn(TINY, seed=54)
+        features = np.zeros((6, 5))
+        features[2, 0] = np.inf
+        sample = WeakSample(features=features, video_label=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            wfsn_loss_and_grads([sample], head)
+
+    def test_nan_features_are_rejected_by_forward(self):
+        features = np.zeros((2, 7, 5))
+        features[1, 6, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fsn_forward(features, init_fsn(TINY, seed=55), 35)
+        with pytest.raises(ValueError, match="non-finite"):
+            wfsn_forward_predict(features, init_wfsn(TINY, seed=55))
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "make",

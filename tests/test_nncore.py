@@ -98,6 +98,87 @@ class TestDilatedConv:
             dilated_conv1d_backward(np.ones((5, 3)), cache)
 
 
+class TestBatchedOps:
+    """Leading axes are batch axes: every sample must come out as if alone."""
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_conv_forward_matches_oracle_per_sample(self, dilation, lead):
+        rng = np.random.default_rng(dilation * 7 + len(lead))
+        layer = random_layer(rng, 3, 4, dilation=dilation)
+        x = rng.standard_normal((*lead, 9, 3))
+        out, _ = dilated_conv1d_forward(x, layer)
+        assert out.shape == (*lead, 9, 4)
+        for idx in np.ndindex(*lead):
+            expected = naive_conv1d(x[idx], layer.weights, layer.bias, dilation)
+            assert np.max(np.abs(out[idx] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_conv_backward_matches_finite_differences(self, dilation):
+        rng = np.random.default_rng(31 + dilation)
+        x = rng.standard_normal((3, 6, 3))
+        layer = random_layer(rng, 3, 2, dilation=dilation)
+        probe = rng.standard_normal((3, 6, 2))
+
+        def fn(params):
+            w, b, inp = params
+            out, cache = dilated_conv1d_forward(inp, layer)
+            gx, gw, gb = dilated_conv1d_backward(probe, cache)
+            return float((out * probe).sum()), [gw, gb, gx]
+
+        report = gradient_check(fn, [layer.weights, layer.bias, x])
+        assert report.passed, report.per_param
+
+    @pytest.mark.parametrize("n,target", [(1, 5), (3, 8), (7, 35)])
+    def test_upsample_forward_and_backward(self, n, target):
+        rng = np.random.default_rng(n * 3 + target)
+        x = rng.standard_normal((4, n, 2))
+        out, _ = bilinear_upsample_1d(x, target)
+        for b in range(4):
+            np.testing.assert_allclose(out[b], naive_upsample(x[b], target), atol=1e-12)
+        probe = rng.standard_normal((4, target, 2))
+
+        def fn(params):
+            (inp,) = params
+            out, cache = bilinear_upsample_1d(inp, target)
+            loss = float((out * probe).sum())
+            return loss, [bilinear_upsample_1d_backward(probe, cache)]
+
+        assert gradient_check(fn, [x]).passed
+
+    @pytest.mark.parametrize("mode", [GAP, GMP])
+    def test_pool_forward_and_backward(self, mode):
+        rng = np.random.default_rng(41)
+        x = rng.permuted(np.linspace(-4, 4, 36)).reshape(3, 6, 2)
+        out, _ = temporal_pool(x, mode)
+        assert out.shape == (3, 2)
+        for b in range(3):
+            np.testing.assert_array_equal(out[b], temporal_pool(x[b], mode)[0])
+        probe = rng.standard_normal((3, 2))
+
+        def fn(params):
+            (inp,) = params
+            out, cache = temporal_pool(inp, mode)
+            loss = float((out * probe).sum())
+            return loss, [temporal_pool_backward(probe, cache)]
+
+        assert gradient_check(fn, [x]).passed
+
+    def test_gmp_tie_routes_gradient_to_earliest_per_sample(self):
+        x = np.array([[[5.0, 1.0], [5.0, 2.0]], [[0.0, 3.0], [1.0, 3.0]]])
+        _, cache = temporal_pool(x, GMP)
+        grad = temporal_pool_backward(np.ones((2, 2)), cache)
+        np.testing.assert_array_equal(
+            grad, [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+        )
+
+    def test_softmax_normalizes_every_row(self):
+        x = np.random.default_rng(43).standard_normal((3, 4, 5))
+        out = framewise_softmax(x)
+        np.testing.assert_allclose(out.sum(axis=-1), np.ones((3, 4)), atol=1e-12)
+        np.testing.assert_allclose(out[1], framewise_softmax(x[1]), atol=1e-15)
+
+
 class TestRelu:
     def test_values(self):
         out, _ = relu(np.array([[-1.0, 0.0], [2.0, -3.0]]))
