@@ -145,11 +145,11 @@ def _runs(column: Array, threshold: float) -> tuple[Array, Array]:
 
 
 def _run_segment(
-    track: FrameScoreTrack, class_id: int, column: Array, start, end
+    video_id: str, class_id: int, column: Array, start, end
 ) -> SegmentPrediction:
     """The segment of one run; its confidence is the run's mean class score."""
     return SegmentPrediction(
-        video_id=track.video_id,
+        video_id=video_id,
         start=int(start),
         end=int(end),
         class_id=class_id,
@@ -167,7 +167,7 @@ def threshold_group(
     """
     column = track.class_scores(class_id)
     return [
-        _run_segment(track, class_id, column, start, end)
+        _run_segment(track.video_id, class_id, column, start, end)
         for start, end in zip(*_runs(column, threshold))
     ]
 
@@ -191,7 +191,8 @@ def multi_threshold_group(
             key = (int(start), int(end))
             if key not in seen:
                 seen.add(key)
-                merged.append(_run_segment(track, class_id, column, start, end))
+                segment = _run_segment(track.video_id, class_id, column, start, end)
+                merged.append(segment)
     return merged
 
 

@@ -119,10 +119,9 @@ def dilated_conv1d_forward(x: Array, layer: ConvLayer1D) -> tuple[Array, tuple]:
     flat = xp.reshape(-1, layer.in_channels)
     rows = flat.shape[0] - 2 * pad
     out = np.empty((flat.shape[0], layer.out_channels))
-    out[:rows] = flat[:rows] @ layer.weights[:, :, 0].T
-    for j in range(1, layer.kernel_size):
+    out[:rows] = layer.bias
+    for j in range(layer.kernel_size):
         out[:rows] += flat[j * d : j * d + rows] @ layer.weights[:, :, j].T
-    out[:rows] += layer.bias
     out = out.reshape(-1, span, layer.out_channels)[:, :length]
     return out.reshape(*x.shape[:-1], layer.out_channels), (flat, x.shape, layer)
 
