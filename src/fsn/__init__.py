@@ -2,9 +2,9 @@
 
 Subpackages:
     nncore    -- numpy forward/backward primitives, optimizer, gradient checker
-    model     -- head architectures, training steps, serialization
+    model     -- the head type, training steps, serialization
     data      -- feature/annotation IO, clip assembly, synthetic corpus generator
-    localize  -- sliding-window scoring, grouping, NMS, prediction files
+    localize  -- the predict pipeline: scoring, grouping, NMS, prediction files
     evaluate  -- frame-level and segment-level AP/mAP, CSV reports
     cli       -- command line entry points
 """

@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,16 +48,13 @@ from .evaluate import (
 from .localize import (
     FrameScoreTrack,
     load_predictions,
+    localize,
     nms_threshold_for,
-    slide_predict,
-    sort_predictions,
-    track_to_segments,
-    weak_score_track,
     write_predictions,
 )
 from .model import (
+    Head,
     ModelConfig,
-    WfsnHead,
     fsn_loss_and_grads,
     fsn_train_step,
     head_parameters,
@@ -117,50 +113,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in str(text).split(",") if part.strip())
 
 
-# every recognized config key with its parser; flag names mirror these
-SCHEMA: dict[str, Callable] = {
-    "features_dir": str,
-    "annotations": str,
-    "manifest": str,
-    "model": str,
-    "predictions": str,
-    "tracks": str,
-    "out": str,
-    "split": str,
-    "num_classes": int,
-    "feature_dim": int,
-    "hidden_channels": int,
-    "snippet_len": int,
-    "clip_len": int,
-    "dilations": _parse_int_list,
-    "pooling": str,
-    "learning_rate": float,
-    "momentum": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "iterations": int,
-    "log_every": int,
-    "train_stride": int,
-    "min_action_frames": int,
-    "weak_positions": int,
-    "num_videos": int,
-    "frames_per_video": int,
-    "prototype_noise": float,
-    "context_ambiguity": _parse_bool,
-    "instance_density": float,
-    "train_fraction": float,
-    "single_class_videos": _parse_bool,
-    "min_instance_len": int,
-    "max_instance_len": int,
-    "eval_iou": _parse_float_list,
-    "predict_iou": float,
-    "ablate_mode": str,
-    "gradcheck_seeds": int,
-    "seed": int,
-    "threads": int,
-}
-
-
 @dataclass
 class RunConfig:
     """Merged settings for one command run; ``explicit`` tracks which keys
@@ -209,6 +161,24 @@ class RunConfig:
 
     def was_set(self, key: str) -> bool:
         return key in self.explicit
+
+
+_PARSERS: dict[str, Callable] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[float, ...]": _parse_float_list,
+}
+
+# every recognized config key with the parser of its RunConfig field type
+# (optional fields parse like their inner type); flag names mirror these
+SCHEMA: dict[str, Callable] = {
+    f.name: _PARSERS[f.type.removesuffix(" | None")]
+    for f in fields(RunConfig)
+    if f.name != "explicit"
+}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -271,14 +241,6 @@ def resolve_threads(cfg: RunConfig) -> int:
     return value
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn over items, optionally with a worker pool; output keeps order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _require(cfg: RunConfig, *keys: str) -> None:
     missing = [k for k in keys if getattr(cfg, k) is None]
     if missing:
@@ -338,20 +300,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _synth_config(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(
-        num_videos=cfg.num_videos,
-        frames_per_video=cfg.frames_per_video,
-        num_classes=cfg.num_classes,
-        feature_dim=cfg.feature_dim,
-        prototype_noise=cfg.prototype_noise,
-        context_ambiguity=cfg.context_ambiguity,
-        instance_density=cfg.instance_density,
-        seed=cfg.seed,
-        train_fraction=cfg.train_fraction,
-        single_class_videos=cfg.single_class_videos,
-        min_instance_len=cfg.min_instance_len,
-        max_instance_len=cfg.max_instance_len,
-    )
+    return SynthConfig(**{f.name: getattr(cfg, f.name) for f in fields(SynthConfig)})
 
 
 def cmd_synth(cfg: RunConfig) -> dict:
@@ -385,10 +334,23 @@ def _load_corpus(cfg: RunConfig, default_split: str):
     return videos, split, annotations
 
 
-def _write_loss_log(rows: list[tuple[int, float]], path: Path) -> None:
+def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple[Path, Path]:
+    """The SGD loop over ``next_batch()`` batches; saves the model and loss log."""
+    optimizer = OptimizerState(
+        learning_rate=cfg.learning_rate,
+        momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay,
+    )
     lines = ["iteration,loss"]
-    lines.extend(f"{step},{loss:.6f}" for step, loss in rows)
-    path.write_text("\n".join(lines) + "\n")
+    for step in range(1, cfg.iterations + 1):
+        loss = train_step(next_batch(), head, optimizer)
+        if step % cfg.log_every == 0:
+            lines.append(f"{step},{loss:.6f}")
+    model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
+    save_model(head, model_path)
+    log_path = out / "train_log.csv"
+    log_path.write_text("\n".join(lines) + "\n")
+    return model_path, log_path
 
 
 def _train_strong(cfg: RunConfig, init_fn, out: Path) -> dict:
@@ -416,23 +378,14 @@ def _train_strong(cfg: RunConfig, init_fn, out: Path) -> dict:
             f"action-frame rule"
         )
     clips = rebalance(clips, seed=cfg.seed)
-    head = init_fn(model_config, cfg.seed)
-    optimizer = OptimizerState(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-    )
     batch_rng = np.random.default_rng([cfg.seed, 1])
-    rows = []
-    for step in range(1, cfg.iterations + 1):
+
+    def next_batch() -> list[ClipSample]:
         picks = batch_rng.integers(0, len(clips), size=cfg.batch_size)
-        loss = fsn_train_step([clips[i] for i in picks], head, optimizer)
-        if step % cfg.log_every == 0:
-            rows.append((step, loss))
-    model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
-    save_model(head, model_path)
-    log_path = out / "train_log.csv"
-    _write_loss_log(rows, log_path)
+        return [clips[i] for i in picks]
+
+    head = init_fn(model_config, cfg.seed)
+    model_path, log_path = _fit(cfg, head, next_batch, fsn_train_step, out)
     return {"model": model_path, "log": log_path, "clips": len(clips), "split": split}
 
 
@@ -455,35 +408,22 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
         raise ValueError(
             f"video(s) shorter than {cfg.weak_positions} frames: {too_short[:3]}"
         )
-    head = init_wfsn(model_config, cfg.seed, pooling=cfg.pooling)
-    optimizer = OptimizerState(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-    )
     rng = np.random.default_rng([cfg.seed, 2])
-    rows = []
-    for step in range(1, cfg.iterations + 1):
+
+    def next_batch() -> list[WeakSample]:
         picks = rng.integers(0, len(labeled), size=cfg.batch_size)
-        batch = []
-        for i in picks:
-            video, classes = labeled[i]
-            batch.append(
-                make_weak_sample(
-                    video,
-                    classes,
-                    model_config.num_classes,
-                    positions=cfg.weak_positions,
-                    seed=int(rng.integers(2**63)),
-                )
+        return [
+            make_weak_sample(
+                *labeled[i],
+                model_config.num_classes,
+                positions=cfg.weak_positions,
+                seed=int(rng.integers(2**63)),
             )
-        loss = wfsn_train_step(batch, head, optimizer)
-        if step % cfg.log_every == 0:
-            rows.append((step, loss))
-    model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
-    save_model(head, model_path)
-    log_path = out / "train_log.csv"
-    _write_loss_log(rows, log_path)
+            for i in picks
+        ]
+
+    head = init_wfsn(model_config, cfg.seed, pooling=cfg.pooling)
+    model_path, log_path = _fit(cfg, head, next_batch, wfsn_train_step, out)
     return {"model": model_path, "log": log_path, "split": split}
 
 
@@ -500,9 +440,9 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
     _require(cfg, "model")
     out = _out_dir(cfg)
     head = load_model(cfg.model)
-    if weak and not isinstance(head, WfsnHead):
+    if weak and head.pooling is None:
         raise ValueError(f"{cfg.model}: not a weakly supervised model")
-    if not weak and isinstance(head, WfsnHead):
+    if not weak and head.pooling is not None:
         raise ValueError(f"{cfg.model}: weakly supervised model; use predict-weak")
     if cfg.was_set("num_classes") and cfg.num_classes != head.config.num_classes:
         raise ValueError(
@@ -523,20 +463,23 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
             )
     threads = resolve_threads(cfg)
     nms_iou = nms_threshold_for(cfg.predict_iou)
-    if weak:
-        scorer = lambda video: weak_score_track(head, video, cfg.weak_positions)
-    else:
-        scorer = lambda video: slide_predict(head, video)
-    tracks = _map_ordered(scorer, videos, threads)
-    predictions = []
-    for track in tracks:
-        predictions.extend(track_to_segments(track, nms_iou))
-    predictions = sort_predictions(predictions)
+    tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
+    # eval scores every track it finds, so another run's tracks would count
+    scored = {video.video_id for video in videos}
+    stale = sorted(p.stem for p in tracks_dir.glob("*.fsnf") if p.stem not in scored)
+    if stale:
+        raise ValueError(
+            f"{tracks_dir} holds tracks of {len(stale)} video(s) this run does "
+            f"not score, e.g. {', '.join(stale[:3])}; predict into a fresh --out "
+            f"or --tracks"
+        )
+    tracks, predictions = localize(
+        head, videos, cfg.predict_iou, cfg.weak_positions, threads
+    )
     predictions_path = (
         Path(cfg.predictions) if cfg.predictions else out / "predictions.tsv"
     )
     write_predictions(predictions, predictions_path)
-    tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
     _write_track_files(tracks, tracks_dir)
     log_lines = [
         f"command = {'predict-weak' if weak else 'predict'}",
@@ -693,14 +636,14 @@ def _kink_margin(head, features) -> float:
     """Distance of the closest hidden pre-activation to the ReLU kink."""
     x = np.asarray(features, dtype=np.float64)
     margin = np.inf
-    for layer in getattr(head, "convs", []):
+    for layer in head.convs:
         z, _ = dilated_conv1d_forward(x, layer)
         margin = min(margin, float(np.abs(z).min()))
         x = np.maximum(z, 0.0)
     return margin
 
 
-def _pool_margin(head: WfsnHead, features) -> float:
+def _pool_margin(head: Head, features) -> float:
     """Gap between the top two position logits per channel (GMP tie margin)."""
     logits = wfsn_position_logits(np.asarray(features, dtype=np.float64), head)
     ordered = np.sort(logits, axis=0)

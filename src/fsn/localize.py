@@ -1,15 +1,17 @@
 """From dense frame scores to scored temporal segments.
 
-A trained head scores every frame of an untrimmed video (``slide_predict`` for
-the strongly supervised heads, ``weak_score_track`` for the weak one). Those
-tracks are thresholded at several levels into candidate segments, deduplicated,
-and pruned with per-class non-maximum suppression, which runs per video on
-one IoU matrix per class. Predictions travel in a tab-separated file with a
-fixed header.
+``localize`` is the one prediction pipeline, shared by the ``predict`` and
+``predict-weak`` commands and the library. A trained head scores every frame
+of an untrimmed video (``slide_predict`` for a dense head, ``weak_score_track``
+for a pooled one). Those tracks are thresholded at several levels into
+candidate segments, deduplicated, and pruned with per-class non-maximum
+suppression, which runs per video on one IoU matrix per class. Predictions
+travel in a tab-separated file with a fixed header.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -17,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import VideoFeatures, span_bounds
-from .model import Head, WfsnHead, fsn_forward, wfsn_forward_predict
+from .model import Head, fsn_forward, wfsn_forward_predict
 from .nncore import Array
 
 GROUPING_THRESHOLDS = tuple(np.round(np.arange(11) * 0.1, 1))
@@ -94,7 +96,7 @@ def slide_predict(head: Head, video: VideoFeatures) -> FrameScoreTrack:
     repeating the final frame descriptor, and its surplus scores are cut off,
     so the track length equals the frame count.
     """
-    if isinstance(head, WfsnHead):
+    if head.pooling is not None:
         raise TypeError("use weak_score_track for weakly supervised heads")
     config = head.config
     frames = video.frame_count
@@ -115,7 +117,7 @@ def slide_predict(head: Head, video: VideoFeatures) -> FrameScoreTrack:
 
 
 def weak_score_track(
-    head: WfsnHead, video: VideoFeatures, positions: int = 100
+    head: Head, video: VideoFeatures, positions: int = 100
 ) -> FrameScoreTrack:
     """Frame scores from a weak head: span centers scored, spans filled.
 
@@ -123,7 +125,7 @@ def weak_score_track(
     count for short videos); each span is scored once at its center frame and
     the score is held constant across the span.
     """
-    if not isinstance(head, WfsnHead):
+    if head.pooling is None:
         raise TypeError("weak scoring needs a weakly supervised head")
     if positions < 1:
         raise ValueError(f"positions must be >= 1, got {positions}")
@@ -291,53 +293,36 @@ def sort_predictions(predictions: Iterable[SegmentPrediction]) -> list[SegmentPr
     )
 
 
-def localize_strong(
-    head: Head, videos: Sequence[VideoFeatures], eval_iou: float = 0.5
-) -> list[SegmentPrediction]:
-    """Dense scoring plus grouping and NMS over a collection of videos."""
-    nms_iou = nms_threshold_for(eval_iou)
-    predictions = []
-    for video in videos:
-        predictions.extend(track_to_segments(slide_predict(head, video), nms_iou))
-    return sort_predictions(predictions)
-
-
-def localize_weak(
-    head: WfsnHead,
+def localize(
+    head: Head,
     videos: Sequence[VideoFeatures],
     eval_iou: float = 0.5,
     positions: int = 100,
-) -> list[SegmentPrediction]:
-    """Weak-head counterpart of ``localize_strong``."""
+    threads: int = 1,
+) -> tuple[list[FrameScoreTrack], list[SegmentPrediction]]:
+    """Score tracks and sorted segment predictions for a collection of videos.
+
+    A dense head is scored by ``slide_predict``, a pooled one by
+    ``weak_score_track`` with ``positions`` spans; every track is then grouped
+    and suppressed at the NMS threshold for ``eval_iou``. With ``threads`` > 1
+    a worker pool scores the videos. Tracks keep the order of ``videos`` and
+    the predictions are sorted, so the result does not depend on the thread
+    count.
+    """
     nms_iou = nms_threshold_for(eval_iou)
+    if head.pooling is None:
+        score = lambda video: slide_predict(head, video)
+    else:
+        score = lambda video: weak_score_track(head, video, positions)
+    if threads <= 1 or len(videos) <= 1:
+        tracks = [score(video) for video in videos]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            tracks = list(pool.map(score, videos))
     predictions = []
-    for video in videos:
-        track = weak_score_track(head, video, positions)
+    for track in tracks:
         predictions.extend(track_to_segments(track, nms_iou))
-    return sort_predictions(predictions)
-
-
-def fuse_streams(
-    track_a: FrameScoreTrack, track_b: FrameScoreTrack, weight: float = 0.5
-) -> FrameScoreTrack:
-    """Convex combination of two score tracks: weight on the first stream."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight {weight} outside [0, 1]")
-    if track_a.video_id != track_b.video_id:
-        raise ValueError(
-            f"cannot fuse different videos {track_a.video_id!r} and {track_b.video_id!r}"
-        )
-    if track_a.scores.shape != track_b.scores.shape:
-        raise ValueError(
-            f"score shapes differ: {track_a.scores.shape} vs {track_b.scores.shape}"
-        )
-    if track_a.includes_background != track_b.includes_background:
-        raise ValueError("cannot fuse tracks with different channel layouts")
-    return FrameScoreTrack(
-        track_a.video_id,
-        weight * track_a.scores + (1.0 - weight) * track_b.scores,
-        track_a.includes_background,
-    )
+    return tracks, sort_predictions(predictions)
 
 
 PREDICTION_HEADER = "video_id\tstart\tend\tclass_id\tconfidence"

@@ -1,16 +1,18 @@
-"""Temporal head architectures, their training steps, and serialization.
+"""The temporal head, its training steps, and serialization.
 
-Three heads share one fully convolutional trunk recipe:
+There is one head type, ``Head``: a trunk of dilated temporal convs with ReLU
+(possibly empty) followed by a conv classifier. What differs between the
+paper's models is configuration, not code:
 
-* ``FsnHead``: three dilated temporal convs with ReLU, then a kernel-3
-  classifier emitting K action channels plus background. Snippet scores are
-  bilinearly upsampled to frame rate and trained with dense framewise
-  cross-entropy.
-* ``WfsnHead``: the same trunk, but the classifier emits K channels and a
-  temporal pooling stage (mean or max) reduces them to one video-level score
-  vector for weakly supervised training. Prediction drops the pooling.
-* ``AblationHead``: a single kernel-1 classifier, i.e. no temporal context,
-  used as the contrast model for the dilated stack.
+* FSN (``init_fsn``): three dilated convs, then a kernel-3 classifier
+  emitting K action channels plus background. ``pooling`` is None: snippet
+  scores are bilinearly upsampled to frame rate and trained with dense
+  framewise cross-entropy.
+* WFSN (``init_wfsn``): the same trunk, but the classifier emits K channels
+  and ``pooling`` (mean or max) reduces them to one video-level score vector
+  for weakly supervised training. Prediction drops the pooling.
+* The no-context ablation (``init_ablation``): an empty trunk and a kernel-1
+  classifier, trained and scored like FSN.
 
 Every forward and backward function is rank-polymorphic over
 (..., positions, channels), like the ``nncore`` ops beneath it: a training
@@ -26,9 +28,9 @@ in place through ``nncore.sgd_update``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .nncore import (
     relu_backward,
     require_finite,
     sgd_update,
-    softmax_vec,
     temporal_pool,
     temporal_pool_backward,
 )
@@ -96,65 +97,39 @@ class ModelConfig:
 
 
 @dataclass
-class FsnHead:
-    """Dilated conv stack plus background-aware frame classifier."""
+class Head:
+    """Dilated conv trunk (possibly empty) plus a conv classifier.
+
+    ``pooling=None`` is the dense head: its classifier emits background plus
+    K action channels per position. A pooled head (GAP or GMP) emits K
+    channels and is trained on their pooled video-level scores.
+    """
 
     config: ModelConfig
     convs: list[ConvLayer1D]
     classifier: ConvLayer1D
-
-    @property
-    def num_outputs(self) -> int:
-        return self.config.num_classes + 1
-
-    @property
-    def includes_background(self) -> bool:
-        return True
-
-
-@dataclass
-class WfsnHead:
-    """Weakly supervised variant: K output channels, video-level pooling."""
-
-    config: ModelConfig
-    convs: list[ConvLayer1D]
-    classifier: ConvLayer1D
-    pooling: str = GMP
+    pooling: str | None = None
 
     def __post_init__(self) -> None:
-        if self.pooling not in (GAP, GMP):
+        if self.pooling not in (None, GAP, GMP):
             raise ValueError(f"pooling must be '{GAP}' or '{GMP}', got {self.pooling!r}")
-
-    @property
-    def num_outputs(self) -> int:
-        return self.config.num_classes
-
-    @property
-    def includes_background(self) -> bool:
-        return False
-
-
-@dataclass
-class AblationHead:
-    """Kernel-1 classifier with no temporal context, background included."""
-
-    config: ModelConfig
-    classifier: ConvLayer1D
-
-    @property
-    def num_outputs(self) -> int:
-        return self.config.num_classes + 1
+        if self.classifier.out_channels != self.num_outputs:
+            raise ValueError(
+                f"classifier emits {self.classifier.out_channels} channels, "
+                f"head needs {self.num_outputs}"
+            )
 
     @property
     def includes_background(self) -> bool:
-        return True
+        return self.pooling is None
 
-
-Head = Union[FsnHead, WfsnHead, AblationHead]
+    @property
+    def num_outputs(self) -> int:
+        return self.config.num_classes + self.includes_background
 
 
 def head_layers(head: Head) -> list[ConvLayer1D]:
-    return [*getattr(head, "convs", []), head.classifier]
+    return [*head.convs, head.classifier]
 
 
 def head_parameters(head: Head) -> list[Array]:
@@ -186,24 +161,24 @@ def _init_trunk(rng, config: ModelConfig) -> list[ConvLayer1D]:
     return convs
 
 
-def init_fsn(config: ModelConfig, seed: int) -> FsnHead:
+def init_fsn(config: ModelConfig, seed: int) -> Head:
     rng = np.random.default_rng(seed)
     convs = _init_trunk(rng, config)
     classifier = _glorot_conv(rng, config.hidden_channels, config.num_classes + 1, 3, 1)
-    return FsnHead(config, convs, classifier)
+    return Head(config, convs, classifier)
 
 
-def init_wfsn(config: ModelConfig, seed: int, pooling: str = GMP) -> WfsnHead:
+def init_wfsn(config: ModelConfig, seed: int, pooling: str = GMP) -> Head:
     rng = np.random.default_rng(seed)
     convs = _init_trunk(rng, config)
     classifier = _glorot_conv(rng, config.hidden_channels, config.num_classes, 3, 1)
-    return WfsnHead(config, convs, classifier, pooling)
+    return Head(config, convs, classifier, pooling)
 
 
-def init_ablation(config: ModelConfig, seed: int) -> AblationHead:
+def init_ablation(config: ModelConfig, seed: int) -> Head:
     rng = np.random.default_rng(seed)
     classifier = _glorot_conv(rng, config.feature_dim, config.num_classes + 1, 1, 1)
-    return AblationHead(config, classifier)
+    return Head(config, [], classifier)
 
 
 def receptive_field_snippets(head: Head) -> int:
@@ -231,7 +206,7 @@ def _stack_forward(features: Array, head: Head) -> tuple[Array, tuple]:
         )
     caches = []
     h = x
-    for conv in getattr(head, "convs", []):
+    for conv in head.convs:
         h, conv_cache = dilated_conv1d_forward(h, conv)
         h, relu_cache = relu(h)
         caches.append((conv_cache, relu_cache))
@@ -255,7 +230,7 @@ def fsn_frame_logits(
     features: Array, head: Head, target_len: int | None = None
 ) -> tuple[Array, tuple]:
     """Pre-softmax frame scores: trunk logits upsampled to ``target_len``."""
-    if isinstance(head, WfsnHead):
+    if head.pooling is not None:
         raise TypeError("weak heads score positions directly, not upsampled frames")
     if target_len is None:
         target_len = head.config.clip_len
@@ -320,36 +295,36 @@ def fsn_loss_and_grads(
     return loss, fsn_backward(grad, cache)
 
 
-def fsn_train_step(
-    batch: Sequence[ClipSample], head: Head, optimizer: OptimizerState
+def _sgd_step(
+    loss: float, grads: list[Array], head: Head, optimizer: OptimizerState
 ) -> float:
-    """One SGD step; returns the pre-update batch loss."""
-    loss, grads = fsn_loss_and_grads(batch, head)
+    """Apply one update unless the loss has diverged; returns the loss."""
     if not np.isfinite(loss):
         raise FloatingPointError(f"training diverged: loss is {loss}")
     sgd_update(head_parameters(head), grads, optimizer, head_decay_flags(head))
     return loss
 
 
-def wfsn_position_logits(features: Array, head: WfsnHead) -> Array:
+def fsn_train_step(
+    batch: Sequence[ClipSample], head: Head, optimizer: OptimizerState
+) -> float:
+    """One SGD step; returns the pre-update batch loss."""
+    return _sgd_step(*fsn_loss_and_grads(batch, head), head, optimizer)
+
+
+def wfsn_position_logits(features: Array, head: Head) -> Array:
     """Pre-softmax class scores per sampled position, shape (..., positions, K)."""
     logits, _ = _stack_forward(features, head)
     return logits
 
 
-def wfsn_forward_train(features: Array, head: WfsnHead) -> Array:
-    """Video-level class probabilities: pool position logits, then softmax."""
-    pooled, _ = temporal_pool(wfsn_position_logits(features, head), head.pooling)
-    return softmax_vec(pooled)
-
-
-def wfsn_forward_predict(features: Array, head: WfsnHead) -> Array:
+def wfsn_forward_predict(features: Array, head: Head) -> Array:
     """Per-position class probabilities with the pooling stage removed."""
     return framewise_softmax(wfsn_position_logits(features, head))
 
 
 def wfsn_loss_and_grads(
-    batch: Sequence[WeakSample], head: WfsnHead
+    batch: Sequence[WeakSample], head: Head
 ) -> tuple[float, list[Array]]:
     """Video-label cross-entropy averaged over the batch, plus gradients.
 
@@ -384,18 +359,15 @@ def wfsn_loss_and_grads(
 
 
 def wfsn_train_step(
-    batch: Sequence[WeakSample], head: WfsnHead, optimizer: OptimizerState
+    batch: Sequence[WeakSample], head: Head, optimizer: OptimizerState
 ) -> float:
-    loss, grads = wfsn_loss_and_grads(batch, head)
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"training diverged: loss is {loss}")
-    sgd_update(head_parameters(head), grads, optimizer, head_decay_flags(head))
-    return loss
+    return _sgd_step(*wfsn_loss_and_grads(batch, head), head, optimizer)
 
 
 MODEL_MAGIC = b"FSN1"
 MODEL_VERSION = 1
-_HEAD_CODES = {FsnHead: 0, WfsnHead: 1, AblationHead: 2}
+# head kinds in the file header; a dense head's pooling code is always GMP's
+_DENSE, _POOLED, _NO_TRUNK = 0, 1, 2
 _POOL_CODES = {GAP: 0, GMP: 1}
 _MODEL_HEADER = struct.Struct("<4sIBB5I")
 _LAYER_ENTRY = struct.Struct("<4I")
@@ -404,15 +376,17 @@ _LAYER_ENTRY = struct.Struct("<4I")
 def save_model(head: Head, path) -> None:
     """Serialize a head bit-exactly: header, layer table, float64 payload."""
     config = head.config
-    kind = _HEAD_CODES[type(head)]
-    pooling = _POOL_CODES[getattr(head, "pooling", GMP)]
+    if head.pooling is not None:
+        kind = _POOLED
+    else:
+        kind = _DENSE if head.convs else _NO_TRUNK
     layers = head_layers(head)
     blob = [
         _MODEL_HEADER.pack(
             MODEL_MAGIC,
             MODEL_VERSION,
             kind,
-            pooling,
+            _POOL_CODES[head.pooling or GMP],
             config.num_classes,
             config.feature_dim,
             config.hidden_channels,
@@ -433,8 +407,8 @@ def save_model(head: Head, path) -> None:
     Path(path).write_bytes(b"".join(blob))
 
 
-def load_model(path, expected_config: ModelConfig | None = None) -> Head:
-    """Read a head back; optionally cross-check against an expected config."""
+def load_model(path) -> Head:
+    """Read a head back, checking the header against the layer table."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _MODEL_HEADER.size + 4:
@@ -446,9 +420,8 @@ def load_model(path, expected_config: ModelConfig | None = None) -> Head:
         raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
-    kinds = {code: cls for cls, code in _HEAD_CODES.items()}
     pools = {code: mode for mode, code in _POOL_CODES.items()}
-    if kind not in kinds:
+    if kind not in (_DENSE, _POOLED, _NO_TRUNK):
         raise ValueError(f"{path}: unknown head kind {kind}")
     if pooling not in pools:
         raise ValueError(f"{path}: unknown pooling code {pooling}")
@@ -479,14 +452,7 @@ def load_model(path, expected_config: ModelConfig | None = None) -> Head:
                 dilation=dilation,
             )
         )
-    head_cls = kinds[kind]
     trunk, classifier = layers[:-1], layers[-1]
-    expected_out = num_classes if head_cls is WfsnHead else num_classes + 1
-    if classifier.out_channels != expected_out:
-        raise ValueError(
-            f"{path}: classifier emits {classifier.out_channels} channels, "
-            f"header implies {expected_out}"
-        )
     chain = feature_dim
     for layer in layers:
         if layer.in_channels != chain:
@@ -494,6 +460,10 @@ def load_model(path, expected_config: ModelConfig | None = None) -> Head:
                 f"{path}: layer expects {layer.in_channels} channels, gets {chain}"
             )
         chain = layer.out_channels
+    if kind == _NO_TRUNK and trunk:
+        raise ValueError(f"{path}: ablation head cannot carry trunk layers")
+    if kind != _NO_TRUNK and not trunk:
+        raise ValueError(f"{path}: missing trunk layers")
     config = ModelConfig(
         num_classes=num_classes,
         feature_dim=feature_dim,
@@ -502,23 +472,7 @@ def load_model(path, expected_config: ModelConfig | None = None) -> Head:
         clip_len=clip_len,
         dilations=tuple(layer.dilation for layer in trunk) or (1, 2, 4),
     )
-    if expected_config is not None:
-        if expected_config.num_classes != num_classes:
-            raise ValueError(
-                f"{path}: model was trained with {num_classes} classes, "
-                f"config asks for {expected_config.num_classes}"
-            )
-        if expected_config.feature_dim != feature_dim:
-            raise ValueError(
-                f"{path}: model expects dim {feature_dim}, "
-                f"config asks for {expected_config.feature_dim}"
-            )
-    if head_cls is AblationHead:
-        if trunk:
-            raise ValueError(f"{path}: ablation head cannot carry trunk layers")
-        return AblationHead(config, classifier)
-    if not trunk:
-        raise ValueError(f"{path}: missing trunk layers")
-    if head_cls is WfsnHead:
-        return WfsnHead(config, trunk, classifier, pools[pooling])
-    return FsnHead(config, trunk, classifier)
+    try:
+        return Head(config, trunk, classifier, pools[pooling] if kind == _POOLED else None)
+    except ValueError as err:  # the classifier does not match the header
+        raise ValueError(f"{path}: {err}") from None

@@ -214,17 +214,6 @@ def framewise_softmax(x: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_vec(x: Array) -> Array:
-    """Stable softmax of a single score vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"expected a non-empty 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("scores contain non-finite values")
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 def _check_one_hot(labels: Array) -> None:
     if not ((labels == 0.0) | (labels == 1.0)).all():
         raise ValueError("labels must be one-hot (entries 0 or 1)")

@@ -25,7 +25,7 @@ from fsn.data import GroundTruthSegment, AnnotationSet, SynthConfig, VideoFeatur
 from fsn.evaluate import EvalConfig, average_precision, segment_level_map
 from fsn.localize import (
     SegmentPrediction,
-    localize_strong,
+    localize,
     nms,
     temporal_iou,
 )
@@ -331,7 +331,7 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
     truth = GroundTruthSegment("held_out", start, start + length, class_id)
 
     head = load_model(temporal_study["root"] / "fsn" / "model.fsn")
-    predictions = localize_strong(head, [video], eval_iou=0.5)
+    predictions = localize(head, [video], eval_iou=0.5)[1]
     assert predictions
     top = max(predictions, key=lambda p: p.confidence)
     iou = temporal_iou(top, truth) if top.class_id == class_id else 0.0

@@ -1,18 +1,23 @@
 """End-to-end tests for the command line surface."""
 
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsn.cli import (
+    SCHEMA,
     RunConfig,
     build_config,
+    build_parser,
     main,
     parse_config_file,
     resolve_threads,
 )
-from fsn.data import load_manifest
+from fsn.data import SynthConfig, load_manifest
 from fsn.evaluate import EvalConfig, frame_level_map, load_report, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
 from fsn.model import load_model
@@ -81,6 +86,21 @@ def test_flags_override_config_file():
 def test_build_config_reports_bad_value():
     with pytest.raises(ValueError, match="context_ambiguity"):
         build_config({"context_ambiguity": "maybe"}, {})
+
+
+def test_schema_follows_run_config_fields():
+    keys = [f.name for f in fields(RunConfig) if f.name != "explicit"]
+    assert list(SCHEMA) == keys
+    assert len(SCHEMA) == 39
+    parser = build_parser()
+    for key in keys:
+        args = parser.parse_args(["synth", "--" + key.replace("_", "-"), "1"])
+        assert getattr(args, key) == SCHEMA[key]("1")
+    assert SCHEMA["dilations"]("1,2,4") == (1, 2, 4)
+    assert SCHEMA["eval_iou"]("0.3,0.5") == (0.3, 0.5)
+    assert SCHEMA["context_ambiguity"]("off") is False
+    assert SCHEMA["threads"]("2") == 2
+    assert {f.name for f in fields(SynthConfig)} <= set(keys)
 
 
 def test_threads_resolution(monkeypatch):
@@ -362,6 +382,24 @@ def test_predict_empty_split_writes_header_only(corpus, trained, tmp_path):
     assert (out / "predictions.tsv").read_text() == "video_id\tstart\tend\tclass_id\tconfidence\n"
 
 
+def test_predict_refuses_tracks_of_videos_it_does_not_score(corpus, trained, tmp_path, capsys):
+    # eval scores every track in the directory, so leftovers of a wider
+    # split would silently join the evaluation
+    out = tmp_path / "pred"
+    assert main([*predict_args(corpus, trained, out), "--split", "all"]) == 0
+    before = {path.name: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    rc = main(predict_args(corpus, trained, out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    train_ids = load_manifest(corpus / "manifest.tsv")["train_ids"]
+    assert sorted(train_ids)[0] in err
+    after = {path.name: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert after == before
+    assert main([*predict_args(corpus, trained, out), "--split", "all"]) == 0
+    assert (out / "predictions.tsv").read_bytes() == before["predictions.tsv"]
+
+
 def test_predict_rejects_weak_model(corpus, tmp_path, capsys):
     out = tmp_path / "weak"
     main([
@@ -573,6 +611,53 @@ def test_gradcheck_report_values_are_small(tmp_path):
     for line in (out / "gradcheck.txt").read_text().splitlines()[1:-2]:
         error = float(line.split()[1])
         assert error < 1e-5
+
+
+# ---------------------------------------------------------------- benchmark tracer
+
+
+def test_benchmark_tracer_fits_the_package(tmp_path, monkeypatch):
+    """The perfbench tracer wraps the package's public names and reads a few
+    of them by name; every hook must still fit and every layer still count."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import spans
+
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--out", str(data), "--num-videos", "8", "--frames-per-video", "300",
+        "--num-classes", "3", "--feature-dim", "6", "--seed", "7",
+    ]) == 0
+    corpus_args = [
+        "--features-dir", str(data),
+        "--annotations", str(data / "annotations.tsv"),
+        "--manifest", str(data / "manifest.tsv"),
+        "--hidden-channels", "8", "--iterations", "10", "--weak-positions", "40",
+    ]
+    commands = [
+        ("train", "--out", str(tmp_path / "strong")),
+        ("predict", "--model", str(tmp_path / "strong" / "model.fsn"),
+         "--out", str(tmp_path / "strong")),
+        ("train-weak", "--out", str(tmp_path / "weak")),
+        ("predict-weak", "--model", str(tmp_path / "weak" / "model.fsn"),
+         "--out", str(tmp_path / "weak")),
+    ]
+    traces = []
+    for i, (command, *args) in enumerate(commands):
+        trace = tmp_path / f"trace{i}.npz"
+        subprocess.run(
+            [sys.executable, "-B", str(bench / "launch.py"), str(trace), command,
+             *corpus_args, *args],
+            check=True,
+        )
+        traces.append({**spans.load_trace(trace), "startup_s": 0.0})
+    metrics = spans.summarize(traces)
+    assert metrics["trace.hook_errors"] == 0
+    assert metrics["model.train_step.calls"] == 20
+    assert metrics["model.forward.calls"] > 0
+    assert metrics["localize.windows"] > 0
+    assert metrics["nncore.conv_fwd.cls.s"] > 0
 
 
 # ---------------------------------------------------------------- main plumbing

@@ -9,10 +9,8 @@ from fsn.data import VideoFeatures
 from fsn.localize import (
     FrameScoreTrack,
     SegmentPrediction,
-    fuse_streams,
     load_predictions,
-    localize_strong,
-    localize_weak,
+    localize,
     multi_threshold_group,
     nms,
     nms_threshold_for,
@@ -369,7 +367,7 @@ class TestLocalizePipelines:
             VideoFeatures("vid_b", rng.standard_normal((80, 4))),
             VideoFeatures("vid_a", rng.standard_normal((50, 4))),
         ]
-        predictions = localize_strong(head, videos, eval_iou=0.5)
+        predictions = localize(head, videos, eval_iou=0.5)[1]
         assert predictions
         keys = [(p.video_id, p.class_id, p.start, p.end) for p in predictions]
         assert keys == sorted(keys)
@@ -380,7 +378,7 @@ class TestLocalizePipelines:
         rng = np.random.default_rng(9)
         head = init_fsn(CFG, seed=9)
         video = VideoFeatures("v", rng.standard_normal((120, 4)))
-        predictions = localize_strong(head, [video], eval_iou=0.5)
+        predictions = localize(head, [video], eval_iou=0.5)[1]
         for class_id in (1, 2):
             mine = [p for p in predictions if p.class_id == class_id]
             for i, a in enumerate(mine):
@@ -391,40 +389,9 @@ class TestLocalizePipelines:
         rng = np.random.default_rng(10)
         head = init_wfsn(CFG, seed=10)
         videos = [VideoFeatures("v", rng.standard_normal((60, 4)))]
-        predictions = localize_weak(head, videos, eval_iou=0.3, positions=12)
+        predictions = localize(head, videos, eval_iou=0.3, positions=12)[1]
         assert all(p.start % 5 == 0 and p.end % 5 == 0 for p in predictions)
         assert all(0.0 <= p.confidence <= 1.0 for p in predictions)
-
-
-class TestFuseStreams:
-    def make_track(self, seed, video_id="v"):
-        rng = np.random.default_rng(seed)
-        raw = rng.uniform(0, 1, size=(10, 3))
-        return FrameScoreTrack(video_id, raw / raw.sum(axis=1, keepdims=True), True)
-
-    def test_full_weight_returns_first_stream(self):
-        a, b = self.make_track(0), self.make_track(1)
-        np.testing.assert_allclose(fuse_streams(a, b, weight=1.0).scores, a.scores)
-
-    def test_equal_streams_fuse_to_themselves(self):
-        a = self.make_track(2)
-        b = FrameScoreTrack("v", a.scores.copy(), True)
-        np.testing.assert_allclose(fuse_streams(a, b).scores, a.scores)
-
-    def test_fusion_preserves_distributions(self):
-        fused = fuse_streams(self.make_track(3), self.make_track(4), weight=0.25)
-        np.testing.assert_allclose(fused.scores.sum(axis=1), np.ones(10), atol=1e-12)
-
-    def test_rejects_mismatches(self):
-        a, b = self.make_track(5), self.make_track(6, video_id="other")
-        with pytest.raises(ValueError):
-            fuse_streams(a, b)
-        short = FrameScoreTrack("v", a.scores[:5], True)
-        with pytest.raises(ValueError):
-            fuse_streams(a, short)
-        no_bg = FrameScoreTrack("v", a.scores.copy(), False)
-        with pytest.raises(ValueError):
-            fuse_streams(a, no_bg)
 
 
 class TestPredictionFiles:

@@ -21,7 +21,6 @@ from fsn.nncore import (
     relu,
     relu_backward,
     sgd_update,
-    softmax_vec,
     temporal_pool,
     temporal_pool_backward,
 )
@@ -283,16 +282,6 @@ class TestFramewiseSoftmax:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             framewise_softmax(np.array([[np.inf, 0.0]]))
-
-
-class TestSoftmaxVec:
-    def test_known_value(self):
-        out = softmax_vec(np.array([0.0, np.log(3.0)]))
-        np.testing.assert_allclose(out, [0.25, 0.75])
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            softmax_vec(np.zeros((2, 2)))
 
 
 class TestCrossEntropy:
