@@ -19,10 +19,9 @@ import numpy as np
 
 from .data import (
     AnnotationSet,
-    ClipSample,
     SynthConfig,
     VideoFeatures,
-    WeakSample,
+    clip_majority_class,
     load_annotations,
     load_feature_dir,
     load_features,
@@ -31,6 +30,7 @@ from .data import (
     make_clips,
     make_weak_sample,
     rebalance,
+    snippet_centers,
     synth_generate,
     write_annotations,
     write_features,
@@ -334,8 +334,16 @@ def _load_corpus(cfg: RunConfig, default_split: str):
     return videos, split, annotations
 
 
+def _require_positive(cfg: RunConfig, *keys: str) -> None:
+    for key in keys:
+        if getattr(cfg, key) < 1:
+            raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+
+
 def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple[Path, Path]:
-    """The SGD loop over ``next_batch()`` batches; saves the model and loss log."""
+    """The SGD loop over ``next_batch()`` (features, targets) batches; saves
+    the model and loss log. Its callers check ``batch_size`` and ``log_every``
+    with ``_require_positive`` before they load any data."""
     optimizer = OptimizerState(
         learning_rate=cfg.learning_rate,
         momentum=cfg.momentum,
@@ -343,7 +351,7 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple
     )
     lines = ["iteration,loss"]
     for step in range(1, cfg.iterations + 1):
-        loss = train_step(next_batch(), head, optimizer)
+        loss = train_step(*next_batch(), head, optimizer)
         if step % cfg.log_every == 0:
             lines.append(f"{step},{loss:.6f}")
     model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
@@ -354,39 +362,43 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple
 
 
 def _train_strong(cfg: RunConfig, init_fn, out: Path) -> dict:
+    _require_positive(cfg, "batch_size", "log_every")
     videos, split, annotations = _load_corpus(cfg, "train")
-    model_config = _model_config(
-        cfg, annotations.num_classes, videos[0].feature_dim
-    )
-    stride = cfg.train_stride or max(cfg.clip_len // 5, 1)
+    model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
+    clip_len = model_config.clip_len
+    stride = max(clip_len // 5, 1) if cfg.train_stride is None else cfg.train_stride
     by_video = annotations.by_video()
-    clips = []
-    for video in videos:
-        clips.extend(
-            make_clips(
-                video,
-                by_video.get(video.video_id, []),
-                clip_len=model_config.clip_len,
-                snippet_len=model_config.snippet_len,
-                stride=stride,
-                min_action_frames=cfg.min_action_frames,
-            )
+    # a window is (video index, start frame); labels stay one array per video
+    frame_labels, owners, starts, classes = [], [], [], []
+    for index, video in enumerate(videos):
+        segments = by_video.get(video.video_id, [])
+        kept = make_clips(
+            video, segments, clip_len=clip_len, snippet_len=model_config.snippet_len,
+            stride=stride, min_action_frames=cfg.min_action_frames,
         )
-    if not clips:
+        frame_labels.append(label_frames(video.frame_count, segments))
+        owners.append(np.full(kept.size, index))
+        starts.append(kept)
+        classes.append(clip_majority_class(frame_labels[-1], kept, clip_len))
+    owner, start = np.concatenate(owners), np.concatenate(starts)
+    if not start.size:
         raise ValueError(
-            f"no training window passed the >= {cfg.min_action_frames} "
-            f"action-frame rule"
+            f"no training window passed the >= {cfg.min_action_frames} action-frame rule"
         )
-    clips = rebalance(clips, seed=cfg.seed)
+    order = rebalance(np.concatenate(classes), seed=cfg.seed)
+    centers = snippet_centers(clip_len, model_config.snippet_len)
     batch_rng = np.random.default_rng([cfg.seed, 1])
 
-    def next_batch() -> list[ClipSample]:
-        picks = batch_rng.integers(0, len(clips), size=cfg.batch_size)
-        return [clips[i] for i in picks]
+    def next_batch() -> tuple[np.ndarray, np.ndarray]:
+        picks = order[batch_rng.integers(0, len(order), size=cfg.batch_size)]
+        windows = list(zip(owner[picks], start[picks]))
+        features = np.stack([videos[v].features[s + centers] for v, s in windows])
+        labels = np.stack([frame_labels[v][s : s + clip_len] for v, s in windows])
+        return features, labels
 
     head = init_fn(model_config, cfg.seed)
     model_path, log_path = _fit(cfg, head, next_batch, fsn_train_step, out)
-    return {"model": model_path, "log": log_path, "clips": len(clips), "split": split}
+    return {"model": model_path, "log": log_path, "clips": len(order), "split": split}
 
 
 def cmd_train(cfg: RunConfig) -> dict:
@@ -396,6 +408,7 @@ def cmd_train(cfg: RunConfig) -> dict:
 
 def cmd_train_weak(cfg: RunConfig) -> dict:
     """Train the weakly supervised head from video-level labels only."""
+    _require_positive(cfg, "batch_size", "log_every")
     out = _out_dir(cfg)
     videos, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
@@ -410,9 +423,9 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
         )
     rng = np.random.default_rng([cfg.seed, 2])
 
-    def next_batch() -> list[WeakSample]:
+    def next_batch() -> tuple[np.ndarray, np.ndarray]:
         picks = rng.integers(0, len(labeled), size=cfg.batch_size)
-        return [
+        samples = [
             make_weak_sample(
                 *labeled[i],
                 model_config.num_classes,
@@ -421,6 +434,7 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
             )
             for i in picks
         ]
+        return np.stack([f for f, _ in samples]), np.stack([l for _, l in samples])
 
     head = init_wfsn(model_config, cfg.seed, pooling=cfg.pooling)
     model_path, log_path = _fit(cfg, head, next_batch, wfsn_train_step, out)
@@ -646,8 +660,8 @@ def _kink_margin(head, features) -> float:
 def _pool_margin(head: Head, features) -> float:
     """Gap between the top two position logits per channel (GMP tie margin)."""
     logits = wfsn_position_logits(np.asarray(features, dtype=np.float64), head)
-    ordered = np.sort(logits, axis=0)
-    return float((ordered[-1] - ordered[-2]).min())
+    ordered = np.sort(logits, axis=-2)
+    return float((ordered[..., -1, :] - ordered[..., -2, :]).min())
 
 
 def _conditioned_case(build, margin_fn, floor: float = 2e-3, tries: int = 64):
@@ -658,9 +672,9 @@ def _conditioned_case(build, margin_fn, floor: float = 2e-3, tries: int = 64):
     check strict everywhere the loss is differentiable.
     """
     for attempt in range(tries):
-        head, batch = build(attempt)
-        if margin_fn(head, batch) > floor:
-            return head, batch
+        head, features, targets = build(attempt)
+        if margin_fn(head, features) > floor:
+            return head, features, targets
     raise RuntimeError("no well-conditioned gradient-check case found")
 
 
@@ -745,75 +759,43 @@ def gradcheck_suite(
 
         def build_fsn(attempt):
             case_rng = np.random.default_rng([seed, attempt, 11])
-            head = init_fsn(small, seed * 101 + attempt)
-            batch = [
-                ClipSample(
-                    features=case_rng.standard_normal((3, 3)),
-                    labels=case_rng.integers(0, 3, size=15),
-                )
+            draws = [
+                (case_rng.standard_normal((3, 3)), case_rng.integers(0, 3, size=15))
                 for _ in range(2)
             ]
-            return head, batch
+            features, labels = (np.stack(column) for column in zip(*draws))
+            return init_fsn(small, seed * 101 + attempt), features, labels
 
-        def clips_margin(head, batch):
-            return min(_kink_margin(head, clip.features) for clip in batch)
+        fsn_head, clip_features, clip_labels = _conditioned_case(build_fsn, _kink_margin)
+        for name, head in (("fsn", fsn_head), ("ablation", init_ablation(small, seed))):
 
-        fsn_head, clips = _conditioned_case(build_fsn, clips_margin)
-        record(
-            "fsn_end_to_end",
-            gradient_check(
-                lambda params: fsn_loss_and_grads(clips, fsn_head),
-                head_parameters(fsn_head),
-                tolerance,
-                step,
-            ),
-        )
+            def fsn_fn(params, head=head):
+                return fsn_loss_and_grads(clip_features, clip_labels, head)
 
-        ablation_head = init_ablation(small, seed)
-        record(
-            "ablation_end_to_end",
-            gradient_check(
-                lambda params: fsn_loss_and_grads(clips, ablation_head),
-                head_parameters(ablation_head),
-                tolerance,
-                step,
-            ),
-        )
+            record(
+                f"{name}_end_to_end",
+                gradient_check(fsn_fn, head_parameters(head), tolerance, step),
+            )
+
+        def weak_margin(head, features):
+            margin = _kink_margin(head, features)
+            return min(margin, _pool_margin(head, features)) if head.pooling == GMP else margin
 
         for mode in (GAP, GMP):
 
             def build_weak(attempt, mode=mode):
                 case_rng = np.random.default_rng([seed, attempt, 13])
                 head = init_wfsn(small, seed * 101 + attempt, pooling=mode)
-                batch = []
-                for cls in (1, 2):
-                    label = np.zeros(2)
-                    label[cls - 1] = 1.0
-                    batch.append(
-                        WeakSample(
-                            features=case_rng.standard_normal((5, 3)),
-                            video_label=label,
-                        )
-                    )
-                return head, batch
+                return head, case_rng.standard_normal((2, 5, 3)), np.eye(2)
 
-            def weak_margin(head, batch, mode=mode):
-                margin = min(_kink_margin(head, s.features) for s in batch)
-                if mode == GMP:
-                    margin = min(
-                        margin, min(_pool_margin(head, s.features) for s in batch)
-                    )
-                return margin
+            weak_head, *weak_batch = _conditioned_case(build_weak, weak_margin)
 
-            weak_head, weak_batch = _conditioned_case(build_weak, weak_margin)
+            def weak_fn(params):
+                return wfsn_loss_and_grads(*weak_batch, weak_head)
+
             record(
                 f"wfsn_end_to_end_{mode}",
-                gradient_check(
-                    lambda params: wfsn_loss_and_grads(weak_batch, weak_head),
-                    head_parameters(weak_head),
-                    tolerance,
-                    step,
-                ),
+                gradient_check(weak_fn, head_parameters(weak_head), tolerance, step),
             )
 
     # negative control: a deliberately corrupted backward pass must be caught

@@ -1,9 +1,14 @@
-"""Feature files, annotations, clip assembly, and the synthetic corpus.
+"""Feature files, annotations, training windows, and the synthetic corpus.
 
 Per-frame descriptors travel in a small binary container (magic ``FSNF``,
 float32 payload); annotations and manifests are tab-separated text. All
 randomness goes through seeded ``numpy.random.Generator`` instances so every
 artifact is reproducible from its seed.
+
+A training window is its start frame in a video: ``make_clips`` returns the
+kept starts as an index array, ``clip_majority_class`` and ``rebalance`` work
+on index arrays too, and a training step gathers the descriptors and labels
+of its windows from the per-video arrays. Nothing is copied per window.
 """
 
 from __future__ import annotations
@@ -99,33 +104,6 @@ class AnnotationSet:
 
     def video_classes(self, video_id: str) -> list[int]:
         return sorted({s.class_id for s in self.segments if s.video_id == video_id})
-
-
-@dataclass
-class ClipSample:
-    """One training window: snippet descriptors plus dense frame labels."""
-
-    features: Array  # (snippets, feature_dim)
-    labels: Array  # (clip_len,) int64, 0 = background
-    video_id: str = ""
-    start: int = 0
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-
-
-@dataclass
-class WeakSample:
-    """One weakly supervised sample: span descriptors plus a video label."""
-
-    features: Array  # (positions, feature_dim)
-    video_label: Array  # (num_classes,) multi-hot
-    video_id: str = ""
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.video_label = np.asarray(self.video_label, dtype=np.float64)
 
 
 def write_features(video: VideoFeatures, path) -> None:
@@ -260,13 +238,13 @@ def make_clips(
     snippet_len: int = 5,
     stride: int | None = None,
     min_action_frames: int = 5,
-) -> list[ClipSample]:
-    """Cut sliding windows into snippet descriptors plus dense frame labels.
+) -> Array:
+    """Start frames of the sliding windows a strong head trains on, int64.
 
-    Each window of ``clip_len`` frames becomes clip_len/snippet_len snippets,
-    a snippet being represented by its center frame's descriptor. Windows with
-    fewer than ``min_action_frames`` non-background frames are dropped; videos
-    shorter than one window are skipped with a warning.
+    Windows of ``clip_len`` frames start every ``stride`` frames; those with
+    fewer than ``min_action_frames`` non-background frames are dropped, found
+    from the cumulative action-frame count in one pass. Videos shorter than
+    one window are skipped with a warning.
     """
     if clip_len % snippet_len != 0:
         raise ValueError(f"clip_len {clip_len} is not a multiple of snippet_len {snippet_len}")
@@ -279,55 +257,58 @@ def make_clips(
             "skipping %s: %d frames is shorter than one %d-frame clip",
             video.video_id, video.frame_count, clip_len,
         )
-        return []
-    frame_labels = label_frames(video.frame_count, segments)
-    offsets = np.arange(clip_len // snippet_len) * snippet_len + snippet_len // 2
-    clips = []
-    for start in range(0, video.frame_count - clip_len + 1, stride):
-        window = frame_labels[start : start + clip_len]
-        if int((window > 0).sum()) < min_action_frames:
-            continue
-        clips.append(
-            ClipSample(
-                features=video.features[start + offsets],
-                labels=window.copy(),
-                video_id=video.video_id,
-                start=start,
-            )
-        )
-    return clips
+        return np.zeros(0, dtype=np.int64)
+    action = np.concatenate(([0], np.cumsum(label_frames(video.frame_count, segments) > 0)))
+    starts = np.arange(0, video.frame_count - clip_len + 1, stride)
+    return starts[action[starts + clip_len] - action[starts] >= min_action_frames]
 
 
-def clip_majority_class(clip: ClipSample) -> int:
-    """Most frequent non-background class of a clip (lowest id on ties)."""
-    action = clip.labels[clip.labels > 0]
-    if action.size == 0:
-        return 0
-    return int(np.argmax(np.bincount(action)))
+def snippet_centers(clip_len: int, snippet_len: int) -> Array:
+    """Frame offsets, from a window's start, of the frames standing for its
+    clip_len / snippet_len snippets: each snippet's center frame."""
+    return np.arange(clip_len // snippet_len) * snippet_len + snippet_len // 2
 
 
-def rebalance(clips, seed: int = 0) -> list[ClipSample]:
-    """Oversample minority-class clips (with replacement) to the majority count.
+def clip_majority_class(frame_labels: Array, starts: Array, clip_len: int) -> Array:
+    """Most frequent non-background class of each window (lowest id on ties).
 
-    Clips are grouped by their majority non-background class; every group is
-    topped up to the largest group's size by re-drawing members uniformly.
-    An already balanced set comes back unchanged.
+    ``frame_labels`` are one video's dense labels and ``starts`` its window
+    starts; a window without action frames gets class 0.
     """
-    if not clips:
-        return []
-    groups: dict[int, list[int]] = {}
-    for i, clip in enumerate(clips):
-        groups.setdefault(clip_majority_class(clip), []).append(i)
-    target = max(len(g) for g in groups.values())
-    rng = np.random.default_rng(seed)
-    out = list(clips)
-    for cls in sorted(groups):
-        members = groups[cls]
-        shortfall = target - len(members)
-        if shortfall > 0:
-            for i in rng.choice(members, size=shortfall, replace=True):
-                out.append(clips[i])
-    return out
+    frame_labels = np.asarray(frame_labels, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    majority = np.zeros(starts.size, dtype=np.int64)
+    most = np.zeros(starts.size, dtype=np.int64)
+    # ascending classes with a strict comparison: ties keep the lower id
+    for cls in np.unique(frame_labels[frame_labels > 0]):
+        cumulative = np.concatenate(([0], np.cumsum(frame_labels == cls)))
+        count = cumulative[starts + clip_len] - cumulative[starts]
+        wins = count > most
+        majority[wins] = cls
+        most[wins] = count[wins]
+    return majority
+
+
+def rebalance(classes, seed: int = 0) -> Array:
+    """Window order that oversamples minority classes to the majority count.
+
+    ``classes`` holds each window's majority class. The result indexes the
+    windows: every window once, in order, then for each class in ascending
+    order its shortfall to the largest class, drawn uniformly with
+    replacement from its members. An already balanced set comes back as
+    ``0..n-1``.
+    """
+    classes = np.asarray(classes, dtype=np.int64)
+    order = [np.arange(classes.size)]
+    if classes.size:
+        present, counts = np.unique(classes, return_counts=True)
+        target = counts.max()
+        rng = np.random.default_rng(seed)
+        for cls, count in zip(present, counts):
+            if count < target:
+                members = np.flatnonzero(classes == cls)
+                order.append(rng.choice(members, size=target - count, replace=True))
+    return np.concatenate(order)
 
 
 def span_bounds(frame_count: int, positions: int) -> Array:
@@ -343,11 +324,12 @@ def make_weak_sample(
     num_classes: int,
     positions: int = 100,
     seed: int = 0,
-) -> WeakSample:
+) -> tuple[Array, Array]:
     """Sample one random frame from each of ``positions`` equal spans.
 
-    The video must be at least ``positions`` frames long so every span is
-    non-empty. The label is a multi-hot vector over all classes.
+    Returns the (positions, feature_dim) descriptors and the video label, a
+    multi-hot vector over all classes. The video must be at least
+    ``positions`` frames long so every span is non-empty.
     """
     if video.frame_count < positions:
         raise ValueError(
@@ -365,7 +347,7 @@ def make_weak_sample(
     picks = rng.integers(bounds[:-1], bounds[1:])
     label = np.zeros(num_classes)
     label[np.array(positive_classes) - 1] = 1.0
-    return WeakSample(video.features[picks], label, video.video_id)
+    return video.features[picks], label
 
 
 @dataclass

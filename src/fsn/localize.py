@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import VideoFeatures, span_bounds
+from .data import VideoFeatures, snippet_centers, span_bounds
 from .model import Head, fsn_forward, wfsn_forward_predict
 from .nncore import Array
 
@@ -106,11 +106,10 @@ def slide_predict(head: Head, video: VideoFeatures) -> FrameScoreTrack:
             f"{config.snippet_len}-frame snippet"
         )
     clip_len = config.clip_len
-    offsets = np.arange(config.snippets_per_clip) * config.snippet_len
-    offsets = offsets + config.snippet_len // 2
     starts = np.arange(0, frames, clip_len)
+    centers = snippet_centers(clip_len, config.snippet_len)
     # frames past the end read the last frame: the tail window's padding
-    picks = np.minimum(starts[:, None] + offsets[None, :], frames - 1)
+    picks = np.minimum(starts[:, None] + centers, frames - 1)
     scores = fsn_forward(video.features[picks], head, clip_len)
     scores = scores.reshape(-1, scores.shape[-1])[:frames]
     return FrameScoreTrack(video.video_id, scores, head.includes_background)

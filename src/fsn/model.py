@@ -15,11 +15,13 @@ paper's models is configuration, not code:
   classifier, trained and scored like FSN.
 
 Every forward and backward function is rank-polymorphic over
-(..., positions, channels), like the ``nncore`` ops beneath it: a training
-step stacks its samples into one (batch, positions, channels) array, and
-``localize.slide_predict`` stacks every window of a video, so each layer runs
-once per step or per video. Input features are checked for NaN and infinity
-once, here at the model boundary, and not again inside the layers.
+(..., positions, channels), like the ``nncore`` ops beneath it. Both loss
+functions take one stacked batch, (batch, positions, feature_dim) features
+plus a targets array: dense (batch, clip_len) frame labels for the dense head,
+(batch, K) multi-hot video labels for a pooled one. ``localize.slide_predict``
+stacks every window of a video the same way, so each layer runs once per step
+or per video. Input features are checked for NaN and infinity once, here at
+the model boundary, and not again inside the layers.
 
 Parameters live in the layers as float64 numpy arrays; updates mutate them
 in place through ``nncore.sgd_update``.
@@ -30,11 +32,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .data import ClipSample, WeakSample
 from .nncore import (
     Array,
     ConvLayer1D,
@@ -267,31 +267,29 @@ def one_hot_frames(labels: Array, num_outputs: int) -> Array:
 
 
 def fsn_loss_and_grads(
-    batch: Sequence[ClipSample], head: Head
+    features: Array, labels: Array, head: Head
 ) -> tuple[float, list[Array]]:
-    """Dense cross-entropy over a clip batch plus parameter gradients.
+    """Dense cross-entropy over a window batch plus parameter gradients.
 
-    The clips are stacked into one (batch, snippets, feature_dim) array, so
-    the step is one forward and one backward pass.
+    ``features`` is (batch, snippets, feature_dim) and ``labels`` the
+    (batch, clip_len) frame labels; the step is one forward and one backward
+    pass.
     """
-    if not batch:
-        raise ValueError("empty batch")
     config = head.config
-    for clip in batch:
-        if clip.labels.shape != (config.clip_len,):
-            raise ValueError(
-                f"clip labels have shape {clip.labels.shape}, expected "
-                f"({config.clip_len},)"
-            )
-        if clip.features.shape != (config.snippets_per_clip, config.feature_dim):
-            raise ValueError(
-                f"clip features have shape {clip.features.shape}, expected "
-                f"({config.snippets_per_clip}, {config.feature_dim})"
-            )
-    features = np.stack([clip.features for clip in batch])
-    labels = one_hot_frames(np.stack([clip.labels for clip in batch]), head.num_outputs)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    batch = len(features)
+    if batch == 0:
+        raise ValueError("empty batch")
+    expected = (batch, config.snippets_per_clip, config.feature_dim)
+    if features.shape != expected:
+        raise ValueError(f"features have shape {features.shape}, expected {expected}")
+    if labels.shape != (batch, config.clip_len):
+        raise ValueError(
+            f"labels have shape {labels.shape}, expected {(batch, config.clip_len)}"
+        )
     logits, cache = fsn_frame_logits(features, head, config.clip_len)
-    loss, grad = framewise_cross_entropy(logits, labels)
+    loss, grad = framewise_cross_entropy(logits, one_hot_frames(labels, head.num_outputs))
     return loss, fsn_backward(grad, cache)
 
 
@@ -306,10 +304,10 @@ def _sgd_step(
 
 
 def fsn_train_step(
-    batch: Sequence[ClipSample], head: Head, optimizer: OptimizerState
+    features: Array, labels: Array, head: Head, optimizer: OptimizerState
 ) -> float:
     """One SGD step; returns the pre-update batch loss."""
-    return _sgd_step(*fsn_loss_and_grads(batch, head), head, optimizer)
+    return _sgd_step(*fsn_loss_and_grads(features, labels, head), head, optimizer)
 
 
 def wfsn_position_logits(features: Array, head: Head) -> Array:
@@ -324,44 +322,42 @@ def wfsn_forward_predict(features: Array, head: Head) -> Array:
 
 
 def wfsn_loss_and_grads(
-    batch: Sequence[WeakSample], head: Head
+    features: Array, labels: Array, head: Head
 ) -> tuple[float, list[Array]]:
     """Video-label cross-entropy averaged over the batch, plus gradients.
 
-    Multi-label videos average the cross-entropy over their positive classes.
-    The samples are stacked into one (batch, positions, feature_dim) array and
-    pooled over the positions axis, so the step is one forward and one
-    backward pass; every sample must therefore carry the same position count.
+    ``features`` is (batch, positions, feature_dim) and ``labels`` the
+    (batch, K) multi-hot video labels; multi-label videos average the
+    cross-entropy over their positive classes. The position scores are pooled
+    over the positions axis, so the step is one forward and one backward pass.
     """
-    if not batch:
-        raise ValueError("empty batch")
     num_classes = head.config.num_classes
-    shapes = {sample.features.shape for sample in batch}
-    if len(shapes) > 1:
-        raise ValueError(f"weak samples differ in shape: {sorted(shapes)}")
-    labels = np.stack([sample.video_label for sample in batch])
-    if labels.shape[1:] != (num_classes,):
-        raise ValueError(
-            f"video label has shape {labels.shape[1:]}, expected ({num_classes},)"
-        )
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    batch = len(features)
+    if batch == 0:
+        raise ValueError("empty batch")
+    if features.ndim != 3:
+        raise ValueError(f"features have shape {features.shape}, expected (batch, positions, dim)")
+    if labels.shape != (batch, num_classes):
+        raise ValueError(f"labels have shape {labels.shape}, expected {(batch, num_classes)}")
     if not np.isin(labels, (0.0, 1.0)).all() or labels.sum(axis=1).min() < 1:
         raise ValueError("video label must be multi-hot with >= 1 positive")
-    features = np.stack([sample.features for sample in batch])
     pos_logits, stack_cache = _stack_forward(features, head)
     pooled, pool_cache = temporal_pool(pos_logits, head.pooling)
     shifted = pooled - pooled.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     positives = labels.sum(axis=1, keepdims=True)
     loss = float((-(labels * log_probs).sum(axis=1) / positives[:, 0]).mean())
-    grad_pooled = (np.exp(log_probs) - labels / positives) / len(batch)
+    grad_pooled = (np.exp(log_probs) - labels / positives) / batch
     grad_logits = temporal_pool_backward(grad_pooled, pool_cache)
     return loss, _stack_backward(grad_logits, stack_cache)
 
 
 def wfsn_train_step(
-    batch: Sequence[WeakSample], head: Head, optimizer: OptimizerState
+    features: Array, labels: Array, head: Head, optimizer: OptimizerState
 ) -> float:
-    return _sgd_step(*wfsn_loss_and_grads(batch, head), head, optimizer)
+    return _sgd_step(*wfsn_loss_and_grads(features, labels, head), head, optimizer)
 
 
 MODEL_MAGIC = b"FSN1"
@@ -464,15 +460,15 @@ def load_model(path) -> Head:
         raise ValueError(f"{path}: ablation head cannot carry trunk layers")
     if kind != _NO_TRUNK and not trunk:
         raise ValueError(f"{path}: missing trunk layers")
-    config = ModelConfig(
-        num_classes=num_classes,
-        feature_dim=feature_dim,
-        hidden_channels=hidden,
-        snippet_len=snippet_len,
-        clip_len=clip_len,
-        dilations=tuple(layer.dilation for layer in trunk) or (1, 2, 4),
-    )
     try:
+        config = ModelConfig(
+            num_classes=num_classes,
+            feature_dim=feature_dim,
+            hidden_channels=hidden,
+            snippet_len=snippet_len,
+            clip_len=clip_len,
+            dilations=tuple(layer.dilation for layer in trunk) or (1, 2, 4),
+        )
         return Head(config, trunk, classifier, pools[pooling] if kind == _POOLED else None)
-    except ValueError as err:  # the classifier does not match the header
+    except ValueError as err:  # a header value or the classifier is inconsistent
         raise ValueError(f"{path}: {err}") from None

@@ -121,3 +121,47 @@ def match_predictions(preds, gts, threshold, iou_fn):
         else:
             flags.append(False)
     return flags, order
+
+
+def window_scan(frame_labels, clip_len, stride, min_action_frames):
+    """Kept window starts, one window at a time: a window is kept iff it
+    holds at least ``min_action_frames`` non-background frames."""
+    starts = []
+    for start in range(0, len(frame_labels) - clip_len + 1, stride):
+        window = np.asarray(frame_labels[start : start + clip_len])
+        if int((window > 0).sum()) >= min_action_frames:
+            starts.append(start)
+    return starts
+
+
+def window_majority_class(window_labels):
+    """Most frequent non-background class of one window, lowest id on ties,
+    0 for a window without action frames."""
+    window_labels = np.asarray(window_labels)
+    action = window_labels[window_labels > 0]
+    if action.size == 0:
+        return 0
+    return int(np.argmax(np.bincount(action)))
+
+
+def list_rebalance(classes, seed):
+    """Oversampling order over per-window classes, built from Python lists.
+
+    Every window once, then for each class in ascending order its shortfall
+    to the largest class, drawn with ``rng.choice`` over the class's member
+    list. Returns window indices.
+    """
+    groups = {}
+    for i, cls in enumerate(classes):
+        groups.setdefault(cls, []).append(i)
+    out = list(range(len(classes)))
+    if not groups:
+        return out
+    target = max(len(members) for members in groups.values())
+    rng = np.random.default_rng(seed)
+    for cls in sorted(groups):
+        members = groups[cls]
+        shortfall = target - len(members)
+        if shortfall > 0:
+            out.extend(int(i) for i in rng.choice(members, size=shortfall, replace=True))
+    return out

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line surface."""
 
+import hashlib
 import subprocess
 import sys
 from dataclasses import fields
@@ -284,6 +285,77 @@ def test_train_fails_on_corrupt_file_outside_the_split(corpus, tmp_path, capsys)
     ])
     assert rc == 1
     assert victim.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("train", "--train-stride", "stride must be >= 1, got 0"),
+        ("train", "--log-every", "log_every must be >= 1, got 0"),
+        ("train", "--batch-size", "batch_size must be >= 1, got 0"),
+        ("train-weak", "--log-every", "log_every must be >= 1, got 0"),
+        ("train-weak", "--batch-size", "batch_size must be >= 1, got 0"),
+    ],
+)
+def test_training_rejects_zero_loop_settings(corpus, tmp_path, capsys, command, flag, message):
+    rc = main([
+        command,
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--out", str(tmp_path / "out"),
+        "--iterations", "2",
+        "--weak-positions", "40",
+        flag, "0",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "model.fsn").exists()
+
+
+# sha256 of (model.fsn, train_log.csv) for short runs on the module corpus,
+# computed with the per-window sample objects that preceded the index-array
+# windows: window selection, rebalancing and batch sampling must not move.
+# The weights run through BLAS, so these hold for this numpy/OpenBLAS build.
+PINNED_TRAINING = {
+    "train": (
+        ["train", "--iterations", "40", "--log-every", "10"],
+        "ca7aab6d491113d2abccdc44553969098ed1f290ccd2ba685e342f1306f6068e",
+        "94af6082ff8852cc865552176a50b6c45d11eeeb04d57092696234718dfe31c9",
+    ),
+    "train-sparse-windows": (
+        ["train", "--iterations", "40", "--log-every", "10",
+         "--train-stride", "3", "--min-action-frames", "0"],
+        "d0574a55ad9d7569f64f8af6a472eba860cea76e5d717c5807f22d816e78d1d5",
+        "7e02db34f90f0435418669abc20f7edc582ebfc11bb1a8ab51f27e0e9b87835d",
+    ),
+    "train-weak": (
+        ["train-weak", "--iterations", "20", "--log-every", "5", "--weak-positions", "40"],
+        "1870b4149e743e50763db225ed00912c4a1588409cfa9b9172f589db2493b565",
+        "9e29a89de40c9db0bc1d260cfb1ebb7b9af81f01118a0cfa90f7a10cbed48c82",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(PINNED_TRAINING))
+def test_training_bytes_are_pinned(corpus, tmp_path, run):
+    args, model_sha, log_sha = PINNED_TRAINING[run]
+    out = tmp_path / "out"
+    rc = main([
+        *args,
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(out),
+        "--hidden-channels", "8",
+        "--learning-rate", "0.001",
+        "--seed", "7",
+    ])
+    assert rc == 0
+    digests = [
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("model.fsn", "train_log.csv")
+    ]
+    assert digests == [model_sha, log_sha]
 
 
 # ---------------------------------------------------------------- train-weak

@@ -1,9 +1,11 @@
-"""Feature/annotation IO, clip assembly, weak sampling, synthetic corpus."""
+"""Feature/annotation IO, training windows, weak sampling, synthetic corpus."""
 
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsn.data import (
     AnnotationSet,
@@ -19,12 +21,14 @@ from fsn.data import (
     make_clips,
     make_weak_sample,
     rebalance,
+    snippet_centers,
     span_bounds,
     synth_generate,
     write_annotations,
     write_features,
     write_manifest,
 )
+from oracles import list_rebalance, window_majority_class, window_scan
 
 
 def video_with_ramp(video_id="vid", frames=70, dim=3):
@@ -149,26 +153,28 @@ class TestMakeClips:
     def test_single_window_video(self):
         video = video_with_ramp(frames=35)
         segs = [GroundTruthSegment("vid", 0, 35, 1)]
-        clips = make_clips(video, segs)
-        assert len(clips) == 1
-        clip = clips[0]
-        assert clip.features.shape == (7, 3)
+        np.testing.assert_array_equal(make_clips(video, segs), [0])
         # snippet centers sit at frames 2, 7, 12, ...
-        np.testing.assert_array_equal(clip.features[:, 0], [2, 7, 12, 17, 22, 27, 32])
-        np.testing.assert_array_equal(clip.labels, np.ones(35, dtype=np.int64))
+        np.testing.assert_array_equal(snippet_centers(35, 5), [2, 7, 12, 17, 22, 27, 32])
+
+    def test_returns_int64_starts(self):
+        video = video_with_ramp(frames=70)
+        starts = make_clips(video, [GroundTruthSegment("vid", 0, 70, 1)], stride=7)
+        assert starts.dtype == np.int64
+        assert make_clips(video, []).dtype == np.int64
 
     def test_min_action_frames_boundary(self):
         video = video_with_ramp(frames=35)
         four = [GroundTruthSegment("vid", 0, 4, 1)]
         five = [GroundTruthSegment("vid", 0, 5, 1)]
-        assert make_clips(video, four) == []
+        assert len(make_clips(video, four)) == 0
         assert len(make_clips(video, five)) == 1
 
     def test_short_video_is_skipped_with_warning(self, caplog):
         video = video_with_ramp(frames=20)
         with caplog.at_level(logging.WARNING):
             clips = make_clips(video, [GroundTruthSegment("vid", 0, 20, 1)])
-        assert clips == []
+        assert len(clips) == 0
         assert "shorter" in caplog.text
 
     def test_stride_controls_window_count(self):
@@ -189,60 +195,73 @@ class TestMakeClips:
                 break
             segs.append(GroundTruthSegment("vid", start, end, int(rng.integers(1, 3))))
             cursor = end
-        clips = make_clips(video, segs, stride=7)
         dense = label_frames(200, segs)
-        expected_starts = [
-            s for s in range(0, 200 - 35 + 1, 7) if (dense[s : s + 35] > 0).sum() >= 5
-        ]
-        assert [c.start for c in clips] == expected_starts
-        for clip in clips:
-            np.testing.assert_array_equal(clip.labels, dense[clip.start : clip.start + 35])
+        assert make_clips(video, segs, stride=7).tolist() == window_scan(dense, 35, 7, 5)
 
     def test_rejects_indivisible_clip_len(self):
         with pytest.raises(ValueError):
             make_clips(video_with_ramp(), [], clip_len=36, snippet_len=5)
 
 
+def labels_with(*runs):
+    """Dense labels from (class, length) runs."""
+    return np.concatenate([np.full(length, cls, dtype=np.int64) for cls, length in runs])
+
+
 class TestRebalance:
-    def clip_for(self, class_id, tag):
-        labels = np.zeros(35, dtype=np.int64)
-        if class_id:
-            labels[:10] = class_id
-        return type("C", (), {"labels": labels, "tag": tag})()
-
-    def make(self, majorities):
-        # lightweight stand-ins: rebalance only reads .labels
-        return [self.clip_for(m, i) for i, m in enumerate(majorities)]
-
     def test_majority_class_tie_takes_lowest_id(self):
-        labels = np.zeros(35, dtype=np.int64)
-        labels[0:5] = 2
-        labels[5:10] = 1
-        clip = type("C", (), {"labels": labels})()
-        assert clip_majority_class(clip) == 1
+        labels = labels_with((2, 5), (1, 5), (0, 25))
+        np.testing.assert_array_equal(clip_majority_class(labels, [0], 35), [1])
+
+    def test_window_without_action_gets_class_zero(self):
+        labels = labels_with((0, 10), (3, 4), (0, 10))
+        np.testing.assert_array_equal(clip_majority_class(labels, [0, 4, 14], 10), [0, 3, 0])
 
     def test_balanced_input_is_unchanged(self):
-        clips = self.make([1, 1, 2, 2])
-        assert rebalance(clips, seed=0) == clips
+        np.testing.assert_array_equal(rebalance([1, 1, 2, 2], seed=0), [0, 1, 2, 3])
 
     def test_oversamples_to_the_largest_group(self):
-        clips = self.make([1, 1, 1, 2])
-        out = rebalance(clips, seed=0)
-        counts = {}
-        for c in out:
-            counts[clip_majority_class(c)] = counts.get(clip_majority_class(c), 0) + 1
-        assert counts == {1: 3, 2: 3}
-        assert out[:4] == clips  # originals all kept, in order
-        assert all(clip_majority_class(c) == 2 for c in out[4:])
+        classes = np.array([1, 1, 1, 2])
+        order = rebalance(classes, seed=0)
+        np.testing.assert_array_equal(order[:4], [0, 1, 2, 3])  # originals, in order
+        np.testing.assert_array_equal(order[4:], [3, 3])
+        assert np.bincount(classes[order]).tolist() == [0, 3, 3]
 
     def test_deterministic_per_seed(self):
-        clips = self.make([1, 1, 1, 2, 2, 3])
-        a = [c.tag for c in rebalance(clips, seed=5)]
-        b = [c.tag for c in rebalance(clips, seed=5)]
-        assert a == b
+        classes = [1, 1, 1, 2, 2, 3]
+        np.testing.assert_array_equal(rebalance(classes, seed=5), rebalance(classes, seed=5))
 
     def test_empty_input(self):
-        assert rebalance([], seed=0) == []
+        order = rebalance([], seed=0)
+        assert order.size == 0 and order.dtype == np.int64
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 25)), min_size=1, max_size=16
+    ),
+    clip_len=st.sampled_from([5, 10, 35]),
+    stride=st.integers(1, 12),
+    min_action_frames=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windows_match_the_per_window_oracles(runs, clip_len, stride, min_action_frames, seed):
+    labels = labels_with(*runs)
+    video = video_with_ramp(frames=labels.size)
+    segs, start = [], 0
+    for cls, length in runs:
+        if cls:
+            segs.append(GroundTruthSegment("vid", start, start + length, cls))
+        start += length
+    starts = make_clips(
+        video, segs, clip_len=clip_len, stride=stride, min_action_frames=min_action_frames
+    )
+    assert starts.tolist() == window_scan(labels, clip_len, stride, min_action_frames)
+    classes = clip_majority_class(labels, starts, clip_len)
+    expected = [window_majority_class(labels[s : s + clip_len]) for s in starts]
+    assert classes.tolist() == expected
+    assert rebalance(classes, seed).tolist() == list_rebalance(expected, seed)
 
 
 class TestWeakSample:
@@ -253,25 +272,25 @@ class TestWeakSample:
 
     def test_each_pick_stays_in_its_span(self):
         video = video_with_ramp(frames=237)
-        sample = make_weak_sample(video, [2], num_classes=3, positions=100, seed=9)
+        features, label = make_weak_sample(video, [2], num_classes=3, positions=100, seed=9)
         bounds = span_bounds(237, 100)
-        picks = sample.features[:, 0].astype(int)
+        picks = features[:, 0].astype(int)
         assert np.all(picks >= bounds[:-1])
         assert np.all(picks < bounds[1:])
-        np.testing.assert_array_equal(sample.video_label, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(label, [0.0, 1.0, 0.0])
 
     def test_exact_length_video_samples_every_frame(self):
         video = video_with_ramp(frames=100)
-        sample = make_weak_sample(video, [1], num_classes=1, positions=100, seed=0)
-        np.testing.assert_array_equal(sample.features[:, 0], np.arange(100))
+        features, _ = make_weak_sample(video, [1], num_classes=1, positions=100, seed=0)
+        np.testing.assert_array_equal(features[:, 0], np.arange(100))
 
     def test_seed_changes_the_draw(self):
         video = video_with_ramp(frames=500)
-        a = make_weak_sample(video, [1], 1, positions=100, seed=1)
-        b = make_weak_sample(video, [1], 1, positions=100, seed=2)
-        again = make_weak_sample(video, [1], 1, positions=100, seed=1)
-        assert not np.array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.features, again.features)
+        a, _ = make_weak_sample(video, [1], 1, positions=100, seed=1)
+        b, _ = make_weak_sample(video, [1], 1, positions=100, seed=2)
+        again, _ = make_weak_sample(video, [1], 1, positions=100, seed=1)
+        assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(a, again)
 
     def test_rejects_bad_class_sets(self):
         video = video_with_ramp(frames=120)

@@ -5,7 +5,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from fsn.data import ClipSample, WeakSample
 from fsn.model import (
     ModelConfig,
     fsn_forward,
@@ -39,13 +38,14 @@ from fsn.nncore import (
 TINY = ModelConfig(num_classes=2, feature_dim=5, hidden_channels=6, snippet_len=5, clip_len=35)
 
 
-def tiny_clip(rng, config, label_value=1):
-    labels = np.zeros(config.clip_len, dtype=np.int64)
-    labels[10:20] = label_value
-    return ClipSample(
-        features=rng.standard_normal((config.snippets_per_clip, config.feature_dim)),
-        labels=labels,
+def tiny_clips(rng, config, *label_values):
+    """A (features, labels) batch, one window per label value."""
+    labels = np.zeros((len(label_values), config.clip_len), dtype=np.int64)
+    labels[:, 10:20] = np.array(label_values)[:, None]
+    features = rng.standard_normal(
+        (len(label_values), config.snippets_per_clip, config.feature_dim)
     )
+    return features, labels
 
 
 def softmax(scores):
@@ -189,32 +189,31 @@ class TestFsnTraining:
     def test_loss_matches_independent_forward(self):
         rng = np.random.default_rng(6)
         head = init_fsn(TINY, seed=6)
-        batch = [tiny_clip(rng, TINY, 1), tiny_clip(rng, TINY, 2)]
-        loss, _ = fsn_loss_and_grads(batch, head)
-        logits = np.stack([fsn_frame_logits(c.features, head, 35)[0] for c in batch])
-        labels = np.stack(
-            [np.eye(3)[c.labels] for c in batch]
-        )
-        expected, _ = framewise_cross_entropy(logits, labels)
+        features, labels = tiny_clips(rng, TINY, 1, 2)
+        loss, _ = fsn_loss_and_grads(features, labels, head)
+        logits = np.stack([fsn_frame_logits(f, head, 35)[0] for f in features])
+        expected, _ = framewise_cross_entropy(logits, np.eye(3)[labels])
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_loss_drops_on_separable_toy_data(self):
         rng = np.random.default_rng(7)
         config = ModelConfig(num_classes=2, feature_dim=4, hidden_channels=8, snippet_len=1, clip_len=7)
         means = {0: np.zeros(4), 1: np.array([3.0, 0, 0, 0]), 2: np.array([0, 3.0, 0, 0])}
-        batch = []
+        features, labels = [], []
         for label_value in (1, 2):
             for _ in range(4):
-                labels = np.zeros(7, dtype=np.int64)
-                labels[2:5] = label_value
-                feats = np.stack([means[l] for l in labels])
+                clip_labels = np.zeros(7, dtype=np.int64)
+                clip_labels[2:5] = label_value
+                feats = np.stack([means[l] for l in clip_labels])
                 feats += rng.standard_normal(feats.shape) * 0.1
-                batch.append(ClipSample(features=feats, labels=labels))
+                features.append(feats)
+                labels.append(clip_labels)
+        features, labels = np.stack(features), np.stack(labels)
         head = init_fsn(config, seed=7)
         opt = OptimizerState(learning_rate=0.05, momentum=0.9)
-        initial = fsn_loss_and_grads(batch, head)[0]
+        initial = fsn_loss_and_grads(features, labels, head)[0]
         for _ in range(200):
-            loss = fsn_train_step(batch, head, opt)
+            loss = fsn_train_step(features, labels, head, opt)
         assert loss < 0.1 * initial
 
     def test_zero_learning_rate_leaves_parameters_unchanged(self):
@@ -222,36 +221,50 @@ class TestFsnTraining:
         head = init_fsn(TINY, seed=8)
         before = [p.copy() for p in head_parameters(head)]
         opt = OptimizerState(learning_rate=0.0, momentum=0.9, weight_decay=0.001)
-        fsn_train_step([tiny_clip(rng, TINY)], head, opt)
+        fsn_train_step(*tiny_clips(rng, TINY, 1), head, opt)
         for p, q in zip(head_parameters(head), before):
             np.testing.assert_array_equal(p, q)
 
     def test_rejects_empty_batch(self):
         head = init_fsn(TINY, seed=0)
-        with pytest.raises(ValueError):
-            fsn_train_step([], head, OptimizerState(learning_rate=0.1))
+        empty_features = np.zeros((0, 7, 5))
+        empty_labels = np.zeros((0, 35), dtype=np.int64)
+        with pytest.raises(ValueError, match="empty batch"):
+            fsn_train_step(empty_features, empty_labels, head, OptimizerState(learning_rate=0.1))
 
     def test_rejects_out_of_range_labels(self):
         rng = np.random.default_rng(9)
         head = init_fsn(TINY, seed=9)
-        clip = tiny_clip(rng, TINY, label_value=3)
         with pytest.raises(ValueError):
-            fsn_loss_and_grads([clip], head)
+            fsn_loss_and_grads(*tiny_clips(rng, TINY, 3), head)
+
+    @pytest.mark.parametrize(
+        "features_shape, labels_shape, match",
+        [
+            ((2, 6, 5), (2, 35), "features have shape"),  # wrong snippet count
+            ((2, 7, 4), (2, 35), "features have shape"),  # wrong feature dim
+            ((7, 5), (2, 35), "features have shape"),  # not stacked
+            ((2, 7, 5), (2, 34), "labels have shape"),  # wrong clip length
+            ((2, 7, 5), (3, 35), "labels have shape"),  # batch sizes differ
+        ],
+    )
+    def test_rejects_misshapen_batch(self, features_shape, labels_shape, match):
+        head = init_fsn(TINY, seed=9)
+        features = np.zeros(features_shape)
+        labels = np.zeros(labels_shape, dtype=np.int64)
+        with pytest.raises(ValueError, match=match):
+            fsn_loss_and_grads(features, labels, head)
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(10)
         config = ModelConfig(num_classes=2, feature_dim=3, hidden_channels=4, snippet_len=5, clip_len=15)
         head = init_fsn(config, seed=10)
-        batch = [
-            ClipSample(
-                features=rng.standard_normal((3, 3)),
-                labels=rng.integers(0, 3, size=15),
-            )
-            for _ in range(2)
-        ]
+        batch = [(rng.standard_normal((3, 3)), rng.integers(0, 3, size=15)) for _ in range(2)]
+        features = np.stack([f for f, _ in batch])
+        labels = np.stack([l for _, l in batch])
 
         def fn(params):
-            return fsn_loss_and_grads(batch, head)
+            return fsn_loss_and_grads(features, labels, head)
 
         assert gradient_check(fn, head_parameters(head)).passed
 
@@ -296,62 +309,70 @@ class TestWfsn:
         rng = np.random.default_rng(14)
         config = ModelConfig(num_classes=2, feature_dim=4, hidden_channels=8, snippet_len=1, clip_len=4)
         protos = {1: np.array([3.0, 0, 0, 0]), 2: np.array([0, 3.0, 0, 0])}
-        batch = []
+        features, labels = [], []
         for cls in (1, 2):
             for _ in range(3):
                 feats = rng.standard_normal((10, 4)) * 0.1
                 feats[rng.integers(0, 10)] += protos[cls]
-                label = np.zeros(2)
-                label[cls - 1] = 1.0
-                batch.append(WeakSample(features=feats, video_label=label))
+                features.append(feats)
+                labels.append(np.eye(2)[cls - 1])
+        features, labels = np.stack(features), np.stack(labels)
         head = init_wfsn(config, seed=14, pooling=GMP)
         opt = OptimizerState(learning_rate=0.1, momentum=0.9)
-        initial = wfsn_loss_and_grads(batch, head)[0]
+        initial = wfsn_loss_and_grads(features, labels, head)[0]
         for _ in range(150):
-            loss = wfsn_train_step(batch, head, opt)
+            loss = wfsn_train_step(features, labels, head, opt)
         assert loss < 0.25 * initial
 
     def test_multi_label_loss_averages_over_positives(self):
         rng = np.random.default_rng(15)
         head = init_wfsn(TINY, seed=15, pooling=GAP)
         feats = rng.standard_normal((6, 5))
-        both = WeakSample(features=feats, video_label=np.array([1.0, 1.0]))
         probs = pooled_probs(feats, head)
         expected = -(np.log(probs[0]) + np.log(probs[1])) / 2.0
-        loss, _ = wfsn_loss_and_grads([both], head)
+        loss, _ = wfsn_loss_and_grads(feats[None], np.array([[1.0, 1.0]]), head)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_label_without_positives(self):
         head = init_wfsn(TINY, seed=0)
-        sample = WeakSample(features=np.zeros((4, 5)), video_label=np.zeros(2))
-        with pytest.raises(ValueError):
-            wfsn_loss_and_grads([sample], head)
+        with pytest.raises(ValueError, match="multi-hot"):
+            wfsn_loss_and_grads(np.zeros((1, 4, 5)), np.zeros((1, 2)), head)
+
+    @pytest.mark.parametrize(
+        "features_shape, labels_shape, match",
+        [
+            ((0, 4, 5), (0, 2), "empty batch"),
+            ((4, 5), (1, 2), "features have shape"),  # not stacked
+            ((1, 4, 5), (1, 3), "labels have shape"),  # wrong class count
+            ((2, 4, 5), (1, 2), "labels have shape"),  # batch sizes differ
+        ],
+    )
+    def test_rejects_misshapen_batch(self, features_shape, labels_shape, match):
+        head = init_wfsn(TINY, seed=0)
+        with pytest.raises(ValueError, match=match):
+            wfsn_loss_and_grads(np.zeros(features_shape), np.ones(labels_shape), head)
 
     @pytest.mark.parametrize("pooling", [GAP, GMP])
     def test_end_to_end_gradients(self, pooling):
         rng = np.random.default_rng(16)
         config = ModelConfig(num_classes=2, feature_dim=3, hidden_channels=4, snippet_len=1, clip_len=4)
         head = init_wfsn(config, seed=16, pooling=pooling)
-        batch = []
-        for cls in (1, 2):
-            label = np.zeros(2)
-            label[cls - 1] = 1.0
-            batch.append(WeakSample(features=rng.standard_normal((5, 3)), video_label=label))
+        features = np.stack([rng.standard_normal((5, 3)) for _ in (1, 2)])
 
         def fn(params):
-            return wfsn_loss_and_grads(batch, head)
+            return wfsn_loss_and_grads(features, np.eye(2), head)
 
         assert gradient_check(fn, head_parameters(head)).passed
 
 
-def _assert_batch_matches_singles(loss_fn, batch, head):
+def _assert_batch_matches_singles(loss_fn, features, labels, head):
     """A batch's loss is the mean of the batch-of-one losses and its
     gradients are their sum scaled by 1/B."""
-    loss, grads = loss_fn(batch, head)
-    singles = [loss_fn([sample], head) for sample in batch]
+    loss, grads = loss_fn(features, labels, head)
+    singles = [loss_fn(features[i : i + 1], labels[i : i + 1], head) for i in range(len(features))]
     assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
     for k, grad in enumerate(grads):
-        expected = sum(g[k] for _, g in singles) / len(batch)
+        expected = sum(g[k] for _, g in singles) / len(features)
         assert np.max(np.abs(grad - expected)) <= 1e-12
 
 
@@ -359,59 +380,40 @@ class TestBatchedTraining:
     def test_fsn_batch_matches_single_samples(self):
         rng = np.random.default_rng(50)
         head = init_fsn(TINY, seed=50)
-        batch = [
-            ClipSample(
-                features=rng.standard_normal((7, 5)),
-                labels=rng.integers(0, 3, size=35),
-            )
-            for _ in range(5)
-        ]
-        _assert_batch_matches_singles(fsn_loss_and_grads, batch, head)
+        batch = [(rng.standard_normal((7, 5)), rng.integers(0, 3, size=35)) for _ in range(5)]
+        features = np.stack([f for f, _ in batch])
+        labels = np.stack([l for _, l in batch])
+        _assert_batch_matches_singles(fsn_loss_and_grads, features, labels, head)
 
     def test_ablation_batch_matches_single_samples(self):
         rng = np.random.default_rng(51)
         head = init_ablation(TINY, seed=51)
-        batch = [tiny_clip(rng, TINY, label) for label in (1, 2, 1)]
-        _assert_batch_matches_singles(fsn_loss_and_grads, batch, head)
+        _assert_batch_matches_singles(fsn_loss_and_grads, *tiny_clips(rng, TINY, 1, 2, 1), head)
 
     @pytest.mark.parametrize("pooling", [GAP, GMP])
     def test_wfsn_batch_matches_single_samples(self, pooling):
         rng = np.random.default_rng(52)
         head = init_wfsn(TINY, seed=52, pooling=pooling)
-        labels = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
-        batch = [
-            WeakSample(features=rng.standard_normal((9, 5)), video_label=np.array(label))
-            for label in labels
-        ]
-        _assert_batch_matches_singles(wfsn_loss_and_grads, batch, head)
-
-    def test_wfsn_rejects_samples_of_different_lengths(self):
-        head = init_wfsn(TINY, seed=0)
-        label = np.array([1.0, 0.0])
-        batch = [
-            WeakSample(features=np.zeros((4, 5)), video_label=label),
-            WeakSample(features=np.zeros((5, 5)), video_label=label),
-        ]
-        with pytest.raises(ValueError, match="shape"):
-            wfsn_loss_and_grads(batch, head)
+        labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+        features = np.stack([rng.standard_normal((9, 5)) for _ in labels])
+        _assert_batch_matches_singles(wfsn_loss_and_grads, features, labels, head)
 
 
 class TestModelBoundary:
     def test_nan_clip_features_are_rejected(self):
         rng = np.random.default_rng(53)
         head = init_fsn(TINY, seed=53)
-        batch = [tiny_clip(rng, TINY), tiny_clip(rng, TINY)]
-        batch[1].features[3, 2] = np.nan
+        features, labels = tiny_clips(rng, TINY, 1, 1)
+        features[1, 3, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            fsn_loss_and_grads(batch, head)
+            fsn_loss_and_grads(features, labels, head)
 
     def test_nan_weak_features_are_rejected(self):
         head = init_wfsn(TINY, seed=54)
-        features = np.zeros((6, 5))
-        features[2, 0] = np.inf
-        sample = WeakSample(features=features, video_label=np.array([1.0, 0.0]))
+        features = np.zeros((1, 6, 5))
+        features[0, 2, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            wfsn_loss_and_grads([sample], head)
+            wfsn_loss_and_grads(features, np.array([[1.0, 0.0]]), head)
 
     def test_nan_features_are_rejected_by_forward(self):
         features = np.zeros((2, 7, 5))
@@ -484,6 +486,15 @@ class TestSerialization:
         raw[8] = 1  # header kind byte: pooled, whose classifier emits K channels
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="model.fsn: classifier emits 3 channels"):
+            load_model(path)
+
+    def test_bad_header_value_is_reported_with_the_path(self, tmp_path):
+        path = tmp_path / "model.fsn"
+        save_model(init_fsn(TINY, seed=28), path)
+        raw = bytearray(path.read_bytes())
+        raw[26:30] = (36).to_bytes(4, "little")  # header clip_len 35 -> 36
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="model.fsn: clip_len 36 must be a positive multiple"):
             load_model(path)
 
     def test_decay_flags_alternate(self):
