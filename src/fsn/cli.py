@@ -9,9 +9,8 @@ override file values.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -115,8 +114,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 @dataclass
 class RunConfig:
-    """Merged settings for one command run; ``explicit`` tracks which keys
-    the user actually set (file or flag) versus defaults."""
+    """Merged settings for one command run: defaults, then the config file,
+    then flags. A ``None`` setting was not given; ``num_classes`` and
+    ``feature_dim`` are then taken from the data or the model."""
 
     features_dir: str | None = None
     annotations: str | None = None
@@ -126,8 +126,8 @@ class RunConfig:
     tracks: str | None = None
     out: str = "out"
     split: str | None = None
-    num_classes: int = 4
-    feature_dim: int = 16
+    num_classes: int | None = None
+    feature_dim: int | None = None
     hidden_channels: int = 256
     snippet_len: int = 5
     clip_len: int = 35
@@ -156,11 +156,6 @@ class RunConfig:
     ablate_mode: str = "temporal"
     gradcheck_seeds: int = 20
     seed: int = 42
-    threads: int | None = None
-    explicit: set = field(default_factory=set, repr=False, compare=False)
-
-    def was_set(self, key: str) -> bool:
-        return key in self.explicit
 
 
 _PARSERS: dict[str, Callable] = {
@@ -177,7 +172,6 @@ _PARSERS: dict[str, Callable] = {
 SCHEMA: dict[str, Callable] = {
     f.name: _PARSERS[f.type.removesuffix(" | None")]
     for f in fields(RunConfig)
-    if f.name != "explicit"
 }
 
 
@@ -209,36 +203,9 @@ def build_config(file_values: dict[str, str], flag_values: dict) -> RunConfig:
             setattr(cfg, key, SCHEMA[key](raw))
         except ValueError as err:
             raise ValueError(f"config key {key!r}: {err}") from None
-        cfg.explicit.add(key)
     for key, value in flag_values.items():
         setattr(cfg, key, value)
-        cfg.explicit.add(key)
     return cfg
-
-
-def resolve_threads(cfg: RunConfig) -> int:
-    """Worker count for scoring videos: ``--threads``, else ``FSN_THREADS``,
-    else 1.
-
-    One worker is the default because each video is already one batched
-    forward pass whose matrix products OpenBLAS spreads over every CPU; a
-    pool on top of that competes for the same cores. The pool pays off when
-    BLAS itself runs single-threaded (``OPENBLAS_NUM_THREADS=1``).
-    """
-    if cfg.threads is not None:
-        value = cfg.threads
-    else:
-        env = os.environ.get("FSN_THREADS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(f"FSN_THREADS={env!r} is not an integer") from None
-        else:
-            value = 1
-    if value < 1:
-        raise ValueError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
@@ -248,11 +215,11 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 
 
 def _model_config(cfg: RunConfig, num_classes: int, feature_dim: int) -> ModelConfig:
-    if cfg.was_set("num_classes") and cfg.num_classes != num_classes:
+    if cfg.num_classes is not None and cfg.num_classes != num_classes:
         raise ValueError(
             f"config says {cfg.num_classes} classes, data carries {num_classes}"
         )
-    if cfg.was_set("feature_dim") and cfg.feature_dim != feature_dim:
+    if cfg.feature_dim is not None and cfg.feature_dim != feature_dim:
         raise ValueError(
             f"config says feature_dim {cfg.feature_dim}, data carries {feature_dim}"
         )
@@ -300,7 +267,9 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _synth_config(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(**{f.name: getattr(cfg, f.name) for f in fields(SynthConfig)})
+    """The synth settings that are given; the rest keep SynthConfig's defaults."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(SynthConfig)}
+    return SynthConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def cmd_synth(cfg: RunConfig) -> dict:
@@ -342,8 +311,8 @@ def _require_positive(cfg: RunConfig, *keys: str) -> None:
 
 def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple[Path, Path]:
     """The SGD loop over ``next_batch()`` (features, targets) batches; saves
-    the model and loss log. Its callers check ``batch_size`` and ``log_every``
-    with ``_require_positive`` before they load any data."""
+    the model and loss log. Its callers check ``iterations``, ``batch_size``
+    and ``log_every`` with ``_require_positive`` before they load any data."""
     optimizer = OptimizerState(
         learning_rate=cfg.learning_rate,
         momentum=cfg.momentum,
@@ -362,7 +331,7 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple
 
 
 def _train_strong(cfg: RunConfig, init_fn, out: Path) -> dict:
-    _require_positive(cfg, "batch_size", "log_every")
+    _require_positive(cfg, "iterations", "batch_size", "log_every")
     videos, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
     clip_len = model_config.clip_len
@@ -408,7 +377,7 @@ def cmd_train(cfg: RunConfig) -> dict:
 
 def cmd_train_weak(cfg: RunConfig) -> dict:
     """Train the weakly supervised head from video-level labels only."""
-    _require_positive(cfg, "batch_size", "log_every")
+    _require_positive(cfg, "iterations", "batch_size", "log_every", "weak_positions")
     out = _out_dir(cfg)
     videos, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
@@ -451,6 +420,8 @@ def _write_track_files(tracks: Sequence[FrameScoreTrack], directory: Path) -> No
 
 
 def _predict(cfg: RunConfig, weak: bool) -> dict:
+    if weak:
+        _require_positive(cfg, "weak_positions")
     _require(cfg, "model")
     out = _out_dir(cfg)
     head = load_model(cfg.model)
@@ -458,12 +429,12 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
         raise ValueError(f"{cfg.model}: not a weakly supervised model")
     if not weak and head.pooling is not None:
         raise ValueError(f"{cfg.model}: weakly supervised model; use predict-weak")
-    if cfg.was_set("num_classes") and cfg.num_classes != head.config.num_classes:
+    if cfg.num_classes is not None and cfg.num_classes != head.config.num_classes:
         raise ValueError(
             f"model was trained with {head.config.num_classes} classes, "
             f"config asks for {cfg.num_classes}"
         )
-    if cfg.was_set("feature_dim") and cfg.feature_dim != head.config.feature_dim:
+    if cfg.feature_dim is not None and cfg.feature_dim != head.config.feature_dim:
         raise ValueError(
             f"model expects feature_dim {head.config.feature_dim}, "
             f"config asks for {cfg.feature_dim}"
@@ -475,7 +446,6 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
                 f"{video.video_id}: feature_dim {video.feature_dim} does not "
                 f"match the model's {head.config.feature_dim}"
             )
-    threads = resolve_threads(cfg)
     nms_iou = nms_threshold_for(cfg.predict_iou)
     tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
     # eval scores every track it finds, so another run's tracks would count
@@ -487,9 +457,7 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
             f"not score, e.g. {', '.join(stale[:3])}; predict into a fresh --out "
             f"or --tracks"
         )
-    tracks, predictions = localize(
-        head, videos, cfg.predict_iou, cfg.weak_positions, threads
-    )
+    tracks, predictions = localize(head, videos, cfg.predict_iou, cfg.weak_positions)
     predictions_path = (
         Path(cfg.predictions) if cfg.predictions else out / "predictions.tsv"
     )
@@ -504,7 +472,6 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
         f"predict_iou = {cfg.predict_iou:g}",
         f"nms_iou = {nms_iou:g}",
         f"weak_positions = {cfg.weak_positions}" if weak else None,
-        f"threads = {threads}",
         f"seed = {cfg.seed}",
     ]
     log_path = out / "predict_log.txt"
@@ -608,10 +575,8 @@ def _comparison_rows(
 def _run_variant(cfg: RunConfig, name: str, train_fn, predict_fn) -> EvalReport:
     variant_out = str(Path(cfg.out) / name)
     train_cfg = replace(cfg, out=variant_out, model=None, predictions=None, tracks=None)
-    train_cfg.explicit = set(cfg.explicit)
     train_fn(train_cfg)
     run_cfg = replace(train_cfg, model=str(Path(variant_out) / "model.fsn"), split="test")
-    run_cfg.explicit = set(cfg.explicit)
     predict_fn(run_cfg)
     return cmd_eval(run_cfg)["result"]
 
@@ -630,12 +595,8 @@ def cmd_ablate(cfg: RunConfig) -> dict:
         )
     elif cfg.ablate_mode == "pooling":
         names = ("gmp", "gap")
-        gmp_cfg = replace(cfg, pooling=GMP)
-        gmp_cfg.explicit = set(cfg.explicit)
-        gap_cfg = replace(cfg, pooling=GAP)
-        gap_cfg.explicit = set(cfg.explicit)
-        first = _run_variant(gmp_cfg, "gmp", cmd_train_weak, cmd_predict_weak)
-        second = _run_variant(gap_cfg, "gap", cmd_train_weak, cmd_predict_weak)
+        first = _run_variant(replace(cfg, pooling=GMP), "gmp", cmd_train_weak, cmd_predict_weak)
+        second = _run_variant(replace(cfg, pooling=GAP), "gap", cmd_train_weak, cmd_predict_weak)
     else:
         raise ValueError(
             f"ablate_mode must be 'temporal' or 'pooling', got {cfg.ablate_mode!r}"

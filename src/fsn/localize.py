@@ -11,7 +11,6 @@ travel in a tab-separated file with a fixed header.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -297,27 +296,21 @@ def localize(
     videos: Sequence[VideoFeatures],
     eval_iou: float = 0.5,
     positions: int = 100,
-    threads: int = 1,
 ) -> tuple[list[FrameScoreTrack], list[SegmentPrediction]]:
     """Score tracks and sorted segment predictions for a collection of videos.
 
     A dense head is scored by ``slide_predict``, a pooled one by
-    ``weak_score_track`` with ``positions`` spans; every track is then grouped
-    and suppressed at the NMS threshold for ``eval_iou``. With ``threads`` > 1
-    a worker pool scores the videos. Tracks keep the order of ``videos`` and
-    the predictions are sorted, so the result does not depend on the thread
-    count.
+    ``weak_score_track`` with ``positions`` spans, one video after another;
+    each video is one batched forward whose matrix products BLAS already
+    spreads over the cores. Every track is then grouped and suppressed at the
+    NMS threshold for ``eval_iou``. Tracks keep the order of ``videos``; the
+    predictions are sorted.
     """
     nms_iou = nms_threshold_for(eval_iou)
     if head.pooling is None:
-        score = lambda video: slide_predict(head, video)
+        tracks = [slide_predict(head, video) for video in videos]
     else:
-        score = lambda video: weak_score_track(head, video, positions)
-    if threads <= 1 or len(videos) <= 1:
-        tracks = [score(video) for video in videos]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tracks = list(pool.map(score, videos))
+        tracks = [weak_score_track(head, video, positions) for video in videos]
     predictions = []
     for track in tracks:
         predictions.extend(track_to_segments(track, nms_iou))

@@ -450,11 +450,13 @@ def load_model(path) -> Head:
         )
     trunk, classifier = layers[:-1], layers[-1]
     chain = feature_dim
-    for layer in layers:
+    for index, layer in enumerate(layers):
         if layer.in_channels != chain:
             raise ValueError(
                 f"{path}: layer expects {layer.in_channels} channels, gets {chain}"
             )
+        if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
+            raise ValueError(f"{path}: layer {index} holds non-finite weights or biases")
         chain = layer.out_channels
     if kind == _NO_TRUNK and trunk:
         raise ValueError(f"{path}: ablation head cannot carry trunk layers")

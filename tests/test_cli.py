@@ -16,7 +16,6 @@ from fsn.cli import (
     build_parser,
     main,
     parse_config_file,
-    resolve_threads,
 )
 from fsn.data import SynthConfig, load_manifest
 from fsn.evaluate import EvalConfig, frame_level_map, load_report, segment_level_map
@@ -75,7 +74,8 @@ def test_build_config_coerces_types():
     assert cfg.iterations == 500
     assert cfg.eval_iou == (0.3, 0.5)
     assert cfg.context_ambiguity is True
-    assert cfg.was_set("iterations") and not cfg.was_set("seed")
+    # settings the data or the model supply stay unset unless given
+    assert cfg.num_classes is None and cfg.feature_dim is None
 
 
 def test_flags_override_config_file():
@@ -90,9 +90,9 @@ def test_build_config_reports_bad_value():
 
 
 def test_schema_follows_run_config_fields():
-    keys = [f.name for f in fields(RunConfig) if f.name != "explicit"]
+    keys = [f.name for f in fields(RunConfig)]
     assert list(SCHEMA) == keys
-    assert len(SCHEMA) == 39
+    assert len(SCHEMA) == 38
     parser = build_parser()
     for key in keys:
         args = parser.parse_args(["synth", "--" + key.replace("_", "-"), "1"])
@@ -100,22 +100,7 @@ def test_schema_follows_run_config_fields():
     assert SCHEMA["dilations"]("1,2,4") == (1, 2, 4)
     assert SCHEMA["eval_iou"]("0.3,0.5") == (0.3, 0.5)
     assert SCHEMA["context_ambiguity"]("off") is False
-    assert SCHEMA["threads"]("2") == 2
     assert {f.name for f in fields(SynthConfig)} <= set(keys)
-
-
-def test_threads_resolution(monkeypatch):
-    monkeypatch.delenv("FSN_THREADS", raising=False)
-    assert resolve_threads(RunConfig()) == 1
-    assert resolve_threads(RunConfig(threads=3)) == 3
-    monkeypatch.setenv("FSN_THREADS", "4")
-    assert resolve_threads(RunConfig()) == 4
-    assert resolve_threads(RunConfig(threads=2)) == 2  # explicit setting wins
-    monkeypatch.setenv("FSN_THREADS", "lots")
-    with pytest.raises(ValueError, match="FSN_THREADS"):
-        resolve_threads(RunConfig())
-    with pytest.raises(ValueError, match=">= 1"):
-        resolve_threads(RunConfig(threads=0))
 
 
 # ---------------------------------------------------------------- corpus fixture
@@ -295,6 +280,10 @@ def test_train_fails_on_corrupt_file_outside_the_split(corpus, tmp_path, capsys)
         ("train", "--batch-size", "batch_size must be >= 1, got 0"),
         ("train-weak", "--log-every", "log_every must be >= 1, got 0"),
         ("train-weak", "--batch-size", "batch_size must be >= 1, got 0"),
+        ("train", "--iterations", "iterations must be >= 1, got 0"),
+        ("train-weak", "--iterations", "iterations must be >= 1, got 0"),
+        ("train-weak", "--weak-positions", "weak_positions must be >= 1, got 0"),
+        ("predict-weak", "--weak-positions", "weak_positions must be >= 1, got 0"),
     ],
 )
 def test_training_rejects_zero_loop_settings(corpus, tmp_path, capsys, command, flag, message):
@@ -429,7 +418,7 @@ def test_predict_nms_rule_follows_predict_iou(corpus, trained, tmp_path):
 def test_predict_rerun_is_byte_identical(corpus, trained, tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(predict_args(corpus, trained, first)) == 0
-    assert main([*predict_args(corpus, trained, second), "--threads", "2"]) == 0
+    assert main(predict_args(corpus, trained, second)) == 0
     assert (first / "predictions.tsv").read_bytes() == (second / "predictions.tsv").read_bytes()
     for track in sorted((first / "tracks").glob("*.fsnf")):
         assert track.read_bytes() == (second / "tracks" / track.name).read_bytes()

@@ -497,6 +497,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="model.fsn: clip_len 36 must be a positive multiple"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["weights", "bias"])
+    def test_non_finite_parameters_are_reported_with_the_path(self, tmp_path, value, which):
+        head = init_fsn(TINY, seed=29)
+        getattr(head.classifier, which).flat[-1] = value
+        path = tmp_path / "model.fsn"
+        save_model(head, path)
+        with pytest.raises(ValueError, match="model.fsn: layer 3 holds non-finite"):
+            load_model(path)
+
     def test_decay_flags_alternate(self):
         head = init_fsn(TINY, seed=0)
         assert head_decay_flags(head) == [True, False] * 4
