@@ -147,13 +147,17 @@ def _runs(column: Array, threshold: float) -> tuple[Array, Array]:
 def _run_segment(
     video_id: str, class_id: int, column: Array, start, end
 ) -> SegmentPrediction:
-    """The segment of one run; its confidence is the run's mean class score."""
+    """The segment of one run; its confidence is the run's mean class score.
+
+    The mean is the sum and division ``ndarray.mean`` makes, without its
+    Python wrapper: grouping a corpus takes tens of thousands of run means.
+    """
     return SegmentPrediction(
         video_id=video_id,
         start=int(start),
         end=int(end),
         class_id=class_id,
-        confidence=float(column[start:end].mean()),
+        confidence=float(np.add.reduce(column[start:end]) / (end - start)),
     )
 
 

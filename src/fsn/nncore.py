@@ -180,26 +180,30 @@ def bilinear_upsample_1d(x: Array, target_len: int) -> tuple[Array, tuple]:
     if target_len < n:
         raise ValueError(f"target length {target_len} is below input length {n}")
     if n == 1:
-        return np.repeat(x, target_len, axis=-2), (np.ones((1, target_len)), target_len)
+        return np.repeat(x, target_len, axis=-2), (None, None, n, target_len)
     s = np.arange(target_len) * (n - 1) / (target_len - 1)
     lo = np.minimum(np.floor(s).astype(np.int64), n - 2)
     alpha = (s - lo)[:, None]
     out = (1.0 - alpha) * x[..., lo, :] + alpha * x[..., lo + 1, :]
-    # the transposed blend, (n, target_len): backward is one matrix product
-    blend = np.zeros((n, target_len))
-    frames = np.arange(target_len)
-    blend[lo, frames] = 1.0 - alpha[:, 0]
-    blend[lo + 1, frames] += alpha[:, 0]
-    return out, (blend, target_len)
+    return out, (lo, alpha, n, target_len)
 
 
 def bilinear_upsample_1d_backward(grad_out: Array, cache: tuple) -> Array:
-    blend, target_len = cache
+    # the (n, target_len) transposed blend is built here, so a forward alone
+    # (scoring a video) never allocates it
+    lo, alpha, n, target_len = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.ndim < 2 or grad_out.shape[-2] != target_len:
         raise ValueError(
             f"grad shape {grad_out.shape} does not have {target_len} time steps"
         )
+    if n == 1:
+        blend = np.ones((1, target_len))
+    else:
+        blend = np.zeros((n, target_len))
+        frames = np.arange(target_len)
+        blend[lo, frames] = 1.0 - alpha[:, 0]
+        blend[lo + 1, frames] += alpha[:, 0]
     return blend @ grad_out
 
 

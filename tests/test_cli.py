@@ -1,6 +1,8 @@
 """End-to-end tests for the command line surface."""
 
 import hashlib
+import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fsn import cli
 from fsn.cli import (
     SCHEMA,
     RunConfig,
@@ -719,6 +722,78 @@ def test_benchmark_tracer_fits_the_package(tmp_path, monkeypatch):
     assert metrics["model.forward.calls"] > 0
     assert metrics["localize.windows"] > 0
     assert metrics["nncore.conv_fwd.cls.s"] > 0
+
+
+# ---------------------------------------------------------------- allocator
+
+
+def run_python(cwd, code, *args):
+    """Run ``code`` in a fresh interpreter that imports fsn from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+        check=True, capture_output=True, text=True,
+    )
+    return result.stdout
+
+
+# (12, 100, 32) activations are above glibc's default 128 KiB mmap threshold
+WEAK_RUN = """
+import sys
+import fsn.cli
+if sys.argv[1] == "default":
+    fsn.cli._keep_freed_memory = lambda: None
+corpus = sys.argv[2]
+data = ["--features-dir", corpus, "--manifest", corpus + "/manifest.tsv",
+        "--weak-positions", "100", "--seed", "7", "--out", "run"]
+assert fsn.cli.main(["train-weak", *data, "--annotations", corpus + "/annotations.tsv",
+                     "--hidden-channels", "32", "--iterations", "20"]) == 0
+assert fsn.cli.main(["predict-weak", *data, "--model", "run/model.fsn"]) == 0
+"""
+
+
+def test_allocator_setting_keeps_every_byte(corpus, tmp_path):
+    for mode in ("kept", "default"):
+        (tmp_path / mode).mkdir()
+        run_python(tmp_path / mode, WEAK_RUN, mode, str(corpus))
+    kept, default = tmp_path / "kept" / "run", tmp_path / "default" / "run"
+    files = sorted(p.relative_to(kept) for p in kept.rglob("*") if p.is_file())
+    assert {"model.fsn", "predictions.tsv", "predict_log.txt"} <= {str(f) for f in files}
+    assert any(f.parts[0] == "tracks" for f in files)
+    assert files == sorted(p.relative_to(default) for p in default.rglob("*") if p.is_file())
+    for rel in files:
+        assert (kept / rel).read_bytes() == (default / rel).read_bytes(), rel
+
+
+# Several live arrays per round, as in a training step: glibc's dynamic
+# threshold serves a lone block from the heap once the first mmap of its size
+# is freed, and whether a pair fits a hole depends on the heap's layout, but
+# four leave more than the trim threshold free at the top of the heap.
+FAULT_LOOP = """
+import resource, sys
+import numpy as np
+import fsn.cli
+if sys.argv[1] == "kept":
+    fsn.cli._keep_freed_memory()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(300):
+    activations = [np.ones((12, 108, 32)) for _ in range(4)]
+    del activations
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc options")
+def test_keep_freed_memory_stops_page_faults(tmp_path):
+    kept = int(run_python(tmp_path, FAULT_LOOP, "kept"))
+    default = int(run_python(tmp_path, FAULT_LOOP, "default"))
+    assert kept * 20 < default, (kept, default)
+
+
+def test_keep_freed_memory_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert cli._keep_freed_memory() is None
 
 
 # ---------------------------------------------------------------- main plumbing

@@ -195,6 +195,23 @@ class TestThresholdGroup:
                 covered[s.start : s.end] = True
             np.testing.assert_array_equal(covered, column > threshold)
 
+    def test_confidence_equals_ndarray_mean_bit_for_bit(self):
+        # numpy sums up to 8 values in a plain loop, up to 128 with unrolled
+        # partial sums and longer runs pairwise: cover each regime, on a
+        # strided class column as a real track holds it
+        rng = np.random.default_rng(23)
+        lengths = [1, 2, 3, 5, 8, 9, 17, 64, 127, 128, 129, 300, 1001]
+        column = np.concatenate(
+            [np.concatenate([[0.0], rng.uniform(0.2, 1.0, size=n)]) for n in lengths]
+        )
+        track = track_from_column(column, num_classes=3, class_id=2)
+        scores = track.class_scores(2)
+        assert not scores.flags.c_contiguous
+        segments = threshold_group(track, 2, 0.1)
+        assert [s.end - s.start for s in segments] == lengths
+        for s in segments:
+            assert s.confidence == scores[s.start : s.end].mean()
+
 
 class TestMultiThresholdGroup:
     def test_unimodal_bump_yields_nested_distinct_segments(self):

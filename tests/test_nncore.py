@@ -253,6 +253,24 @@ class TestBilinearUpsample:
 
         assert gradient_check(fn, [x]).passed
 
+    @pytest.mark.parametrize("n,target", [(1, 6), (7, 35), (120, 600)])
+    def test_backward_equals_dense_blend_product(self, n, target):
+        # the blend matrix exactly as the forward used to build it
+        rng = np.random.default_rng(n + 2 * target)
+        x = rng.standard_normal((3, n, 4))
+        grad = rng.standard_normal((3, target, 4))
+        if n == 1:
+            blend = np.ones((1, target))
+        else:
+            s = np.arange(target) * (n - 1) / (target - 1)
+            lo = np.minimum(np.floor(s).astype(np.int64), n - 2)
+            alpha = s - lo
+            blend = np.zeros((n, target))
+            blend[lo, np.arange(target)] = 1.0 - alpha
+            blend[lo + 1, np.arange(target)] += alpha
+        _, cache = bilinear_upsample_1d(x, target)
+        np.testing.assert_array_equal(bilinear_upsample_1d_backward(grad, cache), blend @ grad)
+
 
 class TestFramewiseSoftmax:
     def test_zero_logits_are_uniform(self):
