@@ -511,6 +511,12 @@ def _load_tracks(tracks_dir: Path, num_classes: int) -> list[FrameScoreTrack]:
             raise ValueError(
                 f"{path}: track has {channels} channels for {num_classes} classes"
             )
+        if tracks and with_background != tracks[0].includes_background:
+            raise ValueError(
+                f"{path}: track has {channels} channels, but {paths[0].name} "
+                f"has {tracks[0].scores.shape[1]}; dense and weak tracks do "
+                f"not mix"
+            )
         tracks.append(
             FrameScoreTrack(stored.video_id, stored.features, with_background)
         )

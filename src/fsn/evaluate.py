@@ -1,13 +1,19 @@
 """Frame-level and segment-level detection metrics plus CSV reports.
 
-AP is non-interpolated: predictions are ranked by confidence (ties keep their
-stable input order) and AP sums precision at every true-positive rank divided
-by the number of positives. A segment prediction counts as a true positive
-only when its IoU with an unmatched same-class ground truth in the same video
-is strictly above the threshold; matching is greedy in rank order, best IoU
-first, earliest ground truth on ties. Matching runs per video: each (class,
-video) pair gets one prediction x ground-truth IoU matrix, reused at every
-threshold, so the cost follows the per-video counts rather than the corpus.
+AP is non-interpolated: predictions are ranked by confidence, ties in their
+input order, and AP sums precision at every true-positive rank divided by the
+number of positives. ``rank_descending`` gives that ranking: exactly the
+permutation ``np.argsort(-scores, kind="stable")``, from the faster default
+sort with only the runs of tied scores re-sorted by index. Exact tie order
+matters: track scores come from float32 files, so every class column of a
+large test split holds hundreds of tied frames.
+
+A segment prediction counts as a true positive only when its IoU with an
+unmatched same-class ground truth in the same video is strictly above the
+threshold; matching is greedy in rank order, best IoU first, earliest ground
+truth on ties. Matching runs per video: each (class, video) pair gets one
+prediction x ground-truth IoU matrix, reused at every threshold, so the cost
+follows the per-video counts rather than the corpus.
 
 Classes with no ground-truth instance get AP 0 by definition but are left out
 of the mAP average, so a prediction set identical to the ground truth scores
@@ -63,11 +69,33 @@ class EvalReport:
     frame_map: float | None = None
 
 
-def _ap_from_arrays(confidences: Array, flags: Array, num_positives: int) -> float:
-    if num_positives == 0 or confidences.size == 0:
+def rank_descending(scores: Array) -> Array:
+    """The permutation ``np.argsort(-scores, kind="stable")``, computed faster.
+
+    The default (unstable) sort orders the scores; then only the runs of tied
+    scores are re-sorted by index, in one integer sort over the tied
+    positions. ``0.0`` and ``-0.0`` tie, and so do NaNs, which sort last.
+    """
+    negated = -np.asarray(scores)
+    order = np.argsort(negated)
+    ranked = negated[order]
+    tied = ranked[1:] == ranked[:-1]
+    # NaNs sort last and compare unequal, but tie with each other
+    tied[np.searchsorted(ranked, np.nan):] = True
+    if tied.any():
+        positions = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
+        # number the runs of equal scores in rank order; one integer sort of
+        # run * size + index then orders each run's indices in its own slots
+        run = np.cumsum(np.r_[True, ~tied])[positions]
+        keys = run * order.size + order[positions]
+        order[positions] = np.sort(keys) % order.size
+    return order
+
+
+def _ap_from_ranked(hits: Array, num_positives: int) -> float:
+    """Non-interpolated AP of true-positive flags already in rank order."""
+    if num_positives == 0 or hits.size == 0:
         return 0.0
-    order = np.argsort(-confidences, kind="stable")
-    hits = flags[order]
     true_ranks = np.flatnonzero(hits) + 1
     precisions = np.arange(1, true_ranks.size + 1) / true_ranks
     return float(precisions.sum() / num_positives)
@@ -88,7 +116,7 @@ def average_precision(
         return 0.0
     confidences = np.array([float(c) for c, _ in pairs])
     flags = np.array([bool(f) for _, f in pairs])
-    return _ap_from_arrays(confidences, flags, num_positives)
+    return _ap_from_ranked(flags[rank_descending(confidences)], num_positives)
 
 
 def frame_level_map(
@@ -134,7 +162,9 @@ def frame_level_map(
             [by_id[v].class_scores(class_id) for v in ordered_ids]
         )
         positives = all_labels == class_id
-        ap[class_id - 1] = _ap_from_arrays(scores, positives, int(positives.sum()))
+        ap[class_id - 1] = _ap_from_ranked(
+            positives[rank_descending(scores)], int(positives.sum())
+        )
     represented = np.array(
         [np.any(all_labels == k) for k in range(1, num_classes + 1)]
     )
@@ -202,27 +232,26 @@ def segment_level_map(
     for class_id in range(1, config.num_classes + 1):
         class_preds = preds_by_class.get(class_id, [])
         class_gts = gts_by_class.get(class_id, {})
-        confidences = np.array([p.confidence for p in class_preds])
-        ranked_by_video: dict[str, list[int]] = {}
-        for i in np.argsort(-confidences, kind="stable"):
-            ranked_by_video.setdefault(class_preds[i].video_id, []).append(int(i))
-        flags = np.zeros((len(thresholds), len(class_preds)), dtype=bool)
-        for video_id, ranked in ranked_by_video.items():
+        order = rank_descending(np.array([p.confidence for p in class_preds]))
+        ranked = [class_preds[i] for i in order.tolist()]
+        ranks_by_video: dict[str, list[int]] = {}
+        for rank, p in enumerate(ranked):
+            ranks_by_video.setdefault(p.video_id, []).append(rank)
+        flags = np.zeros((len(thresholds), len(ranked)), dtype=bool)
+        for video_id, ranks in ranks_by_video.items():
             video_gts = class_gts.get(video_id)
             if not video_gts:
                 continue
             iou = pairwise_iou(
-                [class_preds[i].start for i in ranked],
-                [class_preds[i].end for i in ranked],
+                [ranked[r].start for r in ranks],
+                [ranked[r].end for r in ranks],
                 [start for start, _ in video_gts],
                 [end for _, end in video_gts],
             )
-            flags[:, ranked] = _match_video(iou, thresholds)
+            flags[:, ranks] = _match_video(iou, thresholds)
         num_gts = sum(len(v) for v in class_gts.values())
         for t_idx in range(len(thresholds)):
-            ap[class_id - 1, t_idx] = _ap_from_arrays(
-                confidences, flags[t_idx], num_gts
-            )
+            ap[class_id - 1, t_idx] = _ap_from_ranked(flags[t_idx], num_gts)
     represented = np.array(
         [bool(gts_by_class.get(k)) for k in range(1, config.num_classes + 1)]
     )

@@ -3,10 +3,13 @@
 ``localize`` is the one prediction pipeline, shared by the ``predict`` and
 ``predict-weak`` commands and the library. A trained head scores every frame
 of an untrimmed video (``slide_predict`` for a dense head, ``weak_score_track``
-for a pooled one). Those tracks are thresholded at several levels into
-candidate segments, deduplicated, and pruned with per-class non-maximum
-suppression, which runs per video on one IoU matrix per class. Predictions
-travel in a tab-separated file with a fixed header.
+for a pooled one). Each class column of a track is thresholded at several
+levels in one mask pass into candidate segments, deduplicated, and pruned
+with greedy non-maximum suppression on one IoU matrix per class and video.
+Candidates travel as arrays, in a ``Candidates`` record (one video, one
+class, parallel start/end/confidence arrays); a ``SegmentPrediction`` is
+built only for a segment that NMS keeps. Predictions travel in a
+tab-separated file with a fixed header.
 """
 
 from __future__ import annotations
@@ -135,69 +138,58 @@ def weak_score_track(
     return FrameScoreTrack(video.video_id, expanded, includes_background=False)
 
 
-def _runs(column: Array, threshold: float) -> tuple[Array, Array]:
-    """Starts and ends of the maximal runs of ``column`` above ``threshold``."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
-    mask = np.concatenate([[False], column > threshold, [False]])
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
-    return edges[::2], edges[1::2]
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """The candidate segments of one class in one video, as parallel arrays.
 
-
-def _run_segment(
-    video_id: str, class_id: int, column: Array, start, end
-) -> SegmentPrediction:
-    """The segment of one run; its confidence is the run's mean class score.
-
-    The mean is the sum and division ``ndarray.mean`` makes, without its
-    Python wrapper: grouping a corpus takes tens of thousands of run means.
+    ``start`` and ``end`` are int64 frame bounds of half-open runs and
+    ``confidence`` their float64 mean class scores; ``len()`` is the number
+    of candidates. Grouping returns one; ``nms`` builds a ``SegmentPrediction``
+    only for each candidate it keeps.
     """
-    return SegmentPrediction(
-        video_id=video_id,
-        start=int(start),
-        end=int(end),
-        class_id=class_id,
-        confidence=float(np.add.reduce(column[start:end]) / (end - start)),
-    )
 
+    video_id: str
+    class_id: int
+    start: Array
+    end: Array
+    confidence: Array
 
-def threshold_group(
-    track: FrameScoreTrack, class_id: int, threshold: float
-) -> list[SegmentPrediction]:
-    """Maximal runs of frames scoring strictly above the threshold.
-
-    Each run becomes a segment whose confidence is the mean class score over
-    its frames.
-    """
-    column = track.class_scores(class_id)
-    return [
-        _run_segment(track.video_id, class_id, column, start, end)
-        for start, end in zip(*_runs(column, threshold))
-    ]
+    def __len__(self) -> int:
+        return self.start.size
 
 
 def multi_threshold_group(
     track: FrameScoreTrack,
     class_id: int,
     thresholds: Sequence[float] = GROUPING_THRESHOLDS,
-) -> list[SegmentPrediction]:
-    """Union of threshold groupings over a threshold sweep, deduplicated.
+) -> Candidates:
+    """Maximal runs of frames scoring strictly above each threshold, deduplicated.
 
-    Segments that come out identical (same start, end, class) at several
-    thresholds are kept once, at their first appearance; a repeat is
-    recognised by its bounds before any segment is built for it.
+    The runs of every threshold come from one (thresholds, frames + 2) mask.
+    A run found at several thresholds (same start and end) is kept once, at
+    its first appearance; candidates are ordered by threshold, then start.
+    A run's confidence is its mean class score, the sum and division that
+    ``ndarray.mean`` makes, without its Python wrapper.
     """
     column = track.class_scores(class_id)
-    seen: set[tuple[int, int]] = set()
-    merged = []
-    for threshold in thresholds:
-        for start, end in zip(*_runs(column, threshold)):
-            key = (int(start), int(end))
-            if key not in seen:
-                seen.add(key)
-                segment = _run_segment(track.video_id, class_id, column, start, end)
-                merged.append(segment)
-    return merged
+    levels = np.asarray(thresholds, dtype=np.float64)
+    outside = ~((levels >= 0.0) & (levels <= 1.0))
+    if outside.any():
+        raise ValueError(f"threshold {levels[outside][0]} outside [0, 1]")
+    width = column.size + 1
+    mask = np.zeros((levels.size, width + 1), dtype=bool)
+    # a contiguous copy: the class column is a strided view into the track
+    np.greater(np.ascontiguousarray(column), levels[:, None], out=mask[:, 1:-1])
+    # each row's edges alternate run start, run end
+    edges = np.flatnonzero(mask[:, 1:] != mask[:, :-1]) % width
+    starts, ends = edges[::2], edges[1::2]
+    _, first = np.unique(starts * width + ends, return_index=True)
+    first.sort()
+    starts, ends = starts[first], ends[first]
+    add = np.add.reduce
+    sums = [add(column[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
+    confidence = np.array(sums, dtype=np.float64) / (ends - starts)
+    return Candidates(track.video_id, class_id, starts, ends, confidence)
 
 
 def _interval(segment) -> tuple[float, float]:
@@ -239,39 +231,38 @@ def pairwise_iou(a_start, a_end, b_start, b_end) -> Array:
     return intersection / union
 
 
-def nms(
-    segments: Sequence[SegmentPrediction], iou_threshold: float
-) -> list[SegmentPrediction]:
-    """Greedy per-class non-maximum suppression within one video.
+def nms(segments: Candidates, iou_threshold: float) -> list[SegmentPrediction]:
+    """Greedy non-maximum suppression of one class's candidates in one video.
 
     Candidates are visited by confidence (descending), ties broken by earlier
     start then shorter length; a candidate survives iff its IoU with every
-    already kept segment of its class is at most the threshold. Each class
-    gets one candidate x candidate ``pairwise_iou`` matrix: a kept candidate
-    suppresses every candidate its row overlaps above the threshold.
+    already kept segment is at most the threshold. One candidate x candidate
+    ``pairwise_iou`` matrix serves the pass: a kept candidate suppresses every
+    candidate its row overlaps above the threshold. Returns the kept segments
+    in visiting order.
     """
     if iou_threshold < 0.0:
         raise ValueError(f"IoU threshold must be >= 0, got {iou_threshold}")
-    if not segments:
-        return []
-    videos = {s.video_id for s in segments}
-    if len(videos) > 1:
-        raise ValueError(f"NMS runs per video, got {sorted(videos)}")
-    kept: list[SegmentPrediction] = []
-    for class_id in sorted({s.class_id for s in segments}):
-        candidates = sorted(
-            (s for s in segments if s.class_id == class_id),
-            key=lambda s: (-s.confidence, s.start, s.length),
+    order = np.lexsort(
+        (segments.end - segments.start, segments.start, -segments.confidence)
+    )
+    starts, ends = segments.start[order], segments.end[order]
+    overlaps = pairwise_iou(starts, ends, starts, ends) > iou_threshold
+    suppressed = np.zeros(order.size, dtype=bool)
+    kept = []
+    for i in range(order.size):
+        if not suppressed[i]:
+            kept.append(i)
+            suppressed |= overlaps[i]
+    video_id, class_id = segments.video_id, segments.class_id
+    return [
+        SegmentPrediction(video_id, start, end, class_id, confidence)
+        for start, end, confidence in zip(
+            starts[kept].tolist(),
+            ends[kept].tolist(),
+            segments.confidence[order[kept]].tolist(),
         )
-        starts = [s.start for s in candidates]
-        ends = [s.end for s in candidates]
-        overlaps = pairwise_iou(starts, ends, starts, ends) > iou_threshold
-        suppressed = np.zeros(len(candidates), dtype=bool)
-        for i, candidate in enumerate(candidates):
-            if not suppressed[i]:
-                kept.append(candidate)
-                suppressed |= overlaps[i]
-    return kept
+    ]
 
 
 def track_to_segments(track: FrameScoreTrack, nms_iou: float) -> list[SegmentPrediction]:

@@ -165,3 +165,25 @@ def list_rebalance(classes, seed):
         if shortfall > 0:
             out.extend(int(i) for i in rng.choice(members, size=shortfall, replace=True))
     return out
+
+
+def threshold_runs(column, thresholds):
+    """Grouping by a literal frame scan, one threshold after another.
+
+    Returns (start, end, confidence) triples: each maximal run of frames
+    scoring strictly above a threshold, kept at its first appearance over
+    the sweep, with the run's ``ndarray.mean`` as its confidence.
+    """
+    out, seen = [], set()
+    for threshold in thresholds:
+        start = None
+        for frame in range(len(column) + 1):
+            above = frame < len(column) and column[frame] > threshold
+            if above and start is None:
+                start = frame
+            elif not above and start is not None:
+                if (start, frame) not in seen:
+                    seen.add((start, frame))
+                    out.append((start, frame, column[start:frame].mean()))
+                start = None
+    return out

@@ -24,6 +24,7 @@ from fsn.cli import build_config, gradcheck_suite, main, parse_config_file
 from fsn.data import GroundTruthSegment, AnnotationSet, SynthConfig, VideoFeatures, synth_generate
 from fsn.evaluate import EvalConfig, average_precision, segment_level_map
 from fsn.localize import (
+    Candidates,
     SegmentPrediction,
     localize,
     nms,
@@ -109,8 +110,15 @@ def test_criterion_2_oracle_equivalence(criterion):
     for trial in range(30):
         rng = np.random.default_rng(100 + trial)
         segments = _random_segments(rng, int(rng.integers(1, 9)))
+        record = Candidates(
+            "v",
+            1,
+            np.array([s.start for s in segments]),
+            np.array([s.end for s in segments]),
+            np.array([s.confidence for s in segments]),
+        )
         for threshold in (0.0, 0.3, 0.5, 0.7):
-            ours = nms(segments, threshold)
+            ours = nms(record, threshold)
             reference = greedy_nms(
                 [(s.start, s.end, s.confidence) for s in segments],
                 iou_by_frames,

@@ -593,6 +593,32 @@ def test_eval_rejects_predictions_for_unknown_video(corpus, predicted, tmp_path,
     assert "no_such_video" in capsys.readouterr().err
 
 
+def test_eval_rejects_dense_and_weak_tracks_together(corpus, predicted, tmp_path, capsys):
+    from fsn.data import VideoFeatures, load_features, write_features
+
+    tracks = tmp_path / "tracks"
+    tracks.mkdir()
+    paths = sorted((predicted / "tracks").glob("*.fsnf"))
+    for path in paths:
+        (tracks / path.name).write_bytes(path.read_bytes())
+    # a background-free (weak) track of the second video in place of its dense one
+    dense = load_features(paths[1])
+    write_features(VideoFeatures(dense.video_id, dense.features[:, 1:]), tracks / paths[1].name)
+    out = tmp_path / "out"
+    rc = main([
+        "eval",
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--predictions", str(predicted / "predictions.tsv"),
+        "--tracks", str(tracks),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert paths[1].name in err and "do not mix" in err
+    assert not (out / "report.csv").exists()
+
+
 def test_eval_rerun_is_byte_identical(corpus, predicted, tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
     for out in (first, second):
@@ -718,6 +744,8 @@ def test_benchmark_tracer_fits_the_package(tmp_path, monkeypatch):
         traces.append({**spans.load_trace(trace), "startup_s": 0.0})
     metrics = spans.summarize(traces)
     assert metrics["trace.hook_errors"] == 0
+    # read through len() of nms's candidate record and of its result
+    assert metrics["localize.candidates"] >= metrics["localize.kept"] > 0
     assert metrics["model.train_step.calls"] == 20
     assert metrics["model.forward.calls"] > 0
     assert metrics["localize.windows"] > 0

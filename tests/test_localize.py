@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fsn.data import VideoFeatures
 from fsn.localize import (
+    Candidates,
     FrameScoreTrack,
     SegmentPrediction,
     load_predictions,
@@ -17,13 +18,12 @@ from fsn.localize import (
     pairwise_iou,
     slide_predict,
     temporal_iou,
-    threshold_group,
     track_to_segments,
     weak_score_track,
     write_predictions,
 )
 from fsn.model import ModelConfig, fsn_forward, init_fsn, init_wfsn, wfsn_forward_predict
-from oracles import greedy_nms, iou_by_frames
+from oracles import greedy_nms, iou_by_frames, threshold_runs
 
 CFG = ModelConfig(num_classes=2, feature_dim=4, hidden_channels=6, snippet_len=5, clip_len=35)
 
@@ -38,6 +38,21 @@ def track_from_column(column, video_id="v", num_classes=1, class_id=1):
 
 def seg(start, end, conf, class_id=1, video="v"):
     return SegmentPrediction(video, start, end, class_id, conf)
+
+
+def candidates(segments):
+    """The candidate record of segments of one class in one video."""
+    return Candidates(
+        segments[0].video_id,
+        segments[0].class_id,
+        np.array([s.start for s in segments], dtype=np.int64),
+        np.array([s.end for s in segments], dtype=np.int64),
+        np.array([s.confidence for s in segments]),
+    )
+
+
+def bounds(record):
+    return list(zip(record.start.tolist(), record.end.tolist()))
 
 
 class TestFrameScoreTrack:
@@ -149,9 +164,9 @@ class TestWeakScoreTrack:
         video = VideoFeatures("v", rng.standard_normal((40, 4)))
         track = weak_score_track(head, video, positions=8)
         for class_id in (1, 2):
-            for segment in multi_threshold_group(track, class_id):
-                assert segment.start % 5 == 0
-                assert segment.end % 5 == 0
+            record = multi_threshold_group(track, class_id)
+            assert np.all(record.start % 5 == 0)
+            assert np.all(record.end % 5 == 0)
 
     def test_positions_clamp_to_short_videos(self):
         rng = np.random.default_rng(6)
@@ -162,37 +177,54 @@ class TestWeakScoreTrack:
 
 
 class TestThresholdGroup:
+    """One threshold: ``multi_threshold_group`` with a one-element sweep."""
+
     def test_known_example(self):
         track = track_from_column([0.1, 0.8, 0.9, 0.2])
-        segments = threshold_group(track, 1, 0.5)
-        assert len(segments) == 1
-        assert (segments[0].start, segments[0].end) == (1, 3)
-        assert segments[0].confidence == pytest.approx(0.85)
+        record = multi_threshold_group(track, 1, (0.5,))
+        assert bounds(record) == [(1, 3)]
+        assert record.confidence[0] == pytest.approx(0.85)
+        assert (record.video_id, record.class_id) == ("v", 1)
 
     def test_threshold_is_strict(self):
         track = track_from_column([0.5, 0.5])
-        assert threshold_group(track, 1, 0.5) == []
-        assert len(threshold_group(track, 1, 0.49)) == 1
+        assert len(multi_threshold_group(track, 1, (0.5,))) == 0
+        assert bounds(multi_threshold_group(track, 1, (0.49,))) == [(0, 2)]
 
     def test_all_below_threshold_gives_nothing(self):
         track = track_from_column([0.1, 0.2, 0.1])
-        assert threshold_group(track, 1, 0.9) == []
+        record = multi_threshold_group(track, 1, (0.9,))
+        assert len(record) == 0
+        assert record.confidence.shape == (0,)
+
+    def test_runs_at_the_edges(self):
+        track = track_from_column([0.9, 0.8, 0.1, 0.7, 0.1, 0.6])
+        assert bounds(multi_threshold_group(track, 1, (0.5,))) == [(0, 2), (3, 4), (5, 6)]
+        whole = multi_threshold_group(track, 1, (0.0,))
+        assert bounds(whole) == [(0, 6)]
+        assert whole.confidence[0] == track.class_scores(1).mean()
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.01, float("nan")])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        track = track_from_column([0.5, 0.7])
+        with pytest.raises(ValueError, match="outside"):
+            multi_threshold_group(track, 1, (threshold,))
 
     def test_runs_match_mask_scan(self):
         rng = np.random.default_rng(7)
         column = rng.uniform(0, 1, size=60)
         track = track_from_column(column)
         for threshold in (0.0, 0.3, 0.7):
-            segments = threshold_group(track, 1, threshold)
+            record = multi_threshold_group(track, 1, (threshold,))
             covered = np.zeros(60, dtype=bool)
-            for s in segments:
-                assert np.all(column[s.start : s.end] > threshold)
+            for start, end in bounds(record):
+                assert np.all(column[start:end] > threshold)
                 # maximal: frames adjacent to the run do not qualify
-                if s.start > 0:
-                    assert column[s.start - 1] <= threshold
-                if s.end < 60:
-                    assert column[s.end] <= threshold
-                covered[s.start : s.end] = True
+                if start > 0:
+                    assert column[start - 1] <= threshold
+                if end < 60:
+                    assert column[end] <= threshold
+                covered[start:end] = True
             np.testing.assert_array_equal(covered, column > threshold)
 
     def test_confidence_equals_ndarray_mean_bit_for_bit(self):
@@ -207,41 +239,58 @@ class TestThresholdGroup:
         track = track_from_column(column, num_classes=3, class_id=2)
         scores = track.class_scores(2)
         assert not scores.flags.c_contiguous
-        segments = threshold_group(track, 2, 0.1)
-        assert [s.end - s.start for s in segments] == lengths
-        for s in segments:
-            assert s.confidence == scores[s.start : s.end].mean()
+        record = multi_threshold_group(track, 2, (0.1,))
+        assert (record.end - record.start).tolist() == lengths
+        for (start, end), confidence in zip(bounds(record), record.confidence):
+            assert confidence == scores[start:end].mean()
 
 
 class TestMultiThresholdGroup:
     def test_unimodal_bump_yields_nested_distinct_segments(self):
         column = np.array([0.05, 0.35, 0.65, 0.95, 0.65, 0.35, 0.05])
         track = track_from_column(column)
-        segments = multi_threshold_group(track, 1)
-        keys = [(s.start, s.end) for s in segments]
+        keys = bounds(multi_threshold_group(track, 1))
         assert len(keys) == len(set(keys))
-        assert len(segments) == 4  # thresholds 0.0, 0.3, 0.6, 0.9 carve new runs
+        assert len(keys) == 4  # thresholds 0.0, 0.3, 0.6, 0.9 carve new runs
         ordered = sorted(keys)
         for (outer_s, outer_e), (inner_s, inner_e) in zip(ordered, ordered[1:]):
             assert outer_s <= inner_s and inner_e <= outer_e
 
     def test_duplicates_collapse(self):
         track = track_from_column([0.0, 1.0, 1.0, 0.0])
-        segments = multi_threshold_group(track, 1)
-        assert [(s.start, s.end) for s in segments] == [(1, 3)]
-
+        assert bounds(multi_threshold_group(track, 1)) == [(1, 3)]
 
     def test_equals_first_appearance_union_of_single_thresholds(self):
         rng = np.random.default_rng(19)
         track = track_from_column(np.round(rng.uniform(size=200), 2))
+        sweep = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
         expected, seen = [], set()
-        for threshold in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
-            for s in threshold_group(track, 1, threshold):
-                if (s.start, s.end) not in seen:
-                    seen.add((s.start, s.end))
-                    expected.append(s)
-        got = multi_threshold_group(track, 1, (0.0, 0.1, 0.25, 0.5, 0.75, 1.0))
-        assert got == expected
+        for threshold in sweep:
+            record = multi_threshold_group(track, 1, (threshold,))
+            for key, confidence in zip(bounds(record), record.confidence):
+                if key not in seen:
+                    seen.add(key)
+                    expected.append((*key, confidence))
+        got = multi_threshold_group(track, 1, sweep)
+        assert [(*key, c) for key, c in zip(bounds(got), got.confidence)] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 0.9, 1.0]),
+                 min_size=1, max_size=80),
+        st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.45, 0.5, 0.8, 1.0]),
+                 min_size=0, max_size=6, unique=True),
+        st.integers(1, 3),
+    )
+    def test_matches_per_threshold_scan_oracle(self, column, thresholds, class_id):
+        # thresholds in any order, scores on and between them, the class
+        # column strided inside a wider track
+        track = track_from_column(column, num_classes=3, class_id=class_id)
+        record = multi_threshold_group(track, class_id, tuple(thresholds))
+        oracle = threshold_runs(track.class_scores(class_id), thresholds)
+        assert len(record) == len(oracle)
+        assert record.start.dtype == record.end.dtype == np.int64
+        assert [(*key, c) for key, c in zip(bounds(record), record.confidence)] == oracle
 
     def test_rejects_threshold_outside_unit_interval(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -298,24 +347,32 @@ class TestNms:
     def test_keeps_best_of_overlapping_pair(self):
         a = seg(0, 10, 0.9)
         b = seg(2, 12, 0.8)  # IoU with a is 8/14 > 0.4
-        assert nms([b, a], 0.4) == [a]
+        assert nms(candidates([b, a]), 0.4) == [a]
 
     def test_classes_do_not_suppress_each_other(self):
-        a = seg(0, 10, 0.9, class_id=1)
-        b = seg(0, 10, 0.8, class_id=2)
-        assert nms([a, b], 0.4) == [a, b]
+        # two classes scoring the same run: each keeps its own segment
+        column = np.array([0.0, 0.9, 0.9, 0.9, 0.0])
+        track = FrameScoreTrack(
+            "v", np.stack([column, column], axis=1), includes_background=False
+        )
+        kept = track_to_segments(track, 0.4)
+        assert kept == [seg(1, 4, 0.9, class_id=1), seg(1, 4, 0.9, class_id=2)]
 
     def test_confidence_tie_prefers_earlier_then_shorter(self):
         late = seg(5, 15, 0.7)
         early_long = seg(0, 12, 0.7)
         early_short = seg(0, 10, 0.7)
-        kept = nms([late, early_long, early_short], 0.0)
+        kept = nms(candidates([late, early_long, early_short]), 0.0)
         assert kept[0] == early_short
 
     def test_threshold_zero_keeps_disjoint_segments(self):
         a = seg(0, 5, 0.9)
         b = seg(5, 10, 0.5)
-        assert sorted(nms([a, b], 0.0), key=lambda s: s.start) == [a, b]
+        assert sorted(nms(candidates([a, b]), 0.0), key=lambda s: s.start) == [a, b]
+
+    def test_empty_record_keeps_nothing(self):
+        record = multi_threshold_group(track_from_column([0.1, 0.2]), 1, (0.5,))
+        assert nms(record, 0.4) == []
 
     @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.4, 0.6])
     def test_matches_greedy_oracle(self, threshold):
@@ -326,7 +383,7 @@ class TestNms:
                 start = int(rng.integers(0, 40))
                 end = start + int(rng.integers(1, 15))
                 segments.append(seg(start, end, float(np.round(rng.uniform(0, 1), 3))))
-            kept = nms(segments, threshold)
+            kept = nms(candidates(segments), threshold)
             oracle = greedy_nms(
                 [(s.start, s.end, s.confidence) for s in segments],
                 lambda x, y: iou_by_frames((x[0], x[1]), (y[0], y[1])),
@@ -344,16 +401,13 @@ class TestNms:
             track = FrameScoreTrack(
                 "v", np.round(np.abs(np.sin(walk)), 1), includes_background=False
             )
-            candidates = [
-                s for class_id in (1, 2) for s in multi_threshold_group(track, class_id)
-            ]
-            kept = nms(candidates, threshold)
             for class_id in (1, 2):
-                triples = [
-                    (s.start, s.end, s.confidence)
-                    for s in candidates
-                    if s.class_id == class_id
-                ]
+                record = multi_threshold_group(track, class_id)
+                kept = nms(record, threshold)
+                assert all(s.class_id == class_id and s.video_id == "v" for s in kept)
+                triples = list(zip(
+                    record.start.tolist(), record.end.tolist(), record.confidence.tolist()
+                ))
                 assert len(triples) > 100
                 assert len({c for _, _, c in triples}) < len(triples)
                 oracle = greedy_nms(
@@ -361,13 +415,7 @@ class TestNms:
                     lambda x, y: iou_by_frames((x[0], x[1]), (y[0], y[1])),
                     threshold,
                 )
-                assert [
-                    (s.start, s.end, s.confidence) for s in kept if s.class_id == class_id
-                ] == oracle
-
-    def test_rejects_mixed_videos(self):
-        with pytest.raises(ValueError):
-            nms([seg(0, 5, 0.5, video="a"), seg(0, 5, 0.5, video="b")], 0.4)
+                assert [(s.start, s.end, s.confidence) for s in kept] == oracle
 
     def test_nms_threshold_rule(self):
         assert nms_threshold_for(0.5) == pytest.approx(0.4)
