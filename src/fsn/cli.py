@@ -196,16 +196,16 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def build_config(file_values: dict[str, str], flag_values: dict) -> RunConfig:
-    """Defaults, then config file values, then flags."""
+def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> RunConfig:
+    """Defaults, then config file values, then flags; both are raw strings
+    parsed through ``SCHEMA``, so a bad value fails the same way from either."""
     cfg = RunConfig()
-    for key, raw in file_values.items():
-        try:
-            setattr(cfg, key, SCHEMA[key](raw))
-        except ValueError as err:
-            raise ValueError(f"config key {key!r}: {err}") from None
-    for key, value in flag_values.items():
-        setattr(cfg, key, value)
+    for values in (file_values, flag_values):
+        for key, raw in values.items():
+            try:
+                setattr(cfg, key, SCHEMA[key](raw))
+            except ValueError as err:
+                raise ValueError(f"config key {key!r}: {err}") from None
     return cfg
 
 
@@ -535,9 +535,9 @@ def cmd_eval(cfg: RunConfig) -> dict:
     tracks = _load_tracks(tracks_dir, annotations.num_classes)
     evaluated_ids = {t.video_id for t in tracks}
     with_background = tracks[0].includes_background
-    thresholds = cfg.eval_iou or (
-        DEFAULT_STRONG_IOUS if with_background else DEFAULT_WEAK_IOUS
-    )
+    thresholds = cfg.eval_iou
+    if thresholds is None:
+        thresholds = DEFAULT_STRONG_IOUS if with_background else DEFAULT_WEAK_IOUS
     eval_config = EvalConfig(annotations.num_classes, thresholds)
     predictions = load_predictions(predictions_path)
     test_gt = AnnotationSet(
@@ -786,6 +786,7 @@ def gradcheck_suite(
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
     """Finite-difference audit of every backward pass; nonzero exit on failure."""
+    _require_positive(cfg, "gradcheck_seeds")
     out = _out_dir(cfg)
     tolerance, step = 1e-5, 1e-4
     seeds = list(range(cfg.seed, cfg.seed + cfg.gradcheck_seeds))
@@ -816,9 +817,9 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value settings file")
-    for key, parser_fn in SCHEMA.items():
-        flag = "--" + key.replace("_", "-")
-        common.add_argument(flag, dest=key, type=parser_fn, default=None)
+    # flag values stay strings: build_config parses them like file values
+    for key in SCHEMA:
+        common.add_argument("--" + key.replace("_", "-"), dest=key, default=None)
     parser = argparse.ArgumentParser(
         prog="fsn",
         description="temporal action localization on precomputed frame features",

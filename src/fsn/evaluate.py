@@ -11,9 +11,11 @@ large test split holds hundreds of tied frames.
 A segment prediction counts as a true positive only when its IoU with an
 unmatched same-class ground truth in the same video is strictly above the
 threshold; matching is greedy in rank order, best IoU first, earliest ground
-truth on ties. Matching runs per video: each (class, video) pair gets one
-prediction x ground-truth IoU matrix, reused at every threshold, so the cost
-follows the per-video counts rather than the corpus.
+truth on ties. Predictions arrive as one ``Segments`` record of columns; each
+class's entries are ranked, then grouped by video with one stable sort, and
+each (class, video) pair gets one prediction x ground-truth IoU matrix,
+reused at every threshold, so the cost follows the per-video counts rather
+than the corpus.
 
 Classes with no ground-truth instance get AP 0 by definition but are left out
 of the mAP average, so a prediction set identical to the ground truth scores
@@ -29,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import AnnotationSet
-from .localize import FrameScoreTrack, SegmentPrediction, pairwise_iou
+from .localize import FrameScoreTrack, Segments, pairwise_iou
 from .nncore import Array
 
 DEFAULT_STRONG_IOUS = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -194,7 +196,7 @@ def _match_video(iou: Array, thresholds: Sequence[float]) -> Array:
 
 
 def segment_level_map(
-    predictions: Sequence[SegmentPrediction],
+    predictions: Segments,
     gt: AnnotationSet,
     config: EvalConfig | None = None,
     video_ids: set[str] | None = None,
@@ -213,16 +215,17 @@ def segment_level_map(
             f"annotations carry {gt.num_classes}"
         )
     known = video_ids if video_ids is not None else {s.video_id for s in gt.segments}
-    for p in predictions:
-        if p.video_id not in known:
-            raise ValueError(f"prediction references unknown video {p.video_id!r}")
-        if not 1 <= p.class_id <= config.num_classes:
-            raise ValueError(
-                f"prediction class {p.class_id} outside 1..{config.num_classes}"
-            )
-    preds_by_class: dict[int, list[SegmentPrediction]] = {}
-    for p in predictions:
-        preds_by_class.setdefault(p.class_id, []).append(p)
+    unknown = ~np.isin(predictions.video_id, np.array(list(known), dtype=str))
+    outside = (predictions.class_id < 1) | (predictions.class_id > config.num_classes)
+    if np.any(unknown | outside):
+        first = int(np.argmax(unknown | outside))
+        if unknown[first]:
+            video = str(predictions.video_id[first])
+            raise ValueError(f"prediction references unknown video {video!r}")
+        raise ValueError(
+            f"prediction class {predictions.class_id[first]} "
+            f"outside 1..{config.num_classes}"
+        )
     gts_by_class: dict[int, dict[str, list[tuple[int, int]]]] = {}
     for s in gt.segments:
         by_video = gts_by_class.setdefault(s.class_id, {})
@@ -230,25 +233,25 @@ def segment_level_map(
     thresholds = config.iou_thresholds
     ap = np.zeros((config.num_classes, len(thresholds)))
     for class_id in range(1, config.num_classes + 1):
-        class_preds = preds_by_class.get(class_id, [])
         class_gts = gts_by_class.get(class_id, {})
-        order = rank_descending(np.array([p.confidence for p in class_preds]))
-        ranked = [class_preds[i] for i in order.tolist()]
-        ranks_by_video: dict[str, list[int]] = {}
-        for rank, p in enumerate(ranked):
-            ranks_by_video.setdefault(p.video_id, []).append(rank)
-        flags = np.zeros((len(thresholds), len(ranked)), dtype=bool)
-        for video_id, ranks in ranks_by_video.items():
-            video_gts = class_gts.get(video_id)
+        members = np.flatnonzero(predictions.class_id == class_id)
+        ranked = members[rank_descending(predictions.confidence[members])]
+        # one stable sort groups the ranks by video, in rank order within each
+        ranks = np.argsort(predictions.video_id[ranked], kind="stable")
+        videos = predictions.video_id[ranked[ranks]]
+        cuts = (np.flatnonzero(videos[1:] != videos[:-1]) + 1).tolist()
+        bounds = [0, *cuts, ranks.size] if ranks.size else []
+        flags = np.zeros((len(thresholds), ranked.size), dtype=bool)
+        for lo, hi in zip(bounds, bounds[1:]):
+            video_gts = class_gts.get(str(videos[lo]))
             if not video_gts:
                 continue
+            rows = ranked[ranks[lo:hi]]
+            gt_starts, gt_ends = zip(*video_gts)
             iou = pairwise_iou(
-                [ranked[r].start for r in ranks],
-                [ranked[r].end for r in ranks],
-                [start for start, _ in video_gts],
-                [end for _, end in video_gts],
+                predictions.start[rows], predictions.end[rows], gt_starts, gt_ends
             )
-            flags[:, ranks] = _match_video(iou, thresholds)
+            flags[:, ranks[lo:hi]] = _match_video(iou, thresholds)
         num_gts = sum(len(v) for v in class_gts.values())
         for t_idx in range(len(thresholds)):
             ap[class_id - 1, t_idx] = _ap_from_ranked(flags[t_idx], num_gts)

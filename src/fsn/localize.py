@@ -6,17 +6,18 @@ of an untrimmed video (``slide_predict`` for a dense head, ``weak_score_track``
 for a pooled one). Each class column of a track is thresholded at several
 levels in one mask pass into candidate segments, deduplicated, and pruned
 with greedy non-maximum suppression on one IoU matrix per class and video.
-Candidates travel as arrays, in a ``Candidates`` record (one video, one
-class, parallel start/end/confidence arrays); a ``SegmentPrediction`` is
-built only for a segment that NMS keeps. Predictions travel in a
-tab-separated file with a fixed header.
+Segments travel as arrays from grouping to the report, in one ``Segments``
+record of parallel columns: grouping builds one per class and video, NMS
+keeps a subset of it, ``localize`` joins and sorts them, and the prediction
+file (tab-separated, fixed header) is written from and parsed into one. Rows
+are checked only where they enter from outside, in ``load_predictions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .nncore import Array
 
 GROUPING_THRESHOLDS = tuple(np.round(np.arange(11) * 0.1, 1))
 NMS_OFFSET = 0.1
+# the column types of a Segments record, in field order
+SEGMENT_DTYPES = (str, np.int64, np.int64, np.int64, np.float64)
 
 
 @dataclass
@@ -65,29 +68,6 @@ class FrameScoreTrack:
             )
         column = class_id if self.includes_background else class_id - 1
         return self.scores[:, column]
-
-
-@dataclass(frozen=True)
-class SegmentPrediction:
-    """A scored action proposal on [start, end), frame units."""
-
-    video_id: str
-    start: int
-    end: int
-    class_id: int
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"bad segment [{self.start}, {self.end})")
-        if self.class_id < 1:
-            raise ValueError(f"class ids start at 1, got {self.class_id}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
 
 def slide_predict(head: Head, video: VideoFeatures) -> FrameScoreTrack:
@@ -139,17 +119,15 @@ def weak_score_track(
 
 
 @dataclass(frozen=True, eq=False)
-class Candidates:
-    """The candidate segments of one class in one video, as parallel arrays.
+class Segments:
+    """Scored half-open frame runs [start, end), one entry per segment.
 
-    ``start`` and ``end`` are int64 frame bounds of half-open runs and
-    ``confidence`` their float64 mean class scores; ``len()`` is the number
-    of candidates. Grouping returns one; ``nms`` builds a ``SegmentPrediction``
-    only for each candidate it keeps.
+    Parallel columns: ``video_id`` (str), ``class_id``, ``start`` and ``end``
+    (int64) and ``confidence`` (float64); ``len()`` is the segment count.
     """
 
-    video_id: str
-    class_id: int
+    video_id: Array
+    class_id: Array
     start: Array
     end: Array
     confidence: Array
@@ -157,12 +135,26 @@ class Candidates:
     def __len__(self) -> int:
         return self.start.size
 
+    def columns(self) -> tuple[Array, ...]:
+        return (self.video_id, self.class_id, self.start, self.end, self.confidence)
+
+    def take(self, index) -> Segments:
+        """The segments at ``index`` (integer positions or a boolean mask)."""
+        return Segments(*(column[index] for column in self.columns()))
+
+    @staticmethod
+    def concatenate(parts: Sequence[Segments]) -> Segments:
+        """One record of the parts' segments, in order; none gives an empty one."""
+        empty = [np.empty(0, dtype) for dtype in SEGMENT_DTYPES]
+        columns = zip(empty, *(part.columns() for part in parts))
+        return Segments(*(np.concatenate(column) for column in columns))
+
 
 def multi_threshold_group(
     track: FrameScoreTrack,
     class_id: int,
     thresholds: Sequence[float] = GROUPING_THRESHOLDS,
-) -> Candidates:
+) -> Segments:
     """Maximal runs of frames scoring strictly above each threshold, deduplicated.
 
     The runs of every threshold come from one (thresholds, frames + 2) mask.
@@ -189,7 +181,9 @@ def multi_threshold_group(
     add = np.add.reduce
     sums = [add(column[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
     confidence = np.array(sums, dtype=np.float64) / (ends - starts)
-    return Candidates(track.video_id, class_id, starts, ends, confidence)
+    count = starts.size
+    class_ids = np.full(count, class_id, dtype=np.int64)
+    return Segments(np.full(count, track.video_id), class_ids, starts, ends, confidence)
 
 
 def _interval(segment) -> tuple[float, float]:
@@ -231,14 +225,14 @@ def pairwise_iou(a_start, a_end, b_start, b_end) -> Array:
     return intersection / union
 
 
-def nms(segments: Candidates, iou_threshold: float) -> list[SegmentPrediction]:
-    """Greedy non-maximum suppression of one class's candidates in one video.
+def nms(segments: Segments, iou_threshold: float) -> Segments:
+    """Greedy non-maximum suppression of one class's segments in one video.
 
-    Candidates are visited by confidence (descending), ties broken by earlier
-    start then shorter length; a candidate survives iff its IoU with every
-    already kept segment is at most the threshold. One candidate x candidate
-    ``pairwise_iou`` matrix serves the pass: a kept candidate suppresses every
-    candidate its row overlaps above the threshold. Returns the kept segments
+    Segments are visited by confidence (descending), ties broken by earlier
+    start then shorter length; a segment survives iff its IoU with every
+    already kept segment is at most the threshold. One segment x segment
+    ``pairwise_iou`` matrix serves the pass: a kept segment suppresses every
+    segment its row overlaps above the threshold. Returns the kept segments
     in visiting order.
     """
     if iou_threshold < 0.0:
@@ -254,23 +248,15 @@ def nms(segments: Candidates, iou_threshold: float) -> list[SegmentPrediction]:
         if not suppressed[i]:
             kept.append(i)
             suppressed |= overlaps[i]
-    video_id, class_id = segments.video_id, segments.class_id
-    return [
-        SegmentPrediction(video_id, start, end, class_id, confidence)
-        for start, end, confidence in zip(
-            starts[kept].tolist(),
-            ends[kept].tolist(),
-            segments.confidence[order[kept]].tolist(),
-        )
-    ]
+    return segments.take(order[kept])
 
 
-def track_to_segments(track: FrameScoreTrack, nms_iou: float) -> list[SegmentPrediction]:
+def track_to_segments(track: FrameScoreTrack, nms_iou: float) -> Segments:
     """Multi-threshold grouping plus NMS for every class of one track."""
-    out = []
-    for class_id in range(1, track.num_classes + 1):
-        out.extend(nms(multi_threshold_group(track, class_id), nms_iou))
-    return out
+    return Segments.concatenate([
+        nms(multi_threshold_group(track, class_id), nms_iou)
+        for class_id in range(1, track.num_classes + 1)
+    ])
 
 
 def nms_threshold_for(eval_iou: float) -> float:
@@ -280,54 +266,49 @@ def nms_threshold_for(eval_iou: float) -> float:
     return max(eval_iou - NMS_OFFSET, 0.0)
 
 
-def sort_predictions(predictions: Iterable[SegmentPrediction]) -> list[SegmentPrediction]:
-    return sorted(
-        predictions, key=lambda s: (s.video_id, s.class_id, s.start, s.end)
-    )
-
-
 def localize(
     head: Head,
     videos: Sequence[VideoFeatures],
     eval_iou: float = 0.5,
     positions: int = 100,
-) -> tuple[list[FrameScoreTrack], list[SegmentPrediction]]:
-    """Score tracks and sorted segment predictions for a collection of videos.
+) -> tuple[list[FrameScoreTrack], Segments]:
+    """Score tracks and the sorted segment predictions of a collection of videos.
 
     A dense head is scored by ``slide_predict``, a pooled one by
     ``weak_score_track`` with ``positions`` spans, one video after another;
     each video is one batched forward whose matrix products BLAS already
     spreads over the cores. Every track is then grouped and suppressed at the
     NMS threshold for ``eval_iou``. Tracks keep the order of ``videos``; the
-    predictions are sorted.
+    predictions are sorted by (video, class, start, end).
     """
     nms_iou = nms_threshold_for(eval_iou)
     if head.pooling is None:
         tracks = [slide_predict(head, video) for video in videos]
     else:
         tracks = [weak_score_track(head, video, positions) for video in videos]
-    predictions = []
-    for track in tracks:
-        predictions.extend(track_to_segments(track, nms_iou))
-    return tracks, sort_predictions(predictions)
+    found = Segments.concatenate([track_to_segments(t, nms_iou) for t in tracks])
+    order = np.lexsort((found.end, found.start, found.class_id, found.video_id))
+    return tracks, found.take(order)
 
 
 PREDICTION_HEADER = "video_id\tstart\tend\tclass_id\tconfidence"
 
 
-def write_predictions(predictions: Sequence[SegmentPrediction], path) -> None:
+def write_predictions(predictions: Segments, path) -> None:
+    """One tab-separated row per segment, in the record's order, under the header."""
+    rows = zip(*(column.tolist() for column in predictions.columns()))
     lines = [PREDICTION_HEADER]
-    for p in sort_predictions(predictions):
-        lines.append(f"{p.video_id}\t{p.start}\t{p.end}\t{p.class_id}\t{p.confidence:.6f}")
+    lines.extend(f"{v}\t{s}\t{e}\t{c}\t{p:.6f}" for v, c, s, e, p in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_predictions(path) -> list[SegmentPrediction]:
+def load_predictions(path) -> Segments:
+    """Parse a prediction file; a malformed row is an error naming its line."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0] != PREDICTION_HEADER:
         raise ValueError(f"{path}: missing prediction header")
-    predictions = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -335,14 +316,16 @@ def load_predictions(path) -> list[SegmentPrediction]:
         if len(parts) != 5:
             raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            prediction = SegmentPrediction(
-                video_id=parts[0],
-                start=int(parts[1]),
-                end=int(parts[2]),
-                class_id=int(parts[3]),
-                confidence=float(parts[4]),
-            )
+            start, end, class_id = int(parts[1]), int(parts[2]), int(parts[3])
+            confidence = float(parts[4])
+            if start < 0 or end <= start:
+                raise ValueError(f"bad segment [{start}, {end})")
+            if class_id < 1:
+                raise ValueError(f"class ids start at 1, got {class_id}")
+            if not 0.0 <= confidence <= 1.0:
+                raise ValueError(f"confidence {confidence} outside [0, 1]")
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: {err}") from None
-        predictions.append(prediction)
-    return predictions
+        rows.append((parts[0], class_id, start, end, confidence))
+    columns = zip(*rows) if rows else ((),) * len(SEGMENT_DTYPES)
+    return Segments(*(np.array(c, dtype=d) for c, d in zip(columns, SEGMENT_DTYPES)))

@@ -19,17 +19,12 @@ from oracles import (
     match_predictions,
     naive_conv1d,
 )
+from records import rows, segments
 
 from fsn.cli import build_config, gradcheck_suite, main, parse_config_file
 from fsn.data import GroundTruthSegment, AnnotationSet, SynthConfig, VideoFeatures, synth_generate
 from fsn.evaluate import EvalConfig, average_precision, segment_level_map
-from fsn.localize import (
-    Candidates,
-    SegmentPrediction,
-    localize,
-    nms,
-    temporal_iou,
-)
+from fsn.localize import localize, nms, temporal_iou
 from fsn.model import (
     ModelConfig,
     fsn_forward,
@@ -75,8 +70,8 @@ def _random_segments(rng, count, max_end=60):
         start = int(rng.integers(0, max_end - 2))
         end = int(rng.integers(start + 1, max_end))
         conf = round(float(rng.uniform(0.05, 1.0)), 3)
-        out.append(SegmentPrediction("v", start, end, 1, conf))
-    return out
+        out.append((start, end, conf))
+    return segments(*out)
 
 
 def test_criterion_2_oracle_equivalence(criterion):
@@ -103,28 +98,21 @@ def test_criterion_2_oracle_equivalence(criterion):
         a = (a_start, a_start + 1 + int(rng.integers(0, 12)))
         b_start = int(rng.integers(0, 50))
         b = (b_start, b_start + 1 + int(rng.integers(0, 12)))
-        sa = SegmentPrediction("v", a[0], a[1], 1, 0.5)
-        sb = SegmentPrediction("v", b[0], b[1], 1, 0.5)
+        sa = GroundTruthSegment("v", a[0], a[1], 1)
+        sb = GroundTruthSegment("v", b[0], b[1], 1)
         assert temporal_iou(sa, sb) == iou_by_frames(a, b)
 
     for trial in range(30):
         rng = np.random.default_rng(100 + trial)
-        segments = _random_segments(rng, int(rng.integers(1, 9)))
-        record = Candidates(
-            "v",
-            1,
-            np.array([s.start for s in segments]),
-            np.array([s.end for s in segments]),
-            np.array([s.confidence for s in segments]),
-        )
+        record = _random_segments(rng, int(rng.integers(1, 9)))
         for threshold in (0.0, 0.3, 0.5, 0.7):
             ours = nms(record, threshold)
             reference = greedy_nms(
-                [(s.start, s.end, s.confidence) for s in segments],
+                [row[:3] for row in rows(record)],
                 iou_by_frames,
                 threshold,
             )
-            assert [(s.start, s.end, s.confidence) for s in ours] == reference
+            assert [row[:3] for row in rows(ours)] == reference
 
     map_diff = 0.0
     for trial in range(30):
@@ -141,7 +129,7 @@ def test_criterion_2_oracle_equivalence(criterion):
             video_ids={"v"},
         )
         flags, order = match_predictions(
-            [(p.video_id, p.class_id, p.start, p.end, p.confidence) for p in preds],
+            [(v, c, s, e, p) for s, e, p, c, v in rows(preds)],
             [(g.video_id, g.class_id, g.start, g.end) for g in gts],
             0.4,
             iou_by_frames,
@@ -340,9 +328,11 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
 
     head = load_model(temporal_study["root"] / "fsn" / "model.fsn")
     predictions = localize(head, [video], eval_iou=0.5)[1]
-    assert predictions
-    top = max(predictions, key=lambda p: p.confidence)
-    iou = temporal_iou(top, truth) if top.class_id == class_id else 0.0
+    assert len(predictions)
+    top_start, top_end, top_confidence, top_class, _ = rows(predictions)[
+        int(np.argmax(predictions.confidence))
+    ]
+    iou = temporal_iou((top_start, top_end), truth) if top_class == class_id else 0.0
 
     log = (temporal_study["root"] / "fsn" / "predict_log.txt").read_text()
     echo_ok = "predict_iou = 0.5" in log and "nms_iou = 0.4" in log
@@ -351,8 +341,8 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
     criterion(
         6,
         ok,
-        f"top prediction class {top.class_id} [{top.start}, {top.end}) conf "
-        f"{top.confidence:.3f}, IoU {iou:.3f} vs truth [{start}, {start + length}); "
+        f"top prediction class {top_class} [{top_start}, {top_end}) conf "
+        f"{top_confidence:.3f}, IoU {iou:.3f} vs truth [{start}, {start + length}); "
         f"nms rule echoed in run log: {echo_ok}",
     )
     assert iou >= 0.5

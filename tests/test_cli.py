@@ -82,7 +82,7 @@ def test_build_config_coerces_types():
 
 
 def test_flags_override_config_file():
-    cfg = build_config({"seed": "1", "iterations": "10"}, {"seed": 99})
+    cfg = build_config({"seed": "1", "iterations": "10"}, {"seed": "99"})
     assert cfg.seed == 99
     assert cfg.iterations == 10
 
@@ -92,6 +92,20 @@ def test_build_config_reports_bad_value():
         build_config({"context_ambiguity": "maybe"}, {})
 
 
+@pytest.mark.parametrize("key, value", [("eval_iou", "0.5,abc"), ("iterations", "x")])
+def test_bad_flag_value_fails_like_a_config_value(tmp_path, capsys, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert main(["gradcheck", "--config", str(config), "--out", str(tmp_path)]) == 1
+    from_file = capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    assert main(["gradcheck", flag, value, "--out", str(tmp_path)]) == 1
+    from_flag = capsys.readouterr().err
+    assert from_flag == from_file
+    assert from_flag.startswith(f"error: config key {key!r}: ")
+    assert from_flag.count("\n") == 1
+
+
 def test_schema_follows_run_config_fields():
     keys = [f.name for f in fields(RunConfig)]
     assert list(SCHEMA) == keys
@@ -99,7 +113,8 @@ def test_schema_follows_run_config_fields():
     parser = build_parser()
     for key in keys:
         args = parser.parse_args(["synth", "--" + key.replace("_", "-"), "1"])
-        assert getattr(args, key) == SCHEMA[key]("1")
+        assert getattr(args, key) == "1"
+        assert getattr(build_config({}, {key: "1"}), key) == SCHEMA[key]("1")
     assert SCHEMA["dilations"]("1,2,4") == (1, 2, 4)
     assert SCHEMA["eval_iou"]("0.3,0.5") == (0.3, 0.5)
     assert SCHEMA["context_ambiguity"]("off") is False
@@ -287,6 +302,7 @@ def test_train_fails_on_corrupt_file_outside_the_split(corpus, tmp_path, capsys)
         ("train-weak", "--iterations", "iterations must be >= 1, got 0"),
         ("train-weak", "--weak-positions", "weak_positions must be >= 1, got 0"),
         ("predict-weak", "--weak-positions", "weak_positions must be >= 1, got 0"),
+        ("gradcheck", "--gradcheck-seeds", "gradcheck_seeds must be >= 1, got 0"),
     ],
 )
 def test_training_rejects_zero_loop_settings(corpus, tmp_path, capsys, command, flag, message):
@@ -575,6 +591,25 @@ def test_eval_rejects_duplicate_thresholds(corpus, predicted, tmp_path, capsys):
     ])
     assert rc == 1
     assert "strictly ascend" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_eval_rejects_empty_threshold_list(corpus, predicted, tmp_path, capsys, source):
+    config = tmp_path / "eval.cfg"
+    config.write_text("eval_iou =\n")
+    given = ["--eval-iou", ""] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "eval"
+    rc = main([
+        "eval",
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--predictions", str(predicted / "predictions.tsv"),
+        "--tracks", str(predicted / "tracks"),
+        "--out", str(out),
+        *given,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least one IoU threshold\n"
     assert not (out / "report.csv").exists()
 
 

@@ -1,5 +1,7 @@
 """AP kernels, frame/segment mAP, and report emission."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,14 @@ from fsn.evaluate import (
     rank_descending,
     segment_level_map,
 )
-from fsn.localize import FrameScoreTrack, SegmentPrediction
+from fsn.localize import FrameScoreTrack
 from oracles import ap_by_pr_points, iou_by_frames, match_predictions
+from records import rows, segments
 
 
-def seg(start, end, conf, class_id=1, video="v"):
-    return SegmentPrediction(video, start, end, class_id, conf)
+def oracle_rows(predictions):
+    """(video, class, start, end, confidence) rows, as the oracles take them."""
+    return [(v, c, s, e, p) for s, e, p, c, v in rows(predictions)]
 
 
 def gt(start, end, class_id=1, video="v"):
@@ -199,11 +203,7 @@ class TestSegmentLevelMap:
 
     def test_ground_truth_predictions_score_one(self):
         gts = [gt(0, 10, 1), gt(20, 30, 2), gt(40, 50, 1, video="w")]
-        preds = [
-            seg(0, 10, 0.9, 1),
-            seg(20, 30, 0.8, 2),
-            seg(40, 50, 0.7, 1, video="w"),
-        ]
+        preds = segments((0, 10, 0.9, 1), (20, 30, 0.8, 2), (40, 50, 0.7, 1, "w"))
         report = segment_level_map(preds, self.annotations(gts))
         np.testing.assert_allclose(report.segment_ap, 1.0)
         np.testing.assert_allclose(report.segment_map, 1.0)
@@ -211,18 +211,18 @@ class TestSegmentLevelMap:
 
     def test_iou_equal_to_threshold_is_a_false_positive(self):
         gts = [gt(0, 10)]
-        preds = [seg(0, 5, 0.9)]  # IoU exactly 0.5
+        preds = segments((0, 5, 0.9))  # IoU exactly 0.5
         config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
         report = segment_level_map(preds, self.annotations(gts), config)
         assert report.segment_ap[0, 0] == 0.0
 
     def test_hand_built_three_versus_two(self):
         gts = [gt(0, 10), gt(20, 30)]
-        preds = [
-            seg(0, 10, 0.9),  # IoU 1.0 with first GT
-            seg(0, 9, 0.8),  # IoU 0.9, but the GT is already matched
-            seg(19, 29, 0.7),  # IoU 9/11 with second GT
-        ]
+        preds = segments(
+            (0, 10, 0.9),  # IoU 1.0 with first GT
+            (0, 9, 0.8),  # IoU 0.9, but the GT is already matched
+            (19, 29, 0.7),  # IoU 9/11 with second GT
+        )
         config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
         report = segment_level_map(preds, self.annotations(gts), config)
         assert report.segment_ap[0, 0] == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
@@ -230,7 +230,7 @@ class TestSegmentLevelMap:
     def test_greedy_matching_prefers_best_iou(self):
         gts = [gt(0, 10), gt(8, 18)]
         # single prediction overlapping both; must take the higher-IoU one
-        preds = [seg(7, 17, 0.9)]
+        preds = segments((7, 17, 0.9))
         config = EvalConfig(num_classes=2, iou_thresholds=(0.3,))
         report = segment_level_map(preds, self.annotations(gts), config)
         assert report.segment_ap[0, 0] == pytest.approx(0.5)
@@ -247,16 +247,17 @@ class TestSegmentLevelMap:
                 end = start + int(rng.integers(2, 12))
                 gts.append(gt(start, end))
                 cursor = end + 1
-            preds = []
+            triples = []
             for _ in range(num_pred):
                 start = int(rng.integers(0, max(2, cursor)))
                 end = start + int(rng.integers(1, 14))
-                preds.append(seg(start, end, float(np.round(rng.uniform(), 3))))
+                triples.append((start, end, float(np.round(rng.uniform(), 3))))
+            preds = segments(*triples)
             threshold = float(rng.choice([0.3, 0.5, 0.7]))
             config = EvalConfig(num_classes=1, iou_thresholds=(threshold,))
             report = segment_level_map(preds, self.annotations(gts, 1), config)
             flags, _ = match_predictions(
-                [(p.video_id, p.class_id, p.start, p.end, p.confidence) for p in preds],
+                oracle_rows(preds),
                 [(g.video_id, g.class_id, g.start, g.end) for g in gts],
                 threshold,
                 lambda a, b: iou_by_frames(a, b),
@@ -272,7 +273,7 @@ class TestSegmentLevelMap:
         thresholds = (0.2, 0.4, 0.5, 0.6, 0.75)
         videos = ["a", "b", "c", "d"]
         for trial in range(30):
-            gts, preds = [], []
+            gts, table = [], []
             for video in videos:
                 for class_id in (1, 2, 3):
                     cursor = 0
@@ -285,25 +286,22 @@ class TestSegmentLevelMap:
                         start = int(rng.integers(0, max(2, cursor)))
                         end = start + int(rng.integers(1, 14))
                         conf = float(np.round(rng.uniform(), 2))
-                        preds.append(seg(start, end, conf, class_id, video))
+                        table.append((start, end, conf, class_id, video))
             # IoU exactly 4/8 = 0.5, 3/5 = 0.6, 1/5 = 0.2 and 3/4 = 0.75
             for video in videos[:2]:
                 gts.append(gt(100, 108, 1, video))
-                preds.append(seg(100, 104, 0.5, 1, video))
+                table.append((100, 104, 0.5, 1, video))
                 gts.append(gt(200, 205, 2, video))
-                preds.append(seg(200, 203, 0.5, 2, video))
-                preds.append(seg(204, 205, 0.5, 2, video))
+                table.append((200, 203, 0.5, 2, video))
+                table.append((204, 205, 0.5, 2, video))
                 gts.append(gt(300, 304, 3, video))
-                preds.append(seg(300, 303, 0.5, 3, video))
+                table.append((300, 303, 0.5, 3, video))
+            preds = segments(*table)
             annotations = self.annotations(gts, 3)
             config = EvalConfig(num_classes=3, iou_thresholds=thresholds)
             report = segment_level_map(preds, annotations, config)
             for class_id in (1, 2, 3):
-                class_preds = [
-                    (p.video_id, p.class_id, p.start, p.end, p.confidence)
-                    for p in preds
-                    if p.class_id == class_id
-                ]
+                class_preds = [p for p in oracle_rows(preds) if p[1] == class_id]
                 class_gts = [
                     (g.video_id, g.class_id, g.start, g.end)
                     for g in gts
@@ -321,30 +319,27 @@ class TestSegmentLevelMap:
     def test_map_never_increases_with_threshold(self):
         rng = np.random.default_rng(3)
         gts = [gt(i * 30, i * 30 + 12) for i in range(5)]
-        preds = [
-            seg(i * 30 + int(rng.integers(0, 8)), i * 30 + 12 + int(rng.integers(0, 8)),
-                float(np.round(rng.uniform(), 2)))
+        preds = segments(*[
+            (i * 30 + int(rng.integers(0, 8)), i * 30 + 12 + int(rng.integers(0, 8)),
+             float(np.round(rng.uniform(), 2)))
             for i in range(5)
-        ]
+        ])
         report = segment_level_map(preds, self.annotations(gts))
         diffs = np.diff(report.segment_map)
         assert np.all(diffs <= 1e-12)
 
     def test_ap_invariant_under_monotone_confidence_transform(self):
         gts = [gt(0, 10), gt(30, 40)]
-        preds = [seg(0, 8, 0.6), seg(29, 41, 0.3), seg(50, 60, 0.8)]
+        preds = segments((0, 8, 0.6), (29, 41, 0.3), (50, 60, 0.8))
         base = segment_level_map(preds, self.annotations(gts))
-        squashed = [
-            SegmentPrediction(p.video_id, p.start, p.end, p.class_id, p.confidence**2)
-            for p in preds
-        ]
+        squashed = replace(preds, confidence=preds.confidence**2)
         after = segment_level_map(squashed, self.annotations(gts))
         np.testing.assert_allclose(base.segment_ap, after.segment_ap)
 
     def test_removing_a_false_positive_never_hurts(self):
         gts = [gt(0, 10)]
-        with_fp = [seg(0, 10, 0.6), seg(50, 60, 0.9)]
-        without = [seg(0, 10, 0.6)]
+        with_fp = segments((0, 10, 0.6), (50, 60, 0.9))
+        without = segments((0, 10, 0.6))
         config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
         before = segment_level_map(with_fp, self.annotations(gts), config)
         after = segment_level_map(without, self.annotations(gts), config)
@@ -352,8 +347,8 @@ class TestSegmentLevelMap:
 
     def test_duplicate_on_matched_gt_never_helps(self):
         gts = [gt(0, 10)]
-        base = [seg(0, 10, 0.9)]
-        duplicated = [seg(0, 10, 0.9), seg(0, 10, 0.5)]
+        base = segments((0, 10, 0.9))
+        duplicated = segments((0, 10, 0.9), (0, 10, 0.5))
         config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
         before = segment_level_map(base, self.annotations(gts), config)
         after = segment_level_map(duplicated, self.annotations(gts), config)
@@ -361,7 +356,7 @@ class TestSegmentLevelMap:
 
     def test_rejects_unknown_video(self):
         gts = [gt(0, 10)]
-        preds = [seg(0, 10, 0.9, video="mystery")]
+        preds = segments((0, 10, 0.9, 1, "mystery"))
         with pytest.raises(ValueError, match="unknown video"):
             segment_level_map(preds, self.annotations(gts))
         # explicit universe admits videos without ground truth
@@ -369,6 +364,14 @@ class TestSegmentLevelMap:
             preds, self.annotations(gts), video_ids={"v", "mystery"}
         )
         assert report.segment_ap[0, 0] == 0.0
+
+    def test_first_bad_prediction_names_the_error(self):
+        gts = [gt(0, 10)]
+        preds = segments((0, 10, 0.9), (0, 10, 0.9, 3), (0, 10, 0.9, 1, "mystery"))
+        with pytest.raises(ValueError, match=r"^prediction class 3 outside 1\.\.2$"):
+            segment_level_map(preds, self.annotations(gts))
+        with pytest.raises(ValueError, match="^prediction references unknown video 'mystery'$"):
+            segment_level_map(preds.take(np.array([2, 1])), self.annotations(gts))
 
     def test_weak_default_thresholds(self):
         assert DEFAULT_WEAK_IOUS == (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -389,7 +392,7 @@ class TestSegmentLevelMap:
 class TestReports:
     def make_report(self):
         gts = [gt(0, 10, 1), gt(20, 30, 2)]
-        preds = [seg(0, 10, 0.9, 1), seg(20, 28, 0.8, 2)]
+        preds = segments((0, 10, 0.9, 1), (20, 28, 0.8, 2))
         names = ["action_01", "action_02"]
         report = segment_level_map(preds, AnnotationSet(names, gts))
         report.frame_ap = np.array([0.75, 0.5])

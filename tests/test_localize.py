@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsn.data import VideoFeatures
+from fsn.data import GroundTruthSegment, VideoFeatures
 from fsn.localize import (
-    Candidates,
     FrameScoreTrack,
-    SegmentPrediction,
+    Segments,
     load_predictions,
     localize,
     multi_threshold_group,
@@ -24,6 +23,7 @@ from fsn.localize import (
 )
 from fsn.model import ModelConfig, fsn_forward, init_fsn, init_wfsn, wfsn_forward_predict
 from oracles import greedy_nms, iou_by_frames, threshold_runs
+from records import rows, segments
 
 CFG = ModelConfig(num_classes=2, feature_dim=4, hidden_channels=6, snippet_len=5, clip_len=35)
 
@@ -34,21 +34,6 @@ def track_from_column(column, video_id="v", num_classes=1, class_id=1):
     scores = np.zeros((column.size, num_classes))
     scores[:, class_id - 1] = column
     return FrameScoreTrack(video_id, scores, includes_background=False)
-
-
-def seg(start, end, conf, class_id=1, video="v"):
-    return SegmentPrediction(video, start, end, class_id, conf)
-
-
-def candidates(segments):
-    """The candidate record of segments of one class in one video."""
-    return Candidates(
-        segments[0].video_id,
-        segments[0].class_id,
-        np.array([s.start for s in segments], dtype=np.int64),
-        np.array([s.end for s in segments], dtype=np.int64),
-        np.array([s.confidence for s in segments]),
-    )
 
 
 def bounds(record):
@@ -184,7 +169,7 @@ class TestThresholdGroup:
         record = multi_threshold_group(track, 1, (0.5,))
         assert bounds(record) == [(1, 3)]
         assert record.confidence[0] == pytest.approx(0.85)
-        assert (record.video_id, record.class_id) == ("v", 1)
+        assert rows(record)[0][3:] == (1, "v")
 
     def test_threshold_is_strict(self):
         track = track_from_column([0.5, 0.5])
@@ -309,7 +294,8 @@ class TestTemporalIoU:
         assert temporal_iou((3, 9), (3, 9)) == 1.0
 
     def test_accepts_segment_objects(self):
-        assert temporal_iou(seg(10, 20, 0.5), seg(15, 25, 0.5)) == pytest.approx(1 / 3)
+        a, b = GroundTruthSegment("v", 10, 20, 1), GroundTruthSegment("v", 15, 25, 1)
+        assert temporal_iou(a, b) == pytest.approx(1 / 3)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 50), st.integers(1, 30), st.integers(0, 50), st.integers(1, 30))
@@ -345,9 +331,9 @@ class TestTemporalIoU:
 
 class TestNms:
     def test_keeps_best_of_overlapping_pair(self):
-        a = seg(0, 10, 0.9)
-        b = seg(2, 12, 0.8)  # IoU with a is 8/14 > 0.4
-        assert nms(candidates([b, a]), 0.4) == [a]
+        # IoU 8/14 > 0.4
+        kept = nms(segments((2, 12, 0.8), (0, 10, 0.9)), 0.4)
+        assert rows(kept) == [(0, 10, 0.9, 1, "v")]
 
     def test_classes_do_not_suppress_each_other(self):
         # two classes scoring the same run: each keeps its own segment
@@ -356,40 +342,36 @@ class TestNms:
             "v", np.stack([column, column], axis=1), includes_background=False
         )
         kept = track_to_segments(track, 0.4)
-        assert kept == [seg(1, 4, 0.9, class_id=1), seg(1, 4, 0.9, class_id=2)]
+        assert rows(kept) == [(1, 4, 0.9, 1, "v"), (1, 4, 0.9, 2, "v")]
 
     def test_confidence_tie_prefers_earlier_then_shorter(self):
-        late = seg(5, 15, 0.7)
-        early_long = seg(0, 12, 0.7)
-        early_short = seg(0, 10, 0.7)
-        kept = nms(candidates([late, early_long, early_short]), 0.0)
-        assert kept[0] == early_short
+        kept = nms(segments((5, 15, 0.7), (0, 12, 0.7), (0, 10, 0.7)), 0.0)
+        assert rows(kept)[0] == (0, 10, 0.7, 1, "v")
 
     def test_threshold_zero_keeps_disjoint_segments(self):
-        a = seg(0, 5, 0.9)
-        b = seg(5, 10, 0.5)
-        assert sorted(nms(candidates([a, b]), 0.0), key=lambda s: s.start) == [a, b]
+        kept = nms(segments((0, 5, 0.9), (5, 10, 0.5)), 0.0)
+        assert sorted(rows(kept)) == [(0, 5, 0.9, 1, "v"), (5, 10, 0.5, 1, "v")]
 
     def test_empty_record_keeps_nothing(self):
         record = multi_threshold_group(track_from_column([0.1, 0.2]), 1, (0.5,))
-        assert nms(record, 0.4) == []
+        assert len(nms(record, 0.4)) == 0
 
     @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.4, 0.6])
     def test_matches_greedy_oracle(self, threshold):
         rng = np.random.default_rng(int(threshold * 10))
         for trial in range(25):
-            segments = []
+            triples = []
             for _ in range(int(rng.integers(1, 9))):
                 start = int(rng.integers(0, 40))
                 end = start + int(rng.integers(1, 15))
-                segments.append(seg(start, end, float(np.round(rng.uniform(0, 1), 3))))
-            kept = nms(candidates(segments), threshold)
+                triples.append((start, end, float(np.round(rng.uniform(0, 1), 3))))
+            kept = nms(segments(*triples), threshold)
             oracle = greedy_nms(
-                [(s.start, s.end, s.confidence) for s in segments],
+                triples,
                 lambda x, y: iou_by_frames((x[0], x[1]), (y[0], y[1])),
                 threshold,
             )
-            assert sorted((s.start, s.end, s.confidence) for s in kept) == sorted(oracle)
+            assert sorted(row[:3] for row in rows(kept)) == sorted(oracle)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.4, 0.6])
     def test_matches_greedy_oracle_on_grouped_tracks(self, threshold):
@@ -404,7 +386,7 @@ class TestNms:
             for class_id in (1, 2):
                 record = multi_threshold_group(track, class_id)
                 kept = nms(record, threshold)
-                assert all(s.class_id == class_id and s.video_id == "v" for s in kept)
+                assert all(row[3:] == (class_id, "v") for row in rows(kept))
                 triples = list(zip(
                     record.start.tolist(), record.end.tolist(), record.confidence.tolist()
                 ))
@@ -415,7 +397,7 @@ class TestNms:
                     lambda x, y: iou_by_frames((x[0], x[1]), (y[0], y[1])),
                     threshold,
                 )
-                assert [(s.start, s.end, s.confidence) for s in kept] == oracle
+                assert [row[:3] for row in rows(kept)] == oracle
 
     def test_nms_threshold_rule(self):
         assert nms_threshold_for(0.5) == pytest.approx(0.4)
@@ -433,11 +415,28 @@ class TestLocalizePipelines:
             VideoFeatures("vid_a", rng.standard_normal((50, 4))),
         ]
         predictions = localize(head, videos, eval_iou=0.5)[1]
-        assert predictions
-        keys = [(p.video_id, p.class_id, p.start, p.end) for p in predictions]
+        assert len(predictions)
+        keys = [(v, c, s, e) for s, e, _, c, v in rows(predictions)]
         assert keys == sorted(keys)
-        assert all(0.0 <= p.confidence <= 1.0 for p in predictions)
-        assert all(0 <= p.start < p.end for p in predictions)
+        assert np.all((predictions.confidence >= 0.0) & (predictions.confidence <= 1.0))
+        assert np.all((predictions.start >= 0) & (predictions.start < predictions.end))
+
+    def test_equals_per_track_segments_concatenated_and_sorted(self):
+        rng = np.random.default_rng(11)
+        head = init_fsn(CFG, seed=11)
+        videos = [
+            VideoFeatures("vid_b", rng.standard_normal((90, 4))),
+            VideoFeatures("vid_a", rng.standard_normal((60, 4))),
+        ]
+        tracks, predictions = localize(head, videos, eval_iou=0.5)
+        assert [t.video_id for t in tracks] == ["vid_b", "vid_a"]
+        per_track = [
+            row for track in tracks
+            for row in rows(track_to_segments(track, nms_threshold_for(0.5)))
+        ]
+        assert {row[4] for row in per_track} == {"vid_a", "vid_b"}
+        expected = sorted(per_track, key=lambda r: (r[4], r[3], r[0], r[1]))
+        assert rows(predictions) == expected
 
     def test_kept_segments_respect_nms_within_class(self):
         rng = np.random.default_rng(9)
@@ -445,7 +444,7 @@ class TestLocalizePipelines:
         video = VideoFeatures("v", rng.standard_normal((120, 4)))
         predictions = localize(head, [video], eval_iou=0.5)[1]
         for class_id in (1, 2):
-            mine = [p for p in predictions if p.class_id == class_id]
+            mine = [row[:2] for row in rows(predictions) if row[3] == class_id]
             for i, a in enumerate(mine):
                 for b in mine[i + 1 :]:
                     assert temporal_iou(a, b) <= 0.4 + 1e-12
@@ -455,43 +454,69 @@ class TestLocalizePipelines:
         head = init_wfsn(CFG, seed=10)
         videos = [VideoFeatures("v", rng.standard_normal((60, 4)))]
         predictions = localize(head, videos, eval_iou=0.3, positions=12)[1]
-        assert all(p.start % 5 == 0 and p.end % 5 == 0 for p in predictions)
-        assert all(0.0 <= p.confidence <= 1.0 for p in predictions)
+        assert np.all(predictions.start % 5 == 0) and np.all(predictions.end % 5 == 0)
+        assert np.all((predictions.confidence >= 0.0) & (predictions.confidence <= 1.0))
+
+
+HEADER = "video_id\tstart\tend\tclass_id\tconfidence\n"
 
 
 class TestPredictionFiles:
-    def test_round_trip_and_sorting(self, tmp_path):
+    def test_round_trip_keeps_rows_in_order(self, tmp_path):
         path = tmp_path / "pred.tsv"
-        predictions = [
-            seg(10, 30, 0.75, class_id=2, video="vid_b"),
-            seg(0, 5, 0.5, class_id=1, video="vid_a"),
-            seg(8, 12, 0.25, class_id=1, video="vid_a"),
-        ]
+        predictions = segments(
+            (10, 30, 0.75, 2, "vid_b"), (0, 5, 0.5, 1, "vid_a"), (8, 12, 0.25, 1, "vid_a")
+        )
         write_predictions(predictions, path)
         loaded = load_predictions(path)
-        assert [(p.video_id, p.class_id, p.start, p.end) for p in loaded] == [
-            ("vid_a", 1, 0, 5),
-            ("vid_a", 1, 8, 12),
-            ("vid_b", 2, 10, 30),
-        ]
+        assert rows(loaded) == rows(predictions)
+        assert loaded.start.dtype == loaded.end.dtype == loaded.class_id.dtype == np.int64
+        assert loaded.confidence.dtype == np.float64
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 500), st.integers(1, 80), st.integers(0, 10**6),
+            st.integers(1, 4), st.sampled_from(["a", "b", "vid_10", "vid_2"]),
+        ),
+        max_size=40,
+    ))
+    def test_write_then_load_returns_the_sorted_columns(self, tmp_path_factory, drawn):
+        # confidences of six decimals survive the file's fixed format exactly
+        table = sorted(
+            {(v, c, s, s + n, p / 10**6) for s, n, p, c, v in drawn},
+            key=lambda r: r[:4],
+        )
+        predictions = segments(*[(s, e, p, c, v) for v, c, s, e, p in table])
+        path = tmp_path_factory.mktemp("pred") / "pred.tsv"
+        write_predictions(predictions, path)
+        loaded = load_predictions(path)
+        for got, expected in zip(loaded.columns(), predictions.columns()):
+            np.testing.assert_array_equal(got, expected)
+            assert got.dtype.kind == expected.dtype.kind
 
     def test_confidence_has_six_decimals(self, tmp_path):
         path = tmp_path / "pred.tsv"
-        write_predictions([seg(0, 5, 1.0 / 3.0)], path)
+        write_predictions(segments((0, 5, 1.0 / 3.0)), path)
         assert path.read_text().splitlines()[1].endswith("\t0.333333")
 
     def test_write_is_deterministic(self, tmp_path):
-        predictions = [seg(0, 5, 0.5), seg(3, 9, 0.25, class_id=2)]
-        first = tmp_path / "a.tsv"
-        second = tmp_path / "b.tsv"
-        write_predictions(predictions, first)
-        write_predictions(list(reversed(predictions)), second)
-        assert first.read_bytes() == second.read_bytes()
+        predictions = segments((0, 5, 0.5), (3, 9, 0.25, 2))
+        paths = [tmp_path / name for name in ("a.tsv", "b.tsv", "c.tsv")]
+        write_predictions(predictions, paths[0])
+        write_predictions(predictions, paths[1])
+        write_predictions(predictions.take(np.array([1, 0])), paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        lines = paths[0].read_text().splitlines()
+        assert paths[2].read_text().splitlines() == [lines[0], lines[2], lines[1]]
 
     def test_empty_predictions_give_header_only(self, tmp_path):
         path = tmp_path / "pred.tsv"
-        write_predictions([], path)
-        assert load_predictions(path) == []
+        write_predictions(Segments.concatenate([]), path)
+        assert path.read_text() == HEADER
+        loaded = load_predictions(path)
+        assert len(loaded) == 0
+        assert loaded.start.dtype == np.int64 and loaded.confidence.dtype == np.float64
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "pred.tsv"
@@ -501,6 +526,18 @@ class TestPredictionFiles:
 
     def test_rejects_bad_confidence(self, tmp_path):
         path = tmp_path / "pred.tsv"
-        path.write_text("video_id\tstart\tend\tclass_id\tconfidence\nv\t0\t5\t1\t1.5\n")
-        with pytest.raises(ValueError, match="line 2"):
+        path.write_text(HEADER + "v\t0\t5\t1\t1.5\n")
+        with pytest.raises(ValueError, match="line 2: confidence 1.5 outside"):
+            load_predictions(path)
+
+    def test_rejects_bad_interval(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        path.write_text(HEADER + "v\t0\t5\t1\t0.5\n\nv\t7\t7\t1\t0.5\n")
+        with pytest.raises(ValueError, match=r"line 4: bad segment \[7, 7\)"):
+            load_predictions(path)
+
+    def test_rejects_class_id_zero(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        path.write_text(HEADER + "v\t0\t5\t1\t0.5\nv\t0\t5\t0\t0.5\n")
+        with pytest.raises(ValueError, match="line 3: class ids start at 1, got 0"):
             load_predictions(path)
