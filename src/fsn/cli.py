@@ -29,6 +29,7 @@ from .data import (
     label_frames,
     make_clips,
     make_weak_sample,
+    member_of,
     rebalance,
     snippet_centers,
     synth_generate,
@@ -83,18 +84,6 @@ from .nncore import (
     temporal_pool,
     temporal_pool_backward,
 )
-
-MODES = (
-    "synth",
-    "train",
-    "train-weak",
-    "predict",
-    "predict-weak",
-    "eval",
-    "ablate",
-    "gradcheck",
-)
-
 
 def _parse_bool(text: str) -> bool:
     lowered = str(text).strip().lower()
@@ -310,10 +299,11 @@ def _require_positive(cfg: RunConfig, *keys: str) -> None:
             raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
 
 
-def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple[Path, Path]:
-    """The SGD loop over ``next_batch()`` (features, targets) batches; saves
-    the model and loss log. Its callers check ``iterations``, ``batch_size``
-    and ``log_every`` with ``_require_positive`` before they load any data."""
+def _fit(cfg: RunConfig, head: Head, next_batch, train_step) -> tuple[Path, Path]:
+    """The SGD loop over ``next_batch()`` (features, targets) batches; makes
+    the output directory and saves the model and loss log there. Callers check
+    their settings with ``_require_positive`` before they load any data."""
+    out = _out_dir(cfg)
     optimizer = OptimizerState(
         learning_rate=cfg.learning_rate,
         momentum=cfg.momentum,
@@ -331,17 +321,16 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step, out: Path) -> tuple
     return model_path, log_path
 
 
-def _train_strong(cfg: RunConfig, init_fn, out: Path) -> dict:
+def _train_strong(cfg: RunConfig, init_fn) -> dict:
     _require_positive(cfg, "iterations", "batch_size", "log_every")
     videos, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
     clip_len = model_config.clip_len
     stride = max(clip_len // 5, 1) if cfg.train_stride is None else cfg.train_stride
-    by_video = annotations.by_video()
+    per_video = annotations.segments.per_video([v.video_id for v in videos])
     # a window is (video index, start frame); labels stay one array per video
     frame_labels, owners, starts, classes = [], [], [], []
-    for index, video in enumerate(videos):
-        segments = by_video.get(video.video_id, [])
+    for index, (video, segments) in enumerate(zip(videos, per_video)):
         kept = make_clips(
             video, segments, clip_len=clip_len, snippet_len=model_config.snippet_len,
             stride=stride, min_action_frames=cfg.min_action_frames,
@@ -367,23 +356,22 @@ def _train_strong(cfg: RunConfig, init_fn, out: Path) -> dict:
         return features, labels
 
     head = init_fn(model_config, cfg.seed)
-    model_path, log_path = _fit(cfg, head, next_batch, fsn_train_step, out)
+    model_path, log_path = _fit(cfg, head, next_batch, fsn_train_step)
     return {"model": model_path, "log": log_path, "clips": len(order), "split": split}
 
 
 def cmd_train(cfg: RunConfig) -> dict:
     """Train the dilated temporal head on dense frame labels."""
-    return _train_strong(cfg, init_fsn, _out_dir(cfg))
+    return _train_strong(cfg, init_fsn)
 
 
 def cmd_train_weak(cfg: RunConfig) -> dict:
     """Train the weakly supervised head from video-level labels only."""
     _require_positive(cfg, "iterations", "batch_size", "log_every", "weak_positions")
-    out = _out_dir(cfg)
     videos, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
-    labeled = [(v, annotations.video_classes(v.video_id)) for v in videos]
-    labeled = [(v, classes) for v, classes in labeled if classes]
+    per_video = annotations.segments.per_video([v.video_id for v in videos])
+    labeled = [(v, segments.class_id) for v, segments in zip(videos, per_video) if len(segments)]
     if not labeled:
         raise ValueError("no training video carries an action label")
     too_short = [v.video_id for v, _ in labeled if v.frame_count < cfg.weak_positions]
@@ -407,7 +395,7 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
         return np.stack([f for f, _ in samples]), np.stack([l for _, l in samples])
 
     head = init_wfsn(model_config, cfg.seed, pooling=cfg.pooling)
-    model_path, log_path = _fit(cfg, head, next_batch, wfsn_train_step, out)
+    model_path, log_path = _fit(cfg, head, next_batch, wfsn_train_step)
     return {"model": model_path, "log": log_path, "split": split}
 
 
@@ -542,17 +530,16 @@ def cmd_eval(cfg: RunConfig) -> dict:
     predictions = load_predictions(predictions_path)
     test_gt = AnnotationSet(
         annotations.class_names,
-        [s for s in annotations.segments if s.video_id in evaluated_ids],
+        annotations.segments.take(member_of(annotations.segments.video_id, evaluated_ids)),
     )
     report = segment_level_map(
         predictions, test_gt, eval_config, video_ids=evaluated_ids
     )
-    labels = {}
-    gt_by_video = test_gt.by_video()
-    for track in tracks:
-        labels[track.video_id] = label_frames(
-            track.frame_count, gt_by_video.get(track.video_id, [])
-        )
+    per_video = test_gt.segments.per_video([t.video_id for t in tracks])
+    labels = {
+        track.video_id: label_frames(track.frame_count, segments)
+        for track, segments in zip(tracks, per_video)
+    }
     frame_ap, frame_map = frame_level_map(tracks, labels)
     report = replace(report, frame_ap=frame_ap, frame_map=frame_map)
     report_path = out / "report.csv"
@@ -590,15 +577,11 @@ def _run_variant(cfg: RunConfig, name: str, train_fn, predict_fn) -> EvalReport:
 
 def cmd_ablate(cfg: RunConfig) -> dict:
     """Train and evaluate a matched pair of heads; emit the side-by-side table."""
-    out = _out_dir(cfg)
     if cfg.ablate_mode == "temporal":
         names = ("fsn", "ablation")
         first = _run_variant(cfg, "fsn", cmd_train, cmd_predict)
         second = _run_variant(
-            cfg,
-            "ablation",
-            lambda c: _train_strong(c, init_ablation, _out_dir(c)),
-            cmd_predict,
+            cfg, "ablation", lambda c: _train_strong(c, init_ablation), cmd_predict
         )
     elif cfg.ablate_mode == "pooling":
         names = ("gmp", "gap")
@@ -609,7 +592,7 @@ def cmd_ablate(cfg: RunConfig) -> dict:
             f"ablate_mode must be 'temporal' or 'pooling', got {cfg.ablate_mode!r}"
         )
     lines = _comparison_rows(names, (first, second))
-    table_path = out / "ablation.csv"
+    table_path = _out_dir(cfg) / "ablation.csv"
     table_path.write_text("\n".join(lines) + "\n")
     return {"table": table_path, "reports": {names[0]: first, names[1]: second}}
 
@@ -835,8 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate": "train and compare a matched pair of heads",
         "gradcheck": "finite-difference audit of all backward passes",
     }
-    for mode in MODES:
-        sub.add_parser(mode, parents=[common], help=descriptions[mode])
+    for mode, description in descriptions.items():
+        sub.add_parser(mode, parents=[common], help=description)
     return parser
 
 

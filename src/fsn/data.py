@@ -5,6 +5,10 @@ float32 payload); annotations and manifests are tab-separated text. All
 randomness goes through seeded ``numpy.random.Generator`` instances so every
 artifact is reproducible from its seed.
 
+The ground truth is one ``GroundTruth`` record of columns, parsed and checked
+as columns by ``load_annotations`` and cut into per-video slices by one
+stable sort; no object is built per segment.
+
 A training window is its start frame in a video: ``make_clips`` returns the
 kept starts as an index array, ``clip_majority_class`` and ``rebalance`` work
 on index arrays too, and a training step gathers the descriptors and labels
@@ -17,6 +21,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -55,24 +60,38 @@ class VideoFeatures:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class GroundTruthSegment:
-    """Half-open frame interval [start, end) tagged with an action class."""
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """Ground-truth segments [start, end) as parallel columns: ``video_id``
+    (str), ``class_id``, ``start`` and ``end`` (int64); ``len()`` counts them."""
 
-    video_id: str
-    start: int
-    end: int
-    class_id: int
+    video_id: Array
+    class_id: Array
+    start: Array
+    end: Array
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(
-                f"{self.video_id}: bad segment [{self.start}, {self.end})"
-            )
-        if self.class_id < 1:
-            raise ValueError(
-                f"{self.video_id}: class ids start at 1, got {self.class_id}"
-            )
+    def __len__(self) -> int:
+        return self.start.size
+
+    @staticmethod
+    def from_rows(rows: Sequence[tuple[str, int, int, int]]) -> GroundTruth:
+        """A record of (video_id, class_id, start, end) rows."""
+        columns = zip(*rows) if rows else ((),) * 4
+        dtypes = (str, np.int64, np.int64, np.int64)
+        return GroundTruth(*(np.array(c, dtype=d) for c, d in zip(columns, dtypes)))
+
+    def take(self, index) -> GroundTruth:
+        """The segments at ``index`` (integer positions or a boolean mask)."""
+        return GroundTruth(
+            self.video_id[index], self.class_id[index], self.start[index], self.end[index]
+        )
+
+    def per_video(self, video_ids: Sequence[str]) -> list[GroundTruth]:
+        """Each given video's segments, in record order, cut from one stable sort."""
+        order = np.argsort(self.video_id, kind="stable")
+        videos, ids = self.video_id[order], np.array(video_ids, dtype=str)
+        lo, hi = (np.searchsorted(videos, ids, side).tolist() for side in ("left", "right"))
+        return [self.take(order[a:b]) for a, b in zip(lo, hi)]
 
 
 @dataclass
@@ -80,30 +99,23 @@ class AnnotationSet:
     """Class-name table plus every ground-truth segment of a corpus."""
 
     class_names: list[str]
-    segments: list[GroundTruthSegment]
+    segments: GroundTruth
 
     def __post_init__(self) -> None:
         if not self.class_names:
             raise ValueError("class table is empty")
-        for seg in self.segments:
-            if seg.class_id > self.num_classes:
-                raise ValueError(
-                    f"{seg.video_id}: class id {seg.class_id} outside table "
-                    f"of {self.num_classes}"
-                )
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
-    def by_video(self) -> dict[str, list[GroundTruthSegment]]:
-        out: dict[str, list[GroundTruthSegment]] = {}
-        for seg in self.segments:
-            out.setdefault(seg.video_id, []).append(seg)
-        return out
 
-    def video_classes(self, video_id: str) -> list[int]:
-        return sorted({s.class_id for s in self.segments if s.video_id == video_id})
+def member_of(values: Array, keys) -> Array:
+    """Whether each entry of the string column ``values`` is one of ``keys``,
+    by binary search in the sorted keys (numpy's set routines would import
+    ``numpy.ma`` in every process that calls them)."""
+    keys = np.sort(np.array(list(keys), dtype=str))
+    return np.searchsorted(keys, values, "right") > np.searchsorted(keys, values, "left")
 
 
 def write_features(video: VideoFeatures, path) -> None:
@@ -159,17 +171,22 @@ def load_feature_dir(directory, video_ids=None) -> list[VideoFeatures]:
 
 
 def write_annotations(annotations: AnnotationSet, path) -> None:
+    """The class table, then one row per segment sorted by (video, start, end, class)."""
+    seg = annotations.segments
+    order = np.lexsort((seg.class_id, seg.end, seg.start, seg.video_id))
+    columns = (seg.video_id, seg.start, seg.end, seg.class_id)
     lines = ["\t".join(["classes", str(annotations.num_classes), *annotations.class_names])]
-    ordered = sorted(
-        annotations.segments, key=lambda s: (s.video_id, s.start, s.end, s.class_id)
-    )
-    for seg in ordered:
-        lines.append(f"{seg.video_id}\t{seg.start}\t{seg.end}\t{seg.class_id}")
+    rows = zip(*(c[order].tolist() for c in columns))
+    lines.extend(f"{v}\t{s}\t{e}\t{c}" for v, s, e, c in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_annotations(path, frame_counts: dict[str, int] | None = None) -> AnnotationSet:
-    """Parse a segment annotation file, validating against frame counts if given."""
+    """Parse a segment annotation file, validating against frame counts if given.
+
+    Rows are parsed up to the first one that does not parse, then checked as
+    columns; the first bad row in file order names its line.
+    """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
@@ -186,54 +203,62 @@ def load_annotations(path, frame_counts: dict[str, int] | None = None) -> Annota
         raise ValueError(
             f"{path}: line 1: class table announces {count} names, has {len(names)}"
         )
-    segments = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-        video_id = parts[0]
+    numbers = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    rows, error = [], None
+    for n in numbers:
+        fields = lines[n - 1].split("\t")
+        if len(fields) != 4:
+            error = f"expected 4 fields, got {len(fields)}"
+            break
         try:
-            start, end, class_id = int(parts[1]), int(parts[2]), int(parts[3])
+            rows.append((fields[0], int(fields[3]), int(fields[1]), int(fields[2])))
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-integer field") from None
-        if not 1 <= class_id <= count:
-            raise ValueError(
-                f"{path}: line {lineno}: class id {class_id} outside 1..{count}"
-            )
-        if start < 0 or end <= start:
-            raise ValueError(
-                f"{path}: line {lineno}: bad segment [{start}, {end})"
-            )
-        if frame_counts is not None:
-            if video_id not in frame_counts:
-                raise ValueError(f"{path}: line {lineno}: unknown video {video_id!r}")
-            if end > frame_counts[video_id]:
-                raise ValueError(
-                    f"{path}: line {lineno}: segment end {end} exceeds "
-                    f"{video_id}'s {frame_counts[video_id]} frames"
-                )
-        segments.append(GroundTruthSegment(video_id, start, end, class_id))
-    return AnnotationSet(names, segments)
+            error = "non-integer field"
+            break
+    try:
+        seg = GroundTruth.from_rows(rows)
+    except OverflowError:  # some field is beyond int64: keep the rows before it
+        fits = [-(2**63) <= min(r[1:]) and max(r[1:]) < 2**63 for r in rows]
+        rows = rows[: fits.index(False)]
+        seg, error = GroundTruth.from_rows(rows), "integer field outside the int64 range"
+    video, cls, start, end = seg.video_id, seg.class_id, seg.start, seg.end
+    checks = [
+        ((cls < 1) | (cls > count), lambda k: f"class id {cls[k]} outside 1..{count}"),
+        ((start < 0) | (end <= start), lambda k: f"bad segment [{start[k]}, {end[k]})"),
+    ]
+    if frame_counts is not None:
+        frames = np.array([frame_counts.get(v, -1) for v in video.tolist()], dtype=np.int64)
+        checks += [
+            (frames < 0, lambda k: f"unknown video {str(video[k])!r}"),
+            (end > frames,
+             lambda k: f"segment end {end[k]} exceeds {video[k]}'s {frames[k]} frames"),
+        ]
+    # a row failing a check comes before the row that did not parse, if any
+    failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+    bad = int(failed[0]) if failed.size else len(rows)
+    if failed.size:
+        error = next(message(bad) for mask, message in checks if mask[bad])
+    if error is not None:
+        raise ValueError(f"{path}: line {numbers[bad]}: {error}")
+    return AnnotationSet(names, seg)
 
 
-def label_frames(frame_count: int, segments) -> Array:
+def label_frames(frame_count: int, segments: GroundTruth) -> Array:
     """Dense per-frame class labels; overlaps go to the earliest-starting segment."""
     labels = np.zeros(frame_count, dtype=np.int64)
-    ordered = sorted(segments, key=lambda s: (s.start, s.end, s.class_id), reverse=True)
-    for seg in ordered:
-        if seg.end > frame_count:
-            raise ValueError(
-                f"{seg.video_id}: segment end {seg.end} exceeds {frame_count} frames"
-            )
-        labels[seg.start : seg.end] = seg.class_id
+    # painted last to first in (start, end, class) order, so the first wins
+    order = np.lexsort((segments.class_id, segments.end, segments.start))[::-1]
+    columns = (segments.start, segments.end, segments.class_id, segments.video_id)
+    for start, end, class_id, video in zip(*(c[order].tolist() for c in columns)):
+        if end > frame_count:
+            raise ValueError(f"{video}: segment end {end} exceeds {frame_count} frames")
+        labels[start:end] = class_id
     return labels
 
 
 def make_clips(
     video: VideoFeatures,
-    segments,
+    segments: GroundTruth,
     clip_len: int = 35,
     snippet_len: int = 5,
     stride: int | None = None,
@@ -448,7 +473,7 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
     frames = cfg.frames_per_video
     target_action = int(round(cfg.instance_density * frames))
     videos: list[VideoFeatures] = []
-    segments: list[GroundTruthSegment] = []
+    segments: list[tuple[str, int, int, int]] = []
     for v in range(cfg.num_videos):
         video_id = f"synth_{v:04d}"
         lengths = _draw_instance_lengths(rng, target_action, cfg)
@@ -468,9 +493,7 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
                 pattern = patterns[class_id - 1]
                 features[cursor : cursor + first_phase] = pattern[0]
                 features[cursor + first_phase : cursor + length] = pattern[1]
-                segments.append(
-                    GroundTruthSegment(video_id, cursor, cursor + length, class_id)
-                )
+                segments.append((video_id, class_id, cursor, cursor + length))
                 cursor += length
         features += rng.normal(size=(frames, dim)) * cfg.prototype_noise
         videos.append(VideoFeatures(video_id, features))
@@ -481,7 +504,7 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
     names = [f"action_{k:02d}" for k in range(1, num_classes + 1)]
     return SynthDataset(
         videos=videos,
-        annotations=AnnotationSet(names, segments),
+        annotations=AnnotationSet(names, GroundTruth.from_rows(segments)),
         train_ids=ids[:split],
         test_ids=ids[split:],
         config=cfg,

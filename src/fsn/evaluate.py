@@ -11,11 +11,13 @@ large test split holds hundreds of tied frames.
 A segment prediction counts as a true positive only when its IoU with an
 unmatched same-class ground truth in the same video is strictly above the
 threshold; matching is greedy in rank order, best IoU first, earliest ground
-truth on ties. Predictions arrive as one ``Segments`` record of columns; each
-class's entries are ranked, then grouped by video with one stable sort, and
-each (class, video) pair gets one prediction x ground-truth IoU matrix,
-reused at every threshold, so the cost follows the per-video counts rather
-than the corpus.
+truth on ties. Predictions arrive as one ``Segments`` record and the ground
+truth as one ``GroundTruth`` record, grouped by (class, video) with one
+stable sort. Per class, the ranked predictions get one IoU matrix against
+their own video's ground truths, padded to the largest group, and one stable
+argsort of its rows by descending IoU: at any threshold a row's hits are a
+prefix of its order, so the greedy pass at each threshold takes, row by row,
+the first untaken ground truth of that prefix.
 
 Classes with no ground-truth instance get AP 0 by definition but are left out
 of the mAP average, so a prediction set identical to the ground truth scores
@@ -30,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import AnnotationSet
+from .data import AnnotationSet, GroundTruth, member_of
 from .localize import FrameScoreTrack, Segments, pairwise_iou
 from .nncore import Array
 
@@ -174,24 +176,40 @@ def frame_level_map(
     return ap, mean
 
 
-def _match_video(iou: Array, thresholds: Sequence[float]) -> Array:
-    """Greedy TP flags of one video's ranked predictions at every threshold.
+def _greedy_flags(ranked: Segments, gts: GroundTruth, thresholds: Sequence[float]) -> Array:
+    """(thresholds, predictions) TP flags of one class's ranked predictions.
 
-    ``iou`` is the (predictions in rank order, ground truths in annotation
-    order) matrix. Each prediction takes the untaken ground truth with IoU
-    strictly above the threshold and the best IoU, the earliest on ties.
-    Returns (thresholds, predictions) booleans.
+    ``gts`` are the class's ground truths sorted by video, in file order
+    within a video. Each prediction's row of IoUs with its video's ground
+    truths is padded with -1; its stable argsort by descending IoU lists the
+    hits at any threshold first, earliest ground truth first on ties.
     """
-    flags = np.zeros((len(thresholds), iou.shape[0]), dtype=bool)
-    for t_idx, threshold in enumerate(thresholds):
-        hits = iou > threshold
-        taken = np.zeros(iou.shape[1], dtype=bool)
-        for row in np.flatnonzero(hits.any(axis=1)):
-            free = np.where(hits[row] & ~taken, iou[row], -1.0)
-            best = int(free.argmax())
-            if free[best] > threshold:
-                taken[best] = True
-                flags[t_idx, row] = True
+    flags = np.zeros((len(thresholds), len(ranked)), dtype=bool)
+    first = np.searchsorted(gts.video_id, ranked.video_id, "left")
+    count = np.searchsorted(gts.video_id, ranked.video_id, "right") - first
+    rows = np.flatnonzero(count)
+    first, count = first[rows], count[rows]
+    columns = np.arange(count.max(initial=0))
+    pad = columns >= count[:, None]
+    # pad entries read the group's first ground truth and are then set to -1
+    picks = first[:, None] + np.where(pad, 0, columns)
+    iou = pairwise_iou(ranked.start[rows], ranked.end[rows], gts.start[picks], gts.end[picks])
+    iou[pad] = -1.0
+    hits = (iou > np.array(thresholds)[:, None, None]).sum(axis=2)
+    # thresholds ascend: a row without a hit at the first has none at all
+    live = np.flatnonzero(hits[0])
+    order = np.argsort(-iou[live], axis=1, kind="stable")
+    candidates = (first[live, None] + order).tolist()
+    # in rank order, each row takes the first untaken ground truth among its hits
+    for t_idx, prefix in enumerate(hits[:, live].tolist()):
+        taken, matched = set(), []
+        for row, (gt_ids, size) in enumerate(zip(candidates, prefix)):
+            for gt_id in gt_ids[:size]:
+                if gt_id not in taken:
+                    taken.add(gt_id)
+                    matched.append(row)
+                    break
+        flags[t_idx, rows[live[matched]]] = True
     return flags
 
 
@@ -214,8 +232,9 @@ def segment_level_map(
             f"config expects {config.num_classes} classes, "
             f"annotations carry {gt.num_classes}"
         )
-    known = video_ids if video_ids is not None else {s.video_id for s in gt.segments}
-    unknown = ~np.isin(predictions.video_id, np.array(list(known), dtype=str))
+    segments = gt.segments
+    known = video_ids if video_ids is not None else segments.video_id
+    unknown = ~member_of(predictions.video_id, known)
     outside = (predictions.class_id < 1) | (predictions.class_id > config.num_classes)
     if np.any(unknown | outside):
         first = int(np.argmax(unknown | outside))
@@ -226,48 +245,21 @@ def segment_level_map(
             f"prediction class {predictions.class_id[first]} "
             f"outside 1..{config.num_classes}"
         )
-    gts_by_class: dict[int, dict[str, list[tuple[int, int]]]] = {}
-    for s in gt.segments:
-        by_video = gts_by_class.setdefault(s.class_id, {})
-        by_video.setdefault(s.video_id, []).append((s.start, s.end))
+    # one stable sort groups the ground truth by (class, video), file order within
+    grouped = segments.take(np.lexsort((segments.video_id, segments.class_id)))
+    bounds = np.searchsorted(grouped.class_id, np.arange(1, config.num_classes + 2))
+    num_gts = np.diff(bounds)
     thresholds = config.iou_thresholds
     ap = np.zeros((config.num_classes, len(thresholds)))
     for class_id in range(1, config.num_classes + 1):
-        class_gts = gts_by_class.get(class_id, {})
         members = np.flatnonzero(predictions.class_id == class_id)
         ranked = members[rank_descending(predictions.confidence[members])]
-        # one stable sort groups the ranks by video, in rank order within each
-        ranks = np.argsort(predictions.video_id[ranked], kind="stable")
-        videos = predictions.video_id[ranked[ranks]]
-        cuts = (np.flatnonzero(videos[1:] != videos[:-1]) + 1).tolist()
-        bounds = [0, *cuts, ranks.size] if ranks.size else []
-        flags = np.zeros((len(thresholds), ranked.size), dtype=bool)
-        for lo, hi in zip(bounds, bounds[1:]):
-            video_gts = class_gts.get(str(videos[lo]))
-            if not video_gts:
-                continue
-            rows = ranked[ranks[lo:hi]]
-            gt_starts, gt_ends = zip(*video_gts)
-            iou = pairwise_iou(
-                predictions.start[rows], predictions.end[rows], gt_starts, gt_ends
-            )
-            flags[:, ranks[lo:hi]] = _match_video(iou, thresholds)
-        num_gts = sum(len(v) for v in class_gts.values())
-        for t_idx in range(len(thresholds)):
-            ap[class_id - 1, t_idx] = _ap_from_ranked(flags[t_idx], num_gts)
-    represented = np.array(
-        [bool(gts_by_class.get(k)) for k in range(1, config.num_classes + 1)]
-    )
-    if represented.any():
-        seg_map = ap[represented].mean(axis=0)
-    else:
-        seg_map = np.zeros(len(thresholds))
-    return EvalReport(
-        class_names=list(gt.class_names),
-        iou_thresholds=thresholds,
-        segment_ap=ap,
-        segment_map=seg_map,
-    )
+        class_gts = grouped.take(slice(bounds[class_id - 1], bounds[class_id]))
+        flags = _greedy_flags(predictions.take(ranked), class_gts, thresholds)
+        ap[class_id - 1] = [_ap_from_ranked(f, num_gts[class_id - 1]) for f in flags]
+    represented = num_gts > 0
+    seg_map = ap[represented].mean(axis=0) if represented.any() else np.zeros(len(thresholds))
+    return EvalReport(list(gt.class_names), thresholds, segment_ap=ap, segment_map=seg_map)
 
 
 def emit_report(report: EvalReport, path) -> None:

@@ -208,14 +208,15 @@ def temporal_iou(a, b) -> float:
 def pairwise_iou(a_start, a_end, b_start, b_end) -> Array:
     """IoU of every interval of ``a`` with every interval of ``b``.
 
-    Returns a float64 (len(a), len(b)) matrix. The float operations are those
-    of ``temporal_iou``, in the same order, so every entry equals the scalar
-    result bit for bit.
+    Returns a float64 (len(a), len(b)) matrix, or (len(a), m) when ``b`` holds
+    one row of m intervals per interval of ``a``. The float operations are
+    those of ``temporal_iou``, in the same order, so every entry equals the
+    scalar result bit for bit.
     """
     a_start = np.asarray(a_start, dtype=np.float64)[:, None]
     a_end = np.asarray(a_end, dtype=np.float64)[:, None]
-    b_start = np.asarray(b_start, dtype=np.float64)[None, :]
-    b_end = np.asarray(b_end, dtype=np.float64)[None, :]
+    b_start = np.atleast_2d(np.asarray(b_start, dtype=np.float64))
+    b_end = np.atleast_2d(np.asarray(b_end, dtype=np.float64))
     if np.any(a_end <= a_start) or np.any(b_end <= b_start):
         raise ValueError("bad interval: every end must exceed its start")
     intersection = np.maximum(

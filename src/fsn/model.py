@@ -341,7 +341,7 @@ def wfsn_loss_and_grads(
         raise ValueError(f"features have shape {features.shape}, expected (batch, positions, dim)")
     if labels.shape != (batch, num_classes):
         raise ValueError(f"labels have shape {labels.shape}, expected {(batch, num_classes)}")
-    if not np.isin(labels, (0.0, 1.0)).all() or labels.sum(axis=1).min() < 1:
+    if not ((labels == 0.0) | (labels == 1.0)).all() or labels.sum(axis=1).min() < 1:
         raise ValueError("video label must be multi-hot with >= 1 positive")
     pos_logits, stack_cache = _stack_forward(features, head)
     pooled, pool_cache = temporal_pool(pos_logits, head.pooling)

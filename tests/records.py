@@ -1,7 +1,9 @@
-"""Build ``Segments`` records from rows and read them back, for the tests."""
+"""Build ``Segments`` and ``GroundTruth`` records from rows and read them
+back, for the tests."""
 
 import numpy as np
 
+from fsn.data import GroundTruth
 from fsn.localize import SEGMENT_DTYPES, Segments
 
 
@@ -24,4 +26,23 @@ def rows(record: Segments) -> list[tuple]:
         record.confidence.tolist(),
         record.class_id.tolist(),
         record.video_id.tolist(),
+    ))
+
+
+def ground_truth(*rows) -> GroundTruth:
+    """One record of (start, end[, class_id[, video_id]]) rows.
+
+    The class defaults to 1 and the video to ``"v"``.
+    """
+    full = [(*row, *(1, "v")[len(row) - 2 :]) for row in rows]
+    return GroundTruth.from_rows([(v, c, s, e) for s, e, c, v in full])
+
+
+def gt_rows(record: GroundTruth) -> list[tuple]:
+    """The (video_id, class_id, start, end) rows of a record, as the oracles take them."""
+    return list(zip(
+        record.video_id.tolist(),
+        record.class_id.tolist(),
+        record.start.tolist(),
+        record.end.tolist(),
     ))

@@ -8,6 +8,7 @@ start to finish and are shared across criteria.
 
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from oracles import (
     match_predictions,
     naive_conv1d,
 )
-from records import rows, segments
+from records import ground_truth, gt_rows, rows, segments
 
 from fsn.cli import build_config, gradcheck_suite, main, parse_config_file
-from fsn.data import GroundTruthSegment, AnnotationSet, SynthConfig, VideoFeatures, synth_generate
+from fsn.data import AnnotationSet, SynthConfig, VideoFeatures, synth_generate
 from fsn.evaluate import EvalConfig, average_precision, segment_level_map
 from fsn.localize import localize, nms, temporal_iou
 from fsn.model import (
@@ -98,8 +99,8 @@ def test_criterion_2_oracle_equivalence(criterion):
         a = (a_start, a_start + 1 + int(rng.integers(0, 12)))
         b_start = int(rng.integers(0, 50))
         b = (b_start, b_start + 1 + int(rng.integers(0, 12)))
-        sa = GroundTruthSegment("v", a[0], a[1], 1)
-        sb = GroundTruthSegment("v", b[0], b[1], 1)
+        sa = SimpleNamespace(start=a[0], end=a[1])
+        sb = SimpleNamespace(start=b[0], end=b[1])
         assert temporal_iou(sa, sb) == iou_by_frames(a, b)
 
     for trial in range(30):
@@ -117,10 +118,10 @@ def test_criterion_2_oracle_equivalence(criterion):
     map_diff = 0.0
     for trial in range(30):
         rng = np.random.default_rng(200 + trial)
-        gts = [
-            GroundTruthSegment("v", s, s + int(rng.integers(2, 10)), 1)
+        gts = ground_truth(*[
+            (s, s + int(rng.integers(2, 10)))
             for s in rng.choice(50, size=int(rng.integers(1, 5)), replace=False)
-        ]
+        ])
         preds = _random_segments(rng, int(rng.integers(1, 7)))
         report = segment_level_map(
             preds,
@@ -130,7 +131,7 @@ def test_criterion_2_oracle_equivalence(criterion):
         )
         flags, order = match_predictions(
             [(v, c, s, e, p) for s, e, p, c, v in rows(preds)],
-            [(g.video_id, g.class_id, g.start, g.end) for g in gts],
+            gt_rows(gts),
             0.4,
             iou_by_frames,
         )
@@ -324,7 +325,7 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
     features[start + length // 2 : start + length] = pattern[1]
     features += rng.normal(size=features.shape) * run_config.prototype_noise
     video = VideoFeatures("held_out", features)
-    truth = GroundTruthSegment("held_out", start, start + length, class_id)
+    truth = ground_truth((start, start + length, class_id, "held_out"))
 
     head = load_model(temporal_study["root"] / "fsn" / "model.fsn")
     predictions = localize(head, [video], eval_iou=0.5)[1]
@@ -332,7 +333,8 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
     top_start, top_end, top_confidence, top_class, _ = rows(predictions)[
         int(np.argmax(predictions.confidence))
     ]
-    iou = temporal_iou((top_start, top_end), truth) if top_class == class_id else 0.0
+    truth_interval = (int(truth.start[0]), int(truth.end[0]))
+    iou = temporal_iou((top_start, top_end), truth_interval) if top_class == class_id else 0.0
 
     log = (temporal_study["root"] / "fsn" / "predict_log.txt").read_text()
     echo_ok = "predict_iou = 0.5" in log and "nms_iou = 0.4" in log

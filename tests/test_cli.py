@@ -544,9 +544,10 @@ def test_eval_matches_library_result(corpus, predicted):
         for p in sorted((predicted / "tracks").glob("*.fsnf"))
     ]
     test_ids = {t.video_id for t in tracks}
+    segments = annotations.segments
     test_gt = AnnotationSet(
         annotations.class_names,
-        [s for s in annotations.segments if s.video_id in test_ids],
+        segments.take(np.array([v in test_ids for v in segments.video_id.tolist()], dtype=bool)),
     )
     segment = segment_level_map(
         load_predictions(predicted / "predictions.tsv"),
@@ -554,9 +555,10 @@ def test_eval_matches_library_result(corpus, predicted):
         EvalConfig(annotations.num_classes),
         video_ids=test_ids,
     )
-    by_video = test_gt.by_video()
     labels = {
-        t.video_id: label_frames(t.frame_count, by_video.get(t.video_id, []))
+        t.video_id: label_frames(
+            t.frame_count, test_gt.segments.take(test_gt.segments.video_id == t.video_id)
+        )
         for t in tracks
     }
     _, frame_map = frame_level_map(tracks, labels)
@@ -713,6 +715,41 @@ def test_ablate_rejects_unknown_mode(corpus, tmp_path, capsys):
     rc = main(ablate_args(corpus, tmp_path / "ab", "everything"))
     assert rc == 1
     assert "ablate_mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("train", ["--iterations", "0"], "iterations must be >= 1, got 0"),
+        ("train", ["--train-stride", "0"], "stride must be >= 1, got 0"),
+        ("train-weak", ["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        ("ablate", ["--ablate-mode", "bogus"], "ablate_mode must be"),
+        ("ablate", ["--ablate-mode", "temporal", "--iterations", "0"],
+         "iterations must be >= 1, got 0"),
+        ("ablate", ["--ablate-mode", "pooling", "--log-every", "0"],
+         "log_every must be >= 1, got 0"),
+    ],
+    ids=[
+        "train-iterations", "train-stride", "train-weak-batch-size",
+        "ablate-mode", "ablate-temporal-iterations", "ablate-pooling-log-every",
+    ],
+)
+def test_rejected_settings_leave_no_output_directory(
+    corpus, tmp_path, capsys, command, flags, message
+):
+    out = tmp_path / "fresh_out"
+    rc = main([
+        command,
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(out),
+        "--iterations", "2",
+        *flags,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- gradcheck

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fsn.data import (
     AnnotationSet,
-    GroundTruthSegment,
     SynthConfig,
     VideoFeatures,
     clip_majority_class,
@@ -29,6 +28,7 @@ from fsn.data import (
     write_manifest,
 )
 from oracles import list_rebalance, window_majority_class, window_scan
+from records import ground_truth, gt_rows
 
 
 def video_with_ramp(video_id="vid", frames=70, dim=3):
@@ -86,11 +86,7 @@ class TestAnnotations:
     def make_set(self):
         return AnnotationSet(
             class_names=["jump", "throw"],
-            segments=[
-                GroundTruthSegment("v1", 10, 20, 1),
-                GroundTruthSegment("v1", 30, 45, 2),
-                GroundTruthSegment("v2", 0, 5, 1),
-            ],
+            segments=ground_truth((10, 20, 1, "v1"), (30, 45, 2, "v1"), (0, 5, 1, "v2")),
         )
 
     def test_round_trip(self, tmp_path):
@@ -98,7 +94,7 @@ class TestAnnotations:
         write_annotations(self.make_set(), path)
         loaded = load_annotations(path)
         assert loaded.class_names == ["jump", "throw"]
-        assert loaded.segments == self.make_set().segments
+        assert gt_rows(loaded.segments) == gt_rows(self.make_set().segments)
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "ann.tsv"
@@ -131,55 +127,116 @@ class TestAnnotations:
         assert load_annotations(path, frame_counts={"v1": 50, "v2": 10})
 
 
+# one bad row per check, and the message load_annotations gives for it
+# (against frame counts {"v1": 100})
+BAD_ANNOTATION_ROWS = {
+    "field count": ("v1\t0\t5", "expected 4 fields, got 3"),
+    "non-integer field": ("v1\t0\tfive\t1", "non-integer field"),
+    "beyond int64": ("v1\t0\t99999999999999999999\t1", "integer field outside the int64 range"),
+    "class range": ("v1\t0\t5\t3", "class id 3 outside 1..2"),
+    "bad interval": ("v1\t5\t3\t1", "bad segment [5, 3)"),
+    "negative start": ("v1\t-1\t3\t1", "bad segment [-1, 3)"),
+    "unknown video": ("v9\t0\t5\t1", "unknown video 'v9'"),
+    "end past frames": ("v1\t0\t101\t1", "segment end 101 exceeds v1's 100 frames"),
+}
+
+
+class TestAnnotationRows:
+    HEADER = "classes\t2\tjump\tthrow\n"
+
+    def rejection(self, tmp_path, *rows) -> str:
+        """The error of loading a file of ``rows`` against frame counts {"v1": 100}."""
+        path = tmp_path / "ann.tsv"
+        path.write_text(self.HEADER + "".join(f"{row}\n" for row in rows))
+        with pytest.raises(ValueError) as err:
+            load_annotations(path, frame_counts={"v1": 100})
+        return str(err.value).removeprefix(f"{path}: ")
+
+    @pytest.mark.parametrize("check", list(BAD_ANNOTATION_ROWS))
+    def test_rejects_bad_row_naming_its_line(self, tmp_path, check):
+        row, message = BAD_ANNOTATION_ROWS[check]
+        error = self.rejection(tmp_path, "v1\t0\t5\t1", "", row, "v1\t5\t9\t2")
+        assert error == f"line 4: {message}"
+
+    def test_first_bad_row_in_file_order_decides(self, tmp_path):
+        checks = list(BAD_ANNOTATION_ROWS.values())
+        for first_row, first_message in checks:
+            for second_row, second_message in checks:
+                if first_message == second_message:
+                    continue
+                error = self.rejection(tmp_path, "v1\t0\t5\t1", first_row, second_row)
+                assert error == f"line 3: {first_message}"
+
+    def test_write_sorts_by_video_start_end_class(self, tmp_path):
+        shuffled = ground_truth(
+            (30, 45, 2, "v1"), (0, 5, 1, "v2"), (10, 20, 2, "v1"),
+            (10, 20, 1, "v1"), (3, 9, 1, "v10"), (10, 15, 1, "v1"),
+        )
+        path = tmp_path / "ann.tsv"
+        write_annotations(AnnotationSet(["jump", "throw"], shuffled), path)
+        assert path.read_text() == (
+            "classes\t2\tjump\tthrow\n"
+            "v1\t10\t15\t1\n"
+            "v1\t10\t20\t1\n"
+            "v1\t10\t20\t2\n"
+            "v1\t30\t45\t2\n"
+            "v10\t3\t9\t1\n"
+            "v2\t0\t5\t1\n"
+        )
+        loaded = load_annotations(path)
+        assert loaded.segments.start.dtype == loaded.segments.class_id.dtype == np.int64
+        assert gt_rows(loaded.segments) == [
+            ("v1", 1, 10, 15), ("v1", 1, 10, 20), ("v1", 2, 10, 20),
+            ("v1", 2, 30, 45), ("v10", 1, 3, 9), ("v2", 1, 0, 5),
+        ]
+
+
 class TestLabelFrames:
     def test_paints_segments(self):
-        labels = label_frames(10, [GroundTruthSegment("v", 2, 5, 1)])
+        labels = label_frames(10, ground_truth((2, 5, 1)))
         np.testing.assert_array_equal(labels, [0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
 
     def test_overlap_goes_to_earliest_start(self):
-        segs = [
-            GroundTruthSegment("v", 4, 8, 2),
-            GroundTruthSegment("v", 2, 6, 1),
-        ]
+        segs = ground_truth((4, 8, 2), (2, 6, 1))
         labels = label_frames(10, segs)
         np.testing.assert_array_equal(labels, [0, 0, 1, 1, 1, 1, 2, 2, 0, 0])
 
     def test_rejects_segment_past_the_end(self):
         with pytest.raises(ValueError, match="exceeds"):
-            label_frames(5, [GroundTruthSegment("v", 0, 6, 1)])
+            label_frames(5, ground_truth((0, 6, 1)))
 
 
 class TestMakeClips:
     def test_single_window_video(self):
         video = video_with_ramp(frames=35)
-        segs = [GroundTruthSegment("vid", 0, 35, 1)]
+        segs = ground_truth((0, 35, 1, "vid"))
         np.testing.assert_array_equal(make_clips(video, segs), [0])
         # snippet centers sit at frames 2, 7, 12, ...
         np.testing.assert_array_equal(snippet_centers(35, 5), [2, 7, 12, 17, 22, 27, 32])
 
     def test_returns_int64_starts(self):
         video = video_with_ramp(frames=70)
-        starts = make_clips(video, [GroundTruthSegment("vid", 0, 70, 1)], stride=7)
+        starts = make_clips(video, ground_truth((0, 70, 1, "vid")), stride=7)
         assert starts.dtype == np.int64
-        assert make_clips(video, []).dtype == np.int64
+        assert make_clips(video, ground_truth()).dtype == np.int64
 
     def test_min_action_frames_boundary(self):
         video = video_with_ramp(frames=35)
-        four = [GroundTruthSegment("vid", 0, 4, 1)]
-        five = [GroundTruthSegment("vid", 0, 5, 1)]
+        four = ground_truth((0, 4, 1, "vid"))
+        five = ground_truth((0, 5, 1, "vid"))
         assert len(make_clips(video, four)) == 0
         assert len(make_clips(video, five)) == 1
 
     def test_short_video_is_skipped_with_warning(self, caplog):
         video = video_with_ramp(frames=20)
         with caplog.at_level(logging.WARNING):
-            clips = make_clips(video, [GroundTruthSegment("vid", 0, 20, 1)])
+            clips = make_clips(video, ground_truth((0, 20, 1, "vid")))
         assert len(clips) == 0
         assert "shorter" in caplog.text
 
     def test_stride_controls_window_count(self):
         video = video_with_ramp(frames=70)
-        segs = [GroundTruthSegment("vid", 0, 70, 1)]
+        segs = ground_truth((0, 70, 1, "vid"))
         assert len(make_clips(video, segs)) == 2  # default stride = clip_len
         assert len(make_clips(video, segs, stride=7)) == 6  # starts 0,7,...,35
 
@@ -193,14 +250,15 @@ class TestMakeClips:
             end = start + int(rng.integers(3, 25))
             if end > 200:
                 break
-            segs.append(GroundTruthSegment("vid", start, end, int(rng.integers(1, 3))))
+            segs.append((start, end, int(rng.integers(1, 3)), "vid"))
             cursor = end
+        segs = ground_truth(*segs)
         dense = label_frames(200, segs)
         assert make_clips(video, segs, stride=7).tolist() == window_scan(dense, 35, 7, 5)
 
     def test_rejects_indivisible_clip_len(self):
         with pytest.raises(ValueError):
-            make_clips(video_with_ramp(), [], clip_len=36, snippet_len=5)
+            make_clips(video_with_ramp(), ground_truth(), clip_len=36, snippet_len=5)
 
 
 def labels_with(*runs):
@@ -252,10 +310,11 @@ def test_windows_match_the_per_window_oracles(runs, clip_len, stride, min_action
     segs, start = [], 0
     for cls, length in runs:
         if cls:
-            segs.append(GroundTruthSegment("vid", start, start + length, cls))
+            segs.append((start, start + length, cls, "vid"))
         start += length
     starts = make_clips(
-        video, segs, clip_len=clip_len, stride=stride, min_action_frames=min_action_frames
+        video, ground_truth(*segs),
+        clip_len=clip_len, stride=stride, min_action_frames=min_action_frames,
     )
     assert starts.tolist() == window_scan(labels, clip_len, stride, min_action_frames)
     classes = clip_majority_class(labels, starts, clip_len)
@@ -318,7 +377,7 @@ class TestSynth:
         b = synth_generate(self.small_config())
         for va, vb in zip(a.videos, b.videos):
             np.testing.assert_array_equal(va.features, vb.features)
-        assert a.annotations.segments == b.annotations.segments
+        assert gt_rows(a.annotations.segments) == gt_rows(b.annotations.segments)
         c = synth_generate(self.small_config(seed=12))
         assert not np.array_equal(a.videos[0].features, c.videos[0].features)
 
@@ -330,19 +389,21 @@ class TestSynth:
 
     def test_density_close_to_target(self):
         ds = synth_generate(self.small_config(instance_density=0.3))
-        total_action = sum(s.end - s.start for s in ds.annotations.segments)
+        segs = ds.annotations.segments
+        total_action = int((segs.end - segs.start).sum())
         total = sum(v.frame_count for v in ds.videos)
         assert abs(total_action / total - 0.3) <= 0.03
 
     def test_instances_respect_length_bounds_and_gaps(self):
         ds = synth_generate(self.small_config())
         cfg = ds.config
-        for video_id, segs in ds.annotations.by_video().items():
-            segs = sorted(segs, key=lambda s: s.start)
-            for seg in segs:
-                assert cfg.min_instance_len <= seg.end - seg.start <= cfg.max_instance_len
-            for left, right in zip(segs, segs[1:]):
-                assert right.start > left.end  # at least one background frame
+        for segs in ds.annotations.segments.per_video([v.video_id for v in ds.videos]):
+            order = np.argsort(segs.start)
+            starts, ends = segs.start[order], segs.end[order]
+            for start, end in zip(starts, ends):
+                assert cfg.min_instance_len <= end - start <= cfg.max_instance_len
+            for left_end, right_start in zip(ends, starts[1:]):
+                assert right_start > left_end  # at least one background frame
 
     def test_ambiguity_shares_prototypes_in_reverse_order(self):
         ds = synth_generate(self.small_config(context_ambiguity=True))
@@ -358,7 +419,7 @@ class TestSynth:
         u, v = ds.class_patterns[0]
         hits = total = 0
         for video in ds.videos:
-            segs = [s for s in ds.annotations.segments if s.video_id == video.video_id]
+            segs = ds.annotations.segments.take(ds.annotations.segments.video_id == video.video_id)
             dense = label_frames(video.frame_count, segs)
             for f in np.flatnonzero((dense == 1) | (dense == 2)):
                 x = video.features[f]
@@ -372,7 +433,7 @@ class TestSynth:
         ds = synth_generate(self.small_config(num_videos=30, seed=21))
         hits = total = 0
         for video in ds.videos:
-            segs = [s for s in ds.annotations.segments if s.video_id == video.video_id]
+            segs = ds.annotations.segments.take(ds.annotations.segments.video_id == video.video_id)
             dense = label_frames(video.frame_count, segs)
             for f in np.flatnonzero(dense > 0):
                 x = video.features[f]
@@ -387,9 +448,8 @@ class TestSynth:
 
     def test_single_class_videos_have_one_class_each(self):
         ds = synth_generate(self.small_config(single_class_videos=True))
-        for video in ds.videos:
-            classes = ds.annotations.video_classes(video.video_id)
-            assert len(classes) == 1
+        for segs in ds.annotations.segments.per_video([v.video_id for v in ds.videos]):
+            assert len(set(segs.class_id.tolist())) == 1
 
     def test_manifest_round_trip(self, tmp_path):
         ds = synth_generate(self.small_config())

@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsn.data import AnnotationSet, GroundTruthSegment
+from fsn.data import AnnotationSet
 from fsn.evaluate import (
     DEFAULT_STRONG_IOUS,
     DEFAULT_WEAK_IOUS,
@@ -21,16 +21,12 @@ from fsn.evaluate import (
 )
 from fsn.localize import FrameScoreTrack
 from oracles import ap_by_pr_points, iou_by_frames, match_predictions
-from records import rows, segments
+from records import ground_truth, gt_rows, rows, segments
 
 
 def oracle_rows(predictions):
     """(video, class, start, end, confidence) rows, as the oracles take them."""
     return [(v, c, s, e, p) for s, e, p, c, v in rows(predictions)]
-
-
-def gt(start, end, class_id=1, video="v"):
-    return GroundTruthSegment(video, start, end, class_id)
 
 
 def track_for(labels, scores_by_class, video="v"):
@@ -197,12 +193,12 @@ class TestFrameLevelMap:
 
 
 class TestSegmentLevelMap:
-    def annotations(self, segments, num_classes=2):
+    def annotations(self, gts, num_classes=2):
         names = [f"action_{k:02d}" for k in range(1, num_classes + 1)]
-        return AnnotationSet(names, segments)
+        return AnnotationSet(names, ground_truth(*gts))
 
     def test_ground_truth_predictions_score_one(self):
-        gts = [gt(0, 10, 1), gt(20, 30, 2), gt(40, 50, 1, video="w")]
+        gts = [(0, 10, 1), (20, 30, 2), (40, 50, 1, "w")]
         preds = segments((0, 10, 0.9, 1), (20, 30, 0.8, 2), (40, 50, 0.7, 1, "w"))
         report = segment_level_map(preds, self.annotations(gts))
         np.testing.assert_allclose(report.segment_ap, 1.0)
@@ -210,14 +206,14 @@ class TestSegmentLevelMap:
         assert report.iou_thresholds == DEFAULT_STRONG_IOUS
 
     def test_iou_equal_to_threshold_is_a_false_positive(self):
-        gts = [gt(0, 10)]
+        gts = [(0, 10)]
         preds = segments((0, 5, 0.9))  # IoU exactly 0.5
         config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
         report = segment_level_map(preds, self.annotations(gts), config)
         assert report.segment_ap[0, 0] == 0.0
 
     def test_hand_built_three_versus_two(self):
-        gts = [gt(0, 10), gt(20, 30)]
+        gts = [(0, 10), (20, 30)]
         preds = segments(
             (0, 10, 0.9),  # IoU 1.0 with first GT
             (0, 9, 0.8),  # IoU 0.9, but the GT is already matched
@@ -228,7 +224,7 @@ class TestSegmentLevelMap:
         assert report.segment_ap[0, 0] == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
 
     def test_greedy_matching_prefers_best_iou(self):
-        gts = [gt(0, 10), gt(8, 18)]
+        gts = [(0, 10), (8, 18)]
         # single prediction overlapping both; must take the higher-IoU one
         preds = segments((7, 17, 0.9))
         config = EvalConfig(num_classes=2, iou_thresholds=(0.3,))
@@ -245,7 +241,7 @@ class TestSegmentLevelMap:
             for _ in range(num_gt):
                 start = cursor + int(rng.integers(0, 10))
                 end = start + int(rng.integers(2, 12))
-                gts.append(gt(start, end))
+                gts.append((start, end))
                 cursor = end + 1
             triples = []
             for _ in range(num_pred):
@@ -258,7 +254,7 @@ class TestSegmentLevelMap:
             report = segment_level_map(preds, self.annotations(gts, 1), config)
             flags, _ = match_predictions(
                 oracle_rows(preds),
-                [(g.video_id, g.class_id, g.start, g.end) for g in gts],
+                gt_rows(ground_truth(*gts)),
                 threshold,
                 lambda a, b: iou_by_frames(a, b),
             )
@@ -280,7 +276,7 @@ class TestSegmentLevelMap:
                     for _ in range(int(rng.integers(0, 4))):
                         start = cursor + int(rng.integers(0, 8))
                         end = start + int(rng.integers(4, 16))
-                        gts.append(gt(start, end, class_id, video))
+                        gts.append((start, end, class_id, video))
                         cursor = end + 1
                     for _ in range(int(rng.integers(0, 6))):
                         start = int(rng.integers(0, max(2, cursor)))
@@ -289,12 +285,12 @@ class TestSegmentLevelMap:
                         table.append((start, end, conf, class_id, video))
             # IoU exactly 4/8 = 0.5, 3/5 = 0.6, 1/5 = 0.2 and 3/4 = 0.75
             for video in videos[:2]:
-                gts.append(gt(100, 108, 1, video))
+                gts.append((100, 108, 1, video))
                 table.append((100, 104, 0.5, 1, video))
-                gts.append(gt(200, 205, 2, video))
+                gts.append((200, 205, 2, video))
                 table.append((200, 203, 0.5, 2, video))
                 table.append((204, 205, 0.5, 2, video))
-                gts.append(gt(300, 304, 3, video))
+                gts.append((300, 304, 3, video))
                 table.append((300, 303, 0.5, 3, video))
             preds = segments(*table)
             annotations = self.annotations(gts, 3)
@@ -302,11 +298,7 @@ class TestSegmentLevelMap:
             report = segment_level_map(preds, annotations, config)
             for class_id in (1, 2, 3):
                 class_preds = [p for p in oracle_rows(preds) if p[1] == class_id]
-                class_gts = [
-                    (g.video_id, g.class_id, g.start, g.end)
-                    for g in gts
-                    if g.class_id == class_id
-                ]
+                class_gts = [g for g in gt_rows(annotations.segments) if g[1] == class_id]
                 for t_idx, threshold in enumerate(thresholds):
                     flags, _ = match_predictions(
                         class_preds, class_gts, threshold, iou_by_frames
@@ -318,7 +310,7 @@ class TestSegmentLevelMap:
 
     def test_map_never_increases_with_threshold(self):
         rng = np.random.default_rng(3)
-        gts = [gt(i * 30, i * 30 + 12) for i in range(5)]
+        gts = [(i * 30, i * 30 + 12) for i in range(5)]
         preds = segments(*[
             (i * 30 + int(rng.integers(0, 8)), i * 30 + 12 + int(rng.integers(0, 8)),
              float(np.round(rng.uniform(), 2)))
@@ -329,7 +321,7 @@ class TestSegmentLevelMap:
         assert np.all(diffs <= 1e-12)
 
     def test_ap_invariant_under_monotone_confidence_transform(self):
-        gts = [gt(0, 10), gt(30, 40)]
+        gts = [(0, 10), (30, 40)]
         preds = segments((0, 8, 0.6), (29, 41, 0.3), (50, 60, 0.8))
         base = segment_level_map(preds, self.annotations(gts))
         squashed = replace(preds, confidence=preds.confidence**2)
@@ -337,7 +329,7 @@ class TestSegmentLevelMap:
         np.testing.assert_allclose(base.segment_ap, after.segment_ap)
 
     def test_removing_a_false_positive_never_hurts(self):
-        gts = [gt(0, 10)]
+        gts = [(0, 10)]
         with_fp = segments((0, 10, 0.6), (50, 60, 0.9))
         without = segments((0, 10, 0.6))
         config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
@@ -346,7 +338,7 @@ class TestSegmentLevelMap:
         assert after.segment_ap[0, 0] >= before.segment_ap[0, 0]
 
     def test_duplicate_on_matched_gt_never_helps(self):
-        gts = [gt(0, 10)]
+        gts = [(0, 10)]
         base = segments((0, 10, 0.9))
         duplicated = segments((0, 10, 0.9), (0, 10, 0.5))
         config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
@@ -355,7 +347,7 @@ class TestSegmentLevelMap:
         assert after.segment_ap[0, 0] <= before.segment_ap[0, 0]
 
     def test_rejects_unknown_video(self):
-        gts = [gt(0, 10)]
+        gts = [(0, 10)]
         preds = segments((0, 10, 0.9, 1, "mystery"))
         with pytest.raises(ValueError, match="unknown video"):
             segment_level_map(preds, self.annotations(gts))
@@ -366,7 +358,7 @@ class TestSegmentLevelMap:
         assert report.segment_ap[0, 0] == 0.0
 
     def test_first_bad_prediction_names_the_error(self):
-        gts = [gt(0, 10)]
+        gts = [(0, 10)]
         preds = segments((0, 10, 0.9), (0, 10, 0.9, 3), (0, 10, 0.9, 1, "mystery"))
         with pytest.raises(ValueError, match=r"^prediction class 3 outside 1\.\.2$"):
             segment_level_map(preds, self.annotations(gts))
@@ -389,12 +381,64 @@ class TestSegmentLevelMap:
             EvalConfig(num_classes=1, iou_thresholds=(0.5, 0.5))
 
 
+_MATCH_THRESHOLDS = (0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.75, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gts=st.lists(
+        st.tuples(
+            st.integers(0, 12), st.integers(1, 6),
+            st.integers(1, 2), st.sampled_from(["a", "b"]),
+        ),
+        max_size=12,
+    ),
+    preds=st.lists(
+        st.tuples(
+            st.integers(0, 14), st.integers(1, 6),
+            st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+            st.integers(1, 3), st.sampled_from(["a", "b", "c"]),
+        ),
+        max_size=16,
+    ),
+    thresholds=st.sets(st.sampled_from(_MATCH_THRESHOLDS), min_size=1, max_size=4),
+)
+# the first prediction ties at IoU 3/5 with both ground truths and must take
+# the earlier one in file order, [2, 6), leaving [0, 4) to the second
+@example(
+    gts=[(2, 4, 1, "a"), (0, 4, 1, "a")],
+    preds=[(1, 4, 1.0, 1, "a"), (0, 3, 0.5, 1, "a")],
+    thresholds={0.5},
+)
+def test_segment_map_matches_the_greedy_oracle(gts, preds, thresholds):
+    # integer intervals drawn in any order: ground truths overlap and tie in
+    # IoU inside one (class, video), videos and classes interleave, and video
+    # "c", class 3 and some (class, video) pairs have predictions but no
+    # ground truth
+    gt_record = ground_truth(*[(s, s + n, c, v) for s, n, c, v in gts])
+    pred_record = segments(*[(s, s + n, p, c, v) for s, n, p, c, v in preds])
+    thresholds = tuple(sorted(thresholds))
+    report = segment_level_map(
+        pred_record,
+        AnnotationSet(["x", "y", "z"], gt_record),
+        EvalConfig(num_classes=3, iou_thresholds=thresholds),
+        video_ids={"a", "b", "c"},
+    )
+    for class_id in (1, 2, 3):
+        class_preds = [p for p in oracle_rows(pred_record) if p[1] == class_id]
+        class_gts = [g for g in gt_rows(gt_record) if g[1] == class_id]
+        for t_idx, threshold in enumerate(thresholds):
+            flags, _ = match_predictions(class_preds, class_gts, threshold, iou_by_frames)
+            oracle = ap_by_pr_points(flags, len(class_gts))
+            assert report.segment_ap[class_id - 1, t_idx] == pytest.approx(oracle, abs=1e-12)
+
+
 class TestReports:
     def make_report(self):
-        gts = [gt(0, 10, 1), gt(20, 30, 2)]
+        gts = [(0, 10, 1), (20, 30, 2)]
         preds = segments((0, 10, 0.9, 1), (20, 28, 0.8, 2))
         names = ["action_01", "action_02"]
-        report = segment_level_map(preds, AnnotationSet(names, gts))
+        report = segment_level_map(preds, AnnotationSet(names, ground_truth(*gts)))
         report.frame_ap = np.array([0.75, 0.5])
         report.frame_map = 0.625
         return report

@@ -1,11 +1,13 @@
 """Frame tracks, grouping, NMS, and prediction files."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsn.data import GroundTruthSegment, VideoFeatures
+from fsn.data import VideoFeatures
 from fsn.localize import (
     FrameScoreTrack,
     Segments,
@@ -294,7 +296,7 @@ class TestTemporalIoU:
         assert temporal_iou((3, 9), (3, 9)) == 1.0
 
     def test_accepts_segment_objects(self):
-        a, b = GroundTruthSegment("v", 10, 20, 1), GroundTruthSegment("v", 15, 25, 1)
+        a, b = SimpleNamespace(start=10, end=20), SimpleNamespace(start=15, end=25)
         assert temporal_iou(a, b) == pytest.approx(1 / 3)
 
     @settings(max_examples=100, deadline=None)
