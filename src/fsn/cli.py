@@ -264,8 +264,8 @@ def _synth_config(cfg: RunConfig) -> SynthConfig:
 
 def cmd_synth(cfg: RunConfig) -> dict:
     """Generate a synthetic corpus: one .fsnf per video, annotations, manifest."""
-    out = _out_dir(cfg)
     dataset = synth_generate(_synth_config(cfg))
+    out = _out_dir(cfg)
     for video in dataset.videos:
         write_features(video, out / f"{video.video_id}.fsnf")
     annotations_path = out / "annotations.tsv"
@@ -412,7 +412,6 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
     if weak:
         _require_positive(cfg, "weak_positions")
     _require(cfg, "model")
-    out = _out_dir(cfg)
     head = load_model(cfg.model)
     if weak and head.pooling is None:
         raise ValueError(f"{cfg.model}: not a weakly supervised model")
@@ -436,7 +435,7 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
                 f"match the model's {head.config.feature_dim}"
             )
     nms_iou = nms_threshold_for(cfg.predict_iou)
-    tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
+    tracks_dir = Path(cfg.tracks) if cfg.tracks else Path(cfg.out) / "tracks"
     # eval scores every track it finds, so another run's tracks would count
     scored = {video.video_id for video in videos}
     stale = sorted(p.stem for p in tracks_dir.glob("*.fsnf") if p.stem not in scored)
@@ -447,6 +446,7 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
             f"or --tracks"
         )
     tracks, predictions = localize(head, videos, cfg.predict_iou, cfg.weak_positions)
+    out = _out_dir(cfg)
     predictions_path = (
         Path(cfg.predictions) if cfg.predictions else out / "predictions.tsv"
     )
@@ -514,7 +514,7 @@ def _load_tracks(tracks_dir: Path, num_classes: int) -> list[FrameScoreTrack]:
 def cmd_eval(cfg: RunConfig) -> dict:
     """Segment-level and frame-level evaluation of a prediction file."""
     _require(cfg, "annotations")
-    out = _out_dir(cfg)
+    out = Path(cfg.out)
     predictions_path = (
         Path(cfg.predictions) if cfg.predictions else out / "predictions.tsv"
     )
@@ -542,7 +542,7 @@ def cmd_eval(cfg: RunConfig) -> dict:
     }
     frame_ap, frame_map = frame_level_map(tracks, labels)
     report = replace(report, frame_ap=frame_ap, frame_map=frame_map)
-    report_path = out / "report.csv"
+    report_path = _out_dir(cfg) / "report.csv"
     emit_report(report, report_path)
     return {"report": report_path, "result": report}
 

@@ -5,9 +5,10 @@ float32 payload); annotations and manifests are tab-separated text. All
 randomness goes through seeded ``numpy.random.Generator`` instances so every
 artifact is reproducible from its seed.
 
-The ground truth is one ``GroundTruth`` record of columns, parsed and checked
-as columns by ``load_annotations`` and cut into per-video slices by one
-stable sort; no object is built per segment.
+A segment, predicted or annotated, is an entry of one ``Segments`` record of
+parallel columns; the ground truth is such a record with every confidence
+1.0, parsed and checked as columns by ``load_annotations`` and cut into
+per-video slices by one stable sort. No object is built per segment.
 
 A training window is its start frame in a video: ``make_clips`` returns the
 kept starts as an index array, ``clip_majority_class`` and ``rebalance`` work
@@ -32,6 +33,8 @@ log = logging.getLogger(__name__)
 FEATURE_MAGIC = b"FSNF"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sIII")
+# the column types of a Segments record, in field order
+SEGMENT_DTYPES = (str, np.int64, np.int64, np.int64, np.float64)
 
 
 @dataclass
@@ -61,32 +64,44 @@ class VideoFeatures:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """Ground-truth segments [start, end) as parallel columns: ``video_id``
-    (str), ``class_id``, ``start`` and ``end`` (int64); ``len()`` counts them."""
+class Segments:
+    """Half-open frame runs [start, end), one entry per segment: predictions,
+    or the ground truth with every confidence 1.0.
+
+    Parallel columns: ``video_id`` (str), ``class_id``, ``start`` and ``end``
+    (int64) and ``confidence`` (float64); ``len()`` is the segment count.
+    """
 
     video_id: Array
     class_id: Array
     start: Array
     end: Array
+    confidence: Array
 
     def __len__(self) -> int:
         return self.start.size
 
+    def columns(self) -> tuple[Array, ...]:
+        return (self.video_id, self.class_id, self.start, self.end, self.confidence)
+
     @staticmethod
-    def from_rows(rows: Sequence[tuple[str, int, int, int]]) -> GroundTruth:
-        """A record of (video_id, class_id, start, end) rows."""
-        columns = zip(*rows) if rows else ((),) * 4
-        dtypes = (str, np.int64, np.int64, np.int64)
-        return GroundTruth(*(np.array(c, dtype=d) for c, d in zip(columns, dtypes)))
+    def from_rows(rows: Sequence[tuple[str, int, int, int, float]]) -> Segments:
+        """A record of (video_id, class_id, start, end, confidence) rows."""
+        columns = zip(*rows) if rows else ((),) * len(SEGMENT_DTYPES)
+        return Segments(*(np.array(c, dtype=d) for c, d in zip(columns, SEGMENT_DTYPES)))
 
-    def take(self, index) -> GroundTruth:
+    def take(self, index) -> Segments:
         """The segments at ``index`` (integer positions or a boolean mask)."""
-        return GroundTruth(
-            self.video_id[index], self.class_id[index], self.start[index], self.end[index]
-        )
+        return Segments(*(column[index] for column in self.columns()))
 
-    def per_video(self, video_ids: Sequence[str]) -> list[GroundTruth]:
+    @staticmethod
+    def concatenate(parts: Sequence[Segments]) -> Segments:
+        """One record of the parts' segments, in order; none gives an empty one."""
+        empty = [np.empty(0, dtype) for dtype in SEGMENT_DTYPES]
+        columns = zip(empty, *(part.columns() for part in parts))
+        return Segments(*(np.concatenate(column) for column in columns))
+
+    def per_video(self, video_ids: Sequence[str]) -> list[Segments]:
         """Each given video's segments, in record order, cut from one stable sort."""
         order = np.argsort(self.video_id, kind="stable")
         videos, ids = self.video_id[order], np.array(video_ids, dtype=str)
@@ -99,7 +114,7 @@ class AnnotationSet:
     """Class-name table plus every ground-truth segment of a corpus."""
 
     class_names: list[str]
-    segments: GroundTruth
+    segments: Segments
 
     def __post_init__(self) -> None:
         if not self.class_names:
@@ -211,16 +226,16 @@ def load_annotations(path, frame_counts: dict[str, int] | None = None) -> Annota
             error = f"expected 4 fields, got {len(fields)}"
             break
         try:
-            rows.append((fields[0], int(fields[3]), int(fields[1]), int(fields[2])))
+            rows.append((fields[0], int(fields[3]), int(fields[1]), int(fields[2]), 1.0))
         except ValueError:
             error = "non-integer field"
             break
     try:
-        seg = GroundTruth.from_rows(rows)
+        seg = Segments.from_rows(rows)
     except OverflowError:  # some field is beyond int64: keep the rows before it
-        fits = [-(2**63) <= min(r[1:]) and max(r[1:]) < 2**63 for r in rows]
+        fits = [-(2**63) <= min(r[1:4]) and max(r[1:4]) < 2**63 for r in rows]
         rows = rows[: fits.index(False)]
-        seg, error = GroundTruth.from_rows(rows), "integer field outside the int64 range"
+        seg, error = Segments.from_rows(rows), "integer field outside the int64 range"
     video, cls, start, end = seg.video_id, seg.class_id, seg.start, seg.end
     checks = [
         ((cls < 1) | (cls > count), lambda k: f"class id {cls[k]} outside 1..{count}"),
@@ -243,7 +258,7 @@ def load_annotations(path, frame_counts: dict[str, int] | None = None) -> Annota
     return AnnotationSet(names, seg)
 
 
-def label_frames(frame_count: int, segments: GroundTruth) -> Array:
+def label_frames(frame_count: int, segments: Segments) -> Array:
     """Dense per-frame class labels; overlaps go to the earliest-starting segment."""
     labels = np.zeros(frame_count, dtype=np.int64)
     # painted last to first in (start, end, class) order, so the first wins
@@ -258,7 +273,7 @@ def label_frames(frame_count: int, segments: GroundTruth) -> Array:
 
 def make_clips(
     video: VideoFeatures,
-    segments: GroundTruth,
+    segments: Segments,
     clip_len: int = 35,
     snippet_len: int = 5,
     stride: int | None = None,
@@ -473,7 +488,7 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
     frames = cfg.frames_per_video
     target_action = int(round(cfg.instance_density * frames))
     videos: list[VideoFeatures] = []
-    segments: list[tuple[str, int, int, int]] = []
+    segments: list[tuple[str, int, int, int, float]] = []
     for v in range(cfg.num_videos):
         video_id = f"synth_{v:04d}"
         lengths = _draw_instance_lengths(rng, target_action, cfg)
@@ -493,7 +508,7 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
                 pattern = patterns[class_id - 1]
                 features[cursor : cursor + first_phase] = pattern[0]
                 features[cursor + first_phase : cursor + length] = pattern[1]
-                segments.append((video_id, class_id, cursor, cursor + length))
+                segments.append((video_id, class_id, cursor, cursor + length, 1.0))
                 cursor += length
         features += rng.normal(size=(frames, dim)) * cfg.prototype_noise
         videos.append(VideoFeatures(video_id, features))
@@ -504,7 +519,7 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
     names = [f"action_{k:02d}" for k in range(1, num_classes + 1)]
     return SynthDataset(
         videos=videos,
-        annotations=AnnotationSet(names, GroundTruth.from_rows(segments)),
+        annotations=AnnotationSet(names, Segments.from_rows(segments)),
         train_ids=ids[:split],
         test_ids=ids[split:],
         config=cfg,

@@ -11,13 +11,13 @@ large test split holds hundreds of tied frames.
 A segment prediction counts as a true positive only when its IoU with an
 unmatched same-class ground truth in the same video is strictly above the
 threshold; matching is greedy in rank order, best IoU first, earliest ground
-truth on ties. Predictions arrive as one ``Segments`` record and the ground
-truth as one ``GroundTruth`` record, grouped by (class, video) with one
-stable sort. Per class, the ranked predictions get one IoU matrix against
-their own video's ground truths, padded to the largest group, and one stable
-argsort of its rows by descending IoU: at any threshold a row's hits are a
-prefix of its order, so the greedy pass at each threshold takes, row by row,
-the first untaken ground truth of that prefix.
+truth on ties. Predictions and ground truth arrive as ``Segments`` records,
+the ground truth grouped by (class, video) with one stable sort. Per class,
+the ranked predictions get one IoU matrix against their own video's ground
+truths, padded to the largest group, and one stable argsort of its rows by
+descending IoU: at any threshold a row's hits are a prefix of its order, so
+the greedy pass at each threshold takes, row by row, the first untaken
+ground truth of that prefix.
 
 Classes with no ground-truth instance get AP 0 by definition but are left out
 of the mAP average, so a prediction set identical to the ground truth scores
@@ -32,8 +32,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import AnnotationSet, GroundTruth, member_of
-from .localize import FrameScoreTrack, Segments, pairwise_iou
+from .data import AnnotationSet, Segments, member_of
+from .localize import FrameScoreTrack, pairwise_iou
 from .nncore import Array
 
 DEFAULT_STRONG_IOUS = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -176,7 +176,7 @@ def frame_level_map(
     return ap, mean
 
 
-def _greedy_flags(ranked: Segments, gts: GroundTruth, thresholds: Sequence[float]) -> Array:
+def _greedy_flags(ranked: Segments, gts: Segments, thresholds: Sequence[float]) -> Array:
     """(thresholds, predictions) TP flags of one class's ranked predictions.
 
     ``gts`` are the class's ground truths sorted by video, in file order

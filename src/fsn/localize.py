@@ -6,11 +6,12 @@ of an untrimmed video (``slide_predict`` for a dense head, ``weak_score_track``
 for a pooled one). Each class column of a track is thresholded at several
 levels in one mask pass into candidate segments, deduplicated, and pruned
 with greedy non-maximum suppression on one IoU matrix per class and video.
-Segments travel as arrays from grouping to the report, in one ``Segments``
-record of parallel columns: grouping builds one per class and video, NMS
-keeps a subset of it, ``localize`` joins and sorts them, and the prediction
-file (tab-separated, fixed header) is written from and parsed into one. Rows
-are checked only where they enter from outside, in ``load_predictions``.
+Segments travel as arrays from grouping to the report, in the one segment
+record ``data.Segments`` that also holds the ground truth: grouping builds one
+per class and video, NMS keeps a subset of it, ``localize`` joins and sorts
+them, and the prediction file (tab-separated, fixed header) is written from
+and parsed into one. Rows are checked only where they enter from outside, in
+``load_predictions``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import VideoFeatures, snippet_centers, span_bounds
+from .data import Segments, VideoFeatures, snippet_centers, span_bounds
 from .model import Head, fsn_forward, wfsn_forward_predict
 from .nncore import Array
 
 GROUPING_THRESHOLDS = tuple(np.round(np.arange(11) * 0.1, 1))
 NMS_OFFSET = 0.1
-# the column types of a Segments record, in field order
-SEGMENT_DTYPES = (str, np.int64, np.int64, np.int64, np.float64)
 
 
 @dataclass
@@ -116,38 +115,6 @@ def weak_score_track(
     scores = wfsn_forward_predict(video.features[centers], head)
     expanded = np.repeat(scores, np.diff(bounds), axis=0)
     return FrameScoreTrack(video.video_id, expanded, includes_background=False)
-
-
-@dataclass(frozen=True, eq=False)
-class Segments:
-    """Scored half-open frame runs [start, end), one entry per segment.
-
-    Parallel columns: ``video_id`` (str), ``class_id``, ``start`` and ``end``
-    (int64) and ``confidence`` (float64); ``len()`` is the segment count.
-    """
-
-    video_id: Array
-    class_id: Array
-    start: Array
-    end: Array
-    confidence: Array
-
-    def __len__(self) -> int:
-        return self.start.size
-
-    def columns(self) -> tuple[Array, ...]:
-        return (self.video_id, self.class_id, self.start, self.end, self.confidence)
-
-    def take(self, index) -> Segments:
-        """The segments at ``index`` (integer positions or a boolean mask)."""
-        return Segments(*(column[index] for column in self.columns()))
-
-    @staticmethod
-    def concatenate(parts: Sequence[Segments]) -> Segments:
-        """One record of the parts' segments, in order; none gives an empty one."""
-        empty = [np.empty(0, dtype) for dtype in SEGMENT_DTYPES]
-        columns = zip(empty, *(part.columns() for part in parts))
-        return Segments(*(np.concatenate(column) for column in columns))
 
 
 def multi_threshold_group(
@@ -328,5 +295,4 @@ def load_predictions(path) -> Segments:
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: {err}") from None
         rows.append((parts[0], class_id, start, end, confidence))
-    columns = zip(*rows) if rows else ((),) * len(SEGMENT_DTYPES)
-    return Segments(*(np.array(c, dtype=d) for c, d in zip(columns, SEGMENT_DTYPES)))
+    return Segments.from_rows(rows)

@@ -327,9 +327,11 @@ def wfsn_loss_and_grads(
     """Video-label cross-entropy averaged over the batch, plus gradients.
 
     ``features`` is (batch, positions, feature_dim) and ``labels`` the
-    (batch, K) multi-hot video labels; multi-label videos average the
-    cross-entropy over their positive classes. The position scores are pooled
-    over the positions axis, so the step is one forward and one backward pass.
+    (batch, K) multi-hot video labels. The position scores are pooled over
+    the positions axis and scored by the dense head's softmax cross-entropy
+    against the label spread evenly over its positive classes, so multi-label
+    videos average the cross-entropy over their positives. The step is one
+    forward and one backward pass.
     """
     num_classes = head.config.num_classes
     features = np.asarray(features, dtype=np.float64)
@@ -345,11 +347,8 @@ def wfsn_loss_and_grads(
         raise ValueError("video label must be multi-hot with >= 1 positive")
     pos_logits, stack_cache = _stack_forward(features, head)
     pooled, pool_cache = temporal_pool(pos_logits, head.pooling)
-    shifted = pooled - pooled.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    positives = labels.sum(axis=1, keepdims=True)
-    loss = float((-(labels * log_probs).sum(axis=1) / positives[:, 0]).mean())
-    grad_pooled = (np.exp(log_probs) - labels / positives) / batch
+    targets = labels / labels.sum(axis=1, keepdims=True)
+    loss, grad_pooled = framewise_cross_entropy(pooled, targets)
     grad_logits = temporal_pool_backward(grad_pooled, pool_cache)
     return loss, _stack_backward(grad_logits, stack_cache)
 

@@ -218,35 +218,36 @@ def framewise_softmax(x: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_one_hot(labels: Array) -> None:
-    if not ((labels == 0.0) | (labels == 1.0)).all():
-        raise ValueError("labels must be one-hot (entries 0 or 1)")
-    sums = labels.sum(axis=-1)
-    if not np.all(sums == 1.0):
-        raise ValueError("labels must be one-hot (each frame sums to 1)")
+def _check_distribution(labels: Array) -> None:
+    if not (labels >= 0.0).all():
+        raise ValueError("labels must be distributions (entries >= 0)")
+    if not np.all(np.abs(labels.sum(axis=-1) - 1.0) <= 1e-12):
+        raise ValueError("labels must be distributions (each row sums to 1)")
 
 
 def framewise_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
     """Softmax cross-entropy, summed over frames and averaged over the batch.
 
-    ``logits`` and one-hot ``labels`` are (batch, frames, classes). Returns the
-    scalar loss and its exact gradient w.r.t. the logits,
+    ``logits`` are (batch, ..., classes), e.g. (batch, frames, classes) for
+    dense frame labels or (batch, classes) for pooled video scores, and
+    ``labels`` hold a target distribution over the last axis of each row.
+    Returns the scalar loss and its exact gradient w.r.t. the logits,
     (softmax(logits) - labels) / batch.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if logits.ndim != 3:
-        raise ValueError(f"logits must be (batch, frames, classes), got {logits.shape}")
+    if logits.ndim < 2:
+        raise ValueError(f"logits must be (batch, ..., classes), got {logits.shape}")
     if labels.shape != logits.shape:
         raise ValueError(
             f"labels shape {labels.shape} does not match logits {logits.shape}"
         )
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits contain non-finite values")
-    _check_one_hot(labels)
+    _check_distribution(labels)
     batch = logits.shape[0]
-    z = logits - logits.max(axis=2, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=2, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     log_probs = z - log_norm
     loss = float(-(labels * log_probs).sum() / batch)
     grad = (np.exp(log_probs) - labels) / batch

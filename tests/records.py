@@ -1,10 +1,7 @@
-"""Build ``Segments`` and ``GroundTruth`` records from rows and read them
-back, for the tests."""
+"""Build ``Segments`` records from rows, of predictions or of ground truth,
+and read them back, for the tests."""
 
-import numpy as np
-
-from fsn.data import GroundTruth
-from fsn.localize import SEGMENT_DTYPES, Segments
+from fsn.data import Segments
 
 
 def segments(*rows) -> Segments:
@@ -13,9 +10,7 @@ def segments(*rows) -> Segments:
     The class defaults to 1 and the video to ``"v"``.
     """
     full = [(*row, *(1, "v")[len(row) - 3 :]) for row in rows]
-    start, end, confidence, class_id, video_id = zip(*full) if full else ((),) * 5
-    columns = (video_id, class_id, start, end, confidence)
-    return Segments(*(np.array(c, dtype=d) for c, d in zip(columns, SEGMENT_DTYPES)))
+    return Segments.from_rows([(v, c, s, e, p) for s, e, p, c, v in full])
 
 
 def rows(record: Segments) -> list[tuple]:
@@ -29,16 +24,15 @@ def rows(record: Segments) -> list[tuple]:
     ))
 
 
-def ground_truth(*rows) -> GroundTruth:
-    """One record of (start, end[, class_id[, video_id]]) rows.
+def ground_truth(*rows) -> Segments:
+    """A ground-truth record of (start, end[, class_id[, video_id]]) rows.
 
-    The class defaults to 1 and the video to ``"v"``.
+    Every confidence is 1.0; the class defaults to 1 and the video to ``"v"``.
     """
-    full = [(*row, *(1, "v")[len(row) - 2 :]) for row in rows]
-    return GroundTruth.from_rows([(v, c, s, e) for s, e, c, v in full])
+    return segments(*[(start, end, 1.0, *rest) for start, end, *rest in rows])
 
 
-def gt_rows(record: GroundTruth) -> list[tuple]:
+def gt_rows(record: Segments) -> list[tuple]:
     """The (video_id, class_id, start, end) rows of a record, as the oracles take them."""
     return list(zip(
         record.video_id.tolist(),

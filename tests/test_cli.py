@@ -728,15 +728,25 @@ def test_ablate_rejects_unknown_mode(corpus, tmp_path, capsys):
          "iterations must be >= 1, got 0"),
         ("ablate", ["--ablate-mode", "pooling", "--log-every", "0"],
          "log_every must be >= 1, got 0"),
+        ("eval", ["--annotations", "nowhere.tsv", "--predictions", "p.tsv", "--tracks", "t"],
+         "[Errno 2] No such file or directory: 'nowhere.tsv'"),
+        ("predict", ["--model", "nowhere.fsn", "--features-dir", "nowhere"],
+         "[Errno 2] No such file or directory: 'nowhere.fsn'"),
+        ("predict-weak", ["--model", "nowhere.fsn", "--features-dir", "nowhere"],
+         "[Errno 2] No such file or directory: 'nowhere.fsn'"),
+        ("synth", ["--num-videos", "1"], "need at least 2 videos"),
     ],
     ids=[
         "train-iterations", "train-stride", "train-weak-batch-size",
         "ablate-mode", "ablate-temporal-iterations", "ablate-pooling-log-every",
+        "eval-missing-annotations", "predict-missing-model",
+        "predict-weak-missing-model", "synth-one-video",
     ],
 )
 def test_rejected_settings_leave_no_output_directory(
-    corpus, tmp_path, capsys, command, flags, message
+    corpus, tmp_path, capsys, monkeypatch, command, flags, message
 ):
+    monkeypatch.chdir(tmp_path)  # the missing inputs are relative paths
     out = tmp_path / "fresh_out"
     rc = main([
         command,
@@ -909,3 +919,34 @@ def test_console_entry_point_configured():
 
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert 'fsn = "fsn.cli:main"' in pyproject.read_text()
+
+
+# ---------------------------------------------------------------- runtime imports
+
+LIST_MODULES = """
+import sys
+print("\\n".join(sys.modules))
+"""
+
+EVAL_RUN = """
+import sys
+import fsn.cli
+assert fsn.cli.main(["eval", *sys.argv[1:]]) == 0
+print("\\n".join(sys.modules))
+"""
+
+
+def test_eval_imports_only_numpy_beyond_the_standard_library(corpus, predicted, tmp_path):
+    # a bare interpreter's modules come from site start-up hooks, not from fsn
+    bare = set(run_python(tmp_path, LIST_MODULES).split())
+    loaded = set(run_python(
+        tmp_path, EVAL_RUN,
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--predictions", str(predicted / "predictions.tsv"),
+        "--tracks", str(predicted / "tracks"),
+        "--out", str(tmp_path / "eval"),
+    ).split())
+    assert (tmp_path / "eval" / "report.csv").exists()
+    new_roots = {name.split(".")[0] for name in loaded - bare}
+    assert new_roots - set(sys.stdlib_module_names) == {"fsn", "numpy"}
+    assert "numpy.ma" not in loaded

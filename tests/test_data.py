@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsn.data import (
+    SEGMENT_DTYPES,
     AnnotationSet,
     SynthConfig,
     VideoFeatures,
@@ -28,7 +29,7 @@ from fsn.data import (
     write_manifest,
 )
 from oracles import list_rebalance, window_majority_class, window_scan
-from records import ground_truth, gt_rows
+from records import ground_truth, gt_rows, rows, segments
 
 
 def video_with_ramp(video_id="vid", frames=70, dim=3):
@@ -95,6 +96,7 @@ class TestAnnotations:
         loaded = load_annotations(path)
         assert loaded.class_names == ["jump", "throw"]
         assert gt_rows(loaded.segments) == gt_rows(self.make_set().segments)
+        assert loaded.segments.confidence.tolist() == [1.0] * 3
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "ann.tsv"
@@ -189,6 +191,37 @@ class TestAnnotationRows:
             ("v1", 1, 10, 15), ("v1", 1, 10, 20), ("v1", 2, 10, 20),
             ("v1", 2, 30, 45), ("v10", 1, 3, 9), ("v2", 1, 0, 5),
         ]
+
+
+VIDEO_IDS = ("v", "v1", "w", "x10")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 50),
+            st.integers(1, 20),
+            st.floats(0.0, 1.0),
+            st.integers(1, 3),
+            st.sampled_from(VIDEO_IDS),
+        ),
+        max_size=12,
+    ),
+    st.lists(st.sampled_from(VIDEO_IDS + ("absent",)), max_size=6),
+    st.booleans(),
+)
+def test_per_video_matches_a_mask_filter(entries, video_ids, annotated):
+    if annotated:
+        record = ground_truth(*[(s, s + n, c, v) for s, n, _, c, v in entries])
+    else:
+        record = segments(*[(s, s + n, p, c, v) for s, n, p, c, v in entries])
+    pieces = record.per_video(video_ids)
+    assert len(pieces) == len(video_ids)
+    for video_id, piece in zip(video_ids, pieces):
+        assert rows(piece) == rows(record.take(record.video_id == video_id))
+        types = [column.dtype.type for column in piece.columns()]
+        assert types == [np.dtype(d).type for d in SEGMENT_DTYPES]
 
 
 class TestLabelFrames:

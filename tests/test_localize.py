@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsn.data import VideoFeatures
+from fsn.data import Segments, VideoFeatures
 from fsn.localize import (
     FrameScoreTrack,
-    Segments,
     load_predictions,
     localize,
     multi_threshold_group,

@@ -351,11 +351,29 @@ class TestCrossEntropy:
         bad_sum = np.zeros((1, 2, 3))
         with pytest.raises(ValueError):
             framewise_cross_entropy(logits, bad_sum)
-        bad_values = np.zeros((1, 2, 3))
-        bad_values[0, :, 0] = 0.5
-        bad_values[0, :, 1] = 0.5
-        with pytest.raises(ValueError):
-            framewise_cross_entropy(logits, bad_values)
+        negative = np.zeros((1, 2, 3))
+        negative[0, :, 0] = 1.5
+        negative[0, :, 1] = -0.5
+        with pytest.raises(ValueError, match="entries >= 0"):
+            framewise_cross_entropy(logits, negative)
+
+    def test_multi_positive_targets_give_the_weak_video_loss(self):
+        # pooled (batch, classes) logits against multi-hot labels spread over
+        # their positives: the video-label loss averaged over positive classes
+        rng = np.random.default_rng(23)
+        logits = rng.standard_normal((6, 4)) * 3.0
+        labels = np.array([
+            [1, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1],
+            [1, 0, 1, 0], [0, 1, 1, 1], [1, 0, 0, 0],
+        ], dtype=np.float64)
+        positives = labels.sum(axis=1, keepdims=True)
+        loss, grad = framewise_cross_entropy(logits, labels / positives)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        expected = (-(labels * log_probs).sum(axis=1) / positives[:, 0]).mean()
+        assert loss == pytest.approx(expected, abs=1e-12)
+        expected_grad = (np.exp(log_probs) - labels / positives) / len(logits)
+        assert np.array_equal(grad, expected_grad)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
