@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import (
     AnnotationSet,
+    Segments,
     SynthConfig,
     VideoFeatures,
     clip_majority_class,
@@ -32,7 +33,7 @@ from .data import (
     member_of,
     rebalance,
     snippet_centers,
-    synth_generate,
+    synth_videos,
     write_annotations,
     write_features,
     write_manifest,
@@ -263,20 +264,26 @@ def _synth_config(cfg: RunConfig) -> SynthConfig:
 
 
 def cmd_synth(cfg: RunConfig) -> dict:
-    """Generate a synthetic corpus: one .fsnf per video, annotations, manifest."""
-    dataset = synth_generate(_synth_config(cfg))
+    """Generate a synthetic corpus: one .fsnf per video, written as soon as it
+    is drawn, then annotations and manifest."""
+    config = _synth_config(cfg)
     out = _out_dir(cfg)
-    for video in dataset.videos:
+    frame_counts: dict[str, int] = {}
+    rows: list[tuple] = []
+    for video, video_rows in synth_videos(config):
         write_features(video, out / f"{video.video_id}.fsnf")
+        frame_counts[video.video_id] = video.frame_count
+        rows.extend(video_rows)
+    annotations = AnnotationSet(config.class_names, Segments.from_rows(rows))
     annotations_path = out / "annotations.tsv"
-    write_annotations(dataset.annotations, annotations_path)
+    write_annotations(annotations, annotations_path)
     manifest_path = out / "manifest.tsv"
-    write_manifest(dataset, manifest_path)
+    write_manifest(config, frame_counts, manifest_path)
     return {
         "out": out,
         "annotations": annotations_path,
         "manifest": manifest_path,
-        "videos": len(dataset.videos),
+        "videos": len(frame_counts),
     }
 
 

@@ -22,7 +22,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,9 +46,9 @@ class VideoFeatures:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim != 2 or min(self.features.shape) < 1:
             raise ValueError(
-                f"{self.video_id}: features must be (frames, dim), "
+                f"{self.video_id}: features must be (frames, dim), both at least 1, "
                 f"got shape {self.features.shape}"
             )
         if not np.all(np.isfinite(self.features)):
@@ -151,6 +151,8 @@ def load_features(path, video_id: str | None = None) -> VideoFeatures:
         raise ValueError(f"{path}: not a feature file (bad magic {magic!r})")
     if version != FEATURE_VERSION:
         raise ValueError(f"{path}: unsupported feature file version {version}")
+    if min(frames, dim) < 1:
+        raise ValueError(f"{path}: {frames} frames of dimension {dim}, both must be at least 1")
     expected = _FEATURE_HEADER.size + 4 * dim * frames
     if len(raw) != expected:
         raise ValueError(
@@ -429,6 +431,16 @@ class SynthConfig:
         if self.prototype_noise < 0.0:
             raise ValueError("prototype_noise must be >= 0")
 
+    @property
+    def num_train(self) -> int:
+        """Videos in the train split, which leads: at least one per split."""
+        split = int(round(self.train_fraction * self.num_videos))
+        return min(max(split, 1), self.num_videos - 1)
+
+    @property
+    def class_names(self) -> list[str]:
+        return [f"action_{k:02d}" for k in range(1, self.num_classes + 1)]
+
 
 @dataclass
 class SynthDataset:
@@ -456,19 +468,9 @@ def _draw_instance_lengths(rng, target_frames: int, cfg: SynthConfig) -> list[in
     return lengths
 
 
-def synth_generate(config: SynthConfig) -> SynthDataset:
-    """Build a deterministic synthetic corpus of untrimmed feature videos.
-
-    Every action instance renders a two-phase prototype pattern (first half
-    one prototype, second half another) on top of a shared background
-    prototype, plus isotropic noise. With ``context_ambiguity`` on, classes
-    are paired and each pair shares its two prototypes in opposite order, so
-    no single frame identifies the class; only the temporal arrangement does.
-    Per-video action density matches ``instance_density`` exactly whenever the
-    length quantization allows.
-    """
-    cfg = config
-    rng = np.random.default_rng(cfg.seed)
+def _synth_world(rng, cfg: SynthConfig) -> tuple[Array, Array, list[tuple[int, int]]]:
+    """The background prototype, the (K, 2, dim) class patterns and the
+    ambiguous class pairs: the first draws from a corpus seed."""
     dim, num_classes = cfg.feature_dim, cfg.num_classes
     background = rng.normal(size=dim)
     patterns = np.zeros((num_classes, 2, dim))
@@ -484,17 +486,34 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
     else:
         for k in range(num_classes):
             patterns[k] = rng.normal(size=(2, dim))
+    return background, patterns, ambiguous_pairs
 
-    frames = cfg.frames_per_video
+
+def synth_videos(config: SynthConfig) -> Iterator[tuple[VideoFeatures, list[tuple]]]:
+    """Draw the synthetic corpus one video at a time.
+
+    Yields each video with its ground-truth rows (video_id, class_id, start,
+    end, 1.0), so a caller can write a video and drop it before the next one
+    is drawn. Every action instance renders a two-phase prototype pattern
+    (first half one prototype, second half another) on top of a shared
+    background prototype, plus isotropic noise. With ``context_ambiguity``
+    on, classes are paired and each pair shares its two prototypes in
+    opposite order, so no single frame identifies the class; only the
+    temporal arrangement does. Per-video action density matches
+    ``instance_density`` exactly whenever the length quantization allows.
+    """
+    cfg = config
+    rng = np.random.default_rng(cfg.seed)
+    background, patterns, _ = _synth_world(rng, cfg)
+    frames, num_classes = cfg.frames_per_video, cfg.num_classes
     target_action = int(round(cfg.instance_density * frames))
-    videos: list[VideoFeatures] = []
-    segments: list[tuple[str, int, int, int, float]] = []
     for v in range(cfg.num_videos):
         video_id = f"synth_{v:04d}"
         lengths = _draw_instance_lengths(rng, target_action, cfg)
         while lengths and frames - sum(lengths) < len(lengths) + 1:
             lengths.pop()
         features = np.tile(background, (frames, 1))
+        rows = []
         if lengths:
             count = len(lengths)
             spare = frames - sum(lengths) - (count + 1)
@@ -508,38 +527,44 @@ def synth_generate(config: SynthConfig) -> SynthDataset:
                 pattern = patterns[class_id - 1]
                 features[cursor : cursor + first_phase] = pattern[0]
                 features[cursor + first_phase : cursor + length] = pattern[1]
-                segments.append((video_id, class_id, cursor, cursor + length, 1.0))
+                rows.append((video_id, class_id, cursor, cursor + length, 1.0))
                 cursor += length
-        features += rng.normal(size=(frames, dim)) * cfg.prototype_noise
-        videos.append(VideoFeatures(video_id, features))
+        features += rng.normal(size=(frames, cfg.feature_dim)) * cfg.prototype_noise
+        yield VideoFeatures(video_id, features), rows
 
-    split = int(round(cfg.train_fraction * cfg.num_videos))
-    split = min(max(split, 1), cfg.num_videos - 1)
+
+def synth_generate(config: SynthConfig) -> SynthDataset:
+    """The whole synthetic corpus in memory: ``synth_videos`` collected, with
+    the world they were drawn from."""
+    background, patterns, ambiguous_pairs = _synth_world(
+        np.random.default_rng(config.seed), config
+    )
+    videos, rows = [], []
+    for video, video_rows in synth_videos(config):
+        videos.append(video)
+        rows.extend(video_rows)
     ids = [v.video_id for v in videos]
-    names = [f"action_{k:02d}" for k in range(1, num_classes + 1)]
     return SynthDataset(
         videos=videos,
-        annotations=AnnotationSet(names, Segments.from_rows(segments)),
-        train_ids=ids[:split],
-        test_ids=ids[split:],
-        config=cfg,
+        annotations=AnnotationSet(config.class_names, Segments.from_rows(rows)),
+        train_ids=ids[: config.num_train],
+        test_ids=ids[config.num_train :],
+        config=config,
         background=background,
         class_patterns=patterns,
         ambiguous_pairs=ambiguous_pairs,
     )
 
 
-def write_manifest(dataset: SynthDataset, path) -> None:
-    """Record the split and the generator settings next to the corpus."""
+def write_manifest(config: SynthConfig, frame_counts: dict[str, int], path) -> None:
+    """Record the generator settings and each video's split and frame count,
+    in ``frame_counts`` order; the first ``config.num_train`` videos train."""
     lines = ["# synthetic corpus manifest"]
-    for key, value in sorted(vars(dataset.config).items()):
+    for key, value in sorted(vars(config).items()):
         lines.append(f"config\t{key}\t{value}")
-    split = {vid: "train" for vid in dataset.train_ids}
-    split.update({vid: "test" for vid in dataset.test_ids})
-    for video in dataset.videos:
-        lines.append(
-            f"video\t{video.video_id}\t{split[video.video_id]}\t{video.frame_count}"
-        )
+    for i, (video_id, frames) in enumerate(frame_counts.items()):
+        split = "train" if i < config.num_train else "test"
+        lines.append(f"video\t{video_id}\t{split}\t{frames}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -549,6 +574,7 @@ def load_manifest(path) -> dict:
     config: dict[str, str] = {}
     train_ids: list[str] = []
     test_ids: list[str] = []
+    listed: set[str] = set()
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -556,6 +582,9 @@ def load_manifest(path) -> dict:
         if parts[0] == "config" and len(parts) == 3:
             config[parts[1]] = parts[2]
         elif parts[0] == "video" and len(parts) == 4:
+            if parts[1] in listed:
+                raise ValueError(f"{path}: line {lineno}: video {parts[1]!r} is listed twice")
+            listed.add(parts[1])
             if parts[2] == "train":
                 train_ids.append(parts[1])
             elif parts[2] == "test":

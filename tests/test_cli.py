@@ -20,7 +20,7 @@ from fsn.cli import (
     main,
     parse_config_file,
 )
-from fsn.data import SynthConfig, load_manifest
+from fsn.data import SynthConfig, load_manifest, synth_generate, write_features
 from fsn.evaluate import EvalConfig, frame_level_map, load_report, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
 from fsn.model import load_model
@@ -177,6 +177,68 @@ def test_synth_rerun_is_byte_identical(corpus, tmp_path):
     assert main(["synth", "--out", str(again), *SYNTH_ARGS]) == 0
     for path in sorted(corpus.iterdir()):
         assert (again / path.name).read_bytes() == path.read_bytes()
+
+
+# sha256 of every file that synth writes for SYNTH_ARGS, computed with the
+# version that kept the whole corpus in memory before writing it
+PINNED_SYNTH = {
+    "annotations.tsv": "03f7cf13c61e6ef4d5fede9310faf382a7a8cf1b045946ec38984470bf58ff27",
+    "manifest.tsv": "33becfc3f458228e037a9b4d5530b305f32377b4154b5cbc9172b8885fd9e41f",
+    "synth_0000.fsnf": "b523b430134c120ae4f4d572e71ac437cf7a27a19fb1ee27a6613b318de2eb54",
+    "synth_0001.fsnf": "1da8e1fec8390a1a080ffc96791f97916962de2b1b353818d19d3f00ff849488",
+    "synth_0002.fsnf": "b33e0aaadae6bfca96385334244b78003e7c99f73fb2fd2c21bed510df2f019d",
+    "synth_0003.fsnf": "9dbe826942ed4eb0b1522cac1ac8cc7d9e3e0beb9334ecafc2c85cad0b545ff7",
+    "synth_0004.fsnf": "2ea299c562158de0a397d756c441a77286703d3a1373b407fa43f855fb51ce43",
+    "synth_0005.fsnf": "315a640d6ff9d2353d88d113db6c76446be486eeeaf2c919a41d9d2f85ebe1bf",
+    "synth_0006.fsnf": "27360eb3370426d890c53e6ee2ddbc3c75a542f35abc59036bb7c46303c8073a",
+    "synth_0007.fsnf": "f6266130cd4d5a0f6647491c41fa77f648b464de6ec19238d5df5207713f422d",
+}
+
+
+def test_synth_bytes_are_pinned(corpus):
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in corpus.iterdir()}
+    assert written == PINNED_SYNTH
+
+
+def test_synth_files_match_the_library_corpus(corpus, tmp_path):
+    flags = {k[2:].replace("-", "_"): v for k, v in zip(SYNTH_ARGS[::2], SYNTH_ARGS[1::2])}
+    cfg = build_config({}, flags)
+    for video in synth_generate(cli._synth_config(cfg)).videos:
+        expected = tmp_path / f"{video.video_id}.fsnf"
+        write_features(video, expected)
+        assert (corpus / expected.name).read_bytes() == expected.read_bytes()
+
+
+# Linux carries a process's peak RSS across exec into its ru_maxrss, so a
+# child started straight from the test process would report at least the test
+# process's own peak; a small relay process starts the child and reports the
+# child's ru_maxrss from os.wait4 instead.
+RSS_RELAY = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def synth_max_rss_kb(tmp_path, num_videos: int) -> int:
+    """The ru_maxrss of a child process that runs one 6000-frame synth."""
+    synth = "import sys, fsn.cli; sys.exit(fsn.cli.main(sys.argv[1:]))"
+    out = tmp_path / f"corpus{num_videos}"
+    code, max_rss_kb = run_python(
+        tmp_path, RSS_RELAY, sys.executable, "-c", synth, "synth", "--out", str(out),
+        "--num-videos", str(num_videos), "--frames-per-video", "6000",
+    ).split()
+    assert code == "0"
+    return int(max_rss_kb)
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="ru_maxrss is in KiB on Linux")
+def test_synth_memory_does_not_grow_with_the_corpus(tmp_path):
+    # 98 more videos of 6000 x 16 descriptors are 75 MB as float64
+    grown_kb = synth_max_rss_kb(tmp_path, 100) - synth_max_rss_kb(tmp_path, 2)
+    assert grown_kb < 16 * 1024
 
 
 # ---------------------------------------------------------------- train

@@ -1,6 +1,7 @@
 """Feature/annotation IO, training windows, weak sampling, synthetic corpus."""
 
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -67,6 +68,15 @@ class TestFeatureFiles:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError, match="payload"):
             load_features(path)
+
+    def test_rejects_zero_width_descriptors(self, tmp_path):
+        with pytest.raises(ValueError, match="both at least 1"):
+            VideoFeatures("v", np.ones((5, 0)))
+        path = tmp_path / "v.fsnf"
+        for dim, frames in ((0, 5), (5, 0)):
+            path.write_bytes(struct.pack("<4sIII", b"FSNF", 1, dim, frames))
+            with pytest.raises(ValueError, match=f"{path}: {frames} frames of dimension {dim}"):
+                load_features(path)
 
     def test_directory_loading_rejects_mixed_dims(self, tmp_path):
         write_features(VideoFeatures("a", np.ones((4, 3))), tmp_path / "a.fsnf")
@@ -487,9 +497,20 @@ class TestSynth:
     def test_manifest_round_trip(self, tmp_path):
         ds = synth_generate(self.small_config())
         path = tmp_path / "manifest.tsv"
-        write_manifest(ds, path)
+        write_manifest(ds.config, {v.video_id: v.frame_count for v in ds.videos}, path)
         loaded = load_manifest(path)
         assert loaded["train_ids"] == ds.train_ids
         assert loaded["test_ids"] == ds.test_ids
         assert loaded["config"]["num_classes"] == "4"
         assert loaded["config"]["instance_density"] == "0.25"
+
+    def test_manifest_rejects_a_video_listed_twice(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(
+            "# synthetic corpus manifest\n"
+            "video\tsynth_0000\ttrain\t60\n"
+            "video\tsynth_0001\ttrain\t60\n"
+            "video\tsynth_0000\ttest\t60\n"
+        )
+        with pytest.raises(ValueError, match="line 4: video 'synth_0000' is listed twice"):
+            load_manifest(path)
