@@ -1,9 +1,11 @@
 """Feature files, annotations, training windows, and the synthetic corpus.
 
 Per-frame descriptors travel in a small binary container (magic ``FSNF``,
-float32 payload); annotations and manifests are tab-separated text. All
-randomness goes through seeded ``numpy.random.Generator`` instances so every
-artifact is reproducible from its seed.
+float32 payload), loaded as a read-only float32 view of the file's bytes: the
+model widens what it reads to float64 at its entry. Annotations and manifests
+are tab-separated text. All randomness goes through seeded
+``numpy.random.Generator`` instances so every artifact is reproducible from
+its seed.
 
 A segment, predicted or annotated, is an entry of one ``Segments`` record of
 parallel columns; the ground truth is such a record with every confidence
@@ -39,13 +41,17 @@ SEGMENT_DTYPES = (str, np.int64, np.int64, np.int64, np.float64)
 
 @dataclass
 class VideoFeatures:
-    """Per-frame descriptors for one untrimmed video, (frames, dim) float64."""
+    """Per-frame descriptors for one untrimmed video, (frames, dim): float32
+    as a feature file stores them, any other input as float64."""
 
     video_id: str
     features: Array
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features)
+        if features.dtype != np.float32:
+            features = features.astype(np.float64, copy=False)
+        self.features = features
         if self.features.ndim != 2 or min(self.features.shape) < 1:
             raise ValueError(
                 f"{self.video_id}: features must be (frames, dim), both at least 1, "
@@ -134,11 +140,14 @@ def member_of(values: Array, keys) -> Array:
 
 
 def write_features(video: VideoFeatures, path) -> None:
-    payload = np.ascontiguousarray(video.features, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):  # an overflow is reported below, by video
+        payload = np.ascontiguousarray(video.features, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{video.video_id}: features are not finite as float32")
     header = _FEATURE_HEADER.pack(
         FEATURE_MAGIC, FEATURE_VERSION, video.feature_dim, video.frame_count
     )
-    Path(path).write_bytes(header + payload)
+    Path(path).write_bytes(header + payload.tobytes())
 
 
 def load_features(path, video_id: str | None = None) -> VideoFeatures:
@@ -159,8 +168,7 @@ def load_features(path, video_id: str | None = None) -> VideoFeatures:
             f"{path}: payload is {len(raw)} bytes, header implies {expected}"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size)
-    features = data.reshape(frames, dim).astype(np.float64)
-    return VideoFeatures(video_id or path.stem, features)
+    return VideoFeatures(video_id or path.stem, data.reshape(frames, dim))
 
 
 def load_feature_dir(directory, video_ids=None) -> list[VideoFeatures]:

@@ -222,16 +222,25 @@ print(child.returncode, usage.ru_maxrss)
 """
 
 
-def synth_max_rss_kb(tmp_path, num_videos: int) -> int:
-    """The ru_maxrss of a child process that runs one 6000-frame synth."""
-    synth = "import sys, fsn.cli; sys.exit(fsn.cli.main(sys.argv[1:]))"
-    out = tmp_path / f"corpus{num_videos}"
-    code, max_rss_kb = run_python(
-        tmp_path, RSS_RELAY, sys.executable, "-c", synth, "synth", "--out", str(out),
-        "--num-videos", str(num_videos), "--frames-per-video", "6000",
+FSN_MAIN = "import sys, fsn.cli; sys.exit(fsn.cli.main(sys.argv[1:]))"
+
+
+def max_rss_kb(tmp_path, *args: str) -> int:
+    """The ru_maxrss of a child process that runs one fsn command."""
+    code, max_rss = run_python(
+        tmp_path, RSS_RELAY, sys.executable, "-c", FSN_MAIN, *args
     ).split()
     assert code == "0"
-    return int(max_rss_kb)
+    return int(max_rss)
+
+
+def synth_max_rss_kb(tmp_path, num_videos: int) -> int:
+    """The ru_maxrss of a child process that runs one 6000-frame synth."""
+    out = tmp_path / f"corpus{num_videos}"
+    return max_rss_kb(
+        tmp_path, "synth", "--out", str(out),
+        "--num-videos", str(num_videos), "--frames-per-video", "6000",
+    )
 
 
 @pytest.mark.skipif(platform.system() != "Linux", reason="ru_maxrss is in KiB on Linux")
@@ -241,7 +250,44 @@ def test_synth_memory_does_not_grow_with_the_corpus(tmp_path):
     assert grown_kb < 16 * 1024
 
 
+def test_synth_rejects_descriptors_beyond_float32(tmp_path):
+    # such descriptors would be written as inf, which no later command loads
+    result = python_process(
+        tmp_path, FSN_MAIN, "synth", "--out", str(tmp_path / "out"),
+        "--num-videos", "2", "--frames-per-video", "100", "--prototype-noise", "1e39",
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: synth_0000: features are not finite as float32\n"
+    assert not list((tmp_path / "out").glob("*.fsnf"))
+
+
 # ---------------------------------------------------------------- train
+
+
+def train_max_rss_kb(tmp_path, num_videos: int) -> int:
+    """The ru_maxrss of a child process that trains 5 steps on a corpus of
+    ``num_videos`` videos of 6000 frames, three quarters of them training."""
+    corpus = tmp_path / f"corpus{num_videos}"
+    assert main([
+        "synth", "--out", str(corpus),
+        "--num-videos", str(num_videos), "--frames-per-video", "6000",
+    ]) == 0
+    return max_rss_kb(
+        tmp_path, "train",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(tmp_path / f"train{num_videos}"),
+        "--iterations", "5", "--hidden-channels", "8",
+    )
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="ru_maxrss is in KiB on Linux")
+def test_train_holds_the_corpus_at_file_precision(tmp_path):
+    # 42 more training videos of 6000 x 16 descriptors are 16 MB as stored
+    # float32, and 32 MB widened to float64
+    grown_kb = train_max_rss_kb(tmp_path, 60) - train_max_rss_kb(tmp_path, 4)
+    assert grown_kb < 24 * 1024
 
 
 def test_train_logs_one_row_per_interval(trained):
@@ -899,14 +945,20 @@ def test_benchmark_tracer_fits_the_package(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- allocator
 
 
-def run_python(cwd, code, *args):
+def python_process(cwd, code, *args) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports fsn from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *args],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
-        check=True, capture_output=True, text=True,
+        capture_output=True, text=True,
     )
+
+
+def run_python(cwd, code, *args) -> str:
+    """The stdout of ``python_process``, which must succeed."""
+    result = python_process(cwd, code, *args)
+    result.check_returncode()
     return result.stdout
 
 

@@ -47,7 +47,24 @@ class TestFeatureFiles:
         loaded = load_features(path)
         assert loaded.video_id == "clip_a"
         np.testing.assert_array_equal(loaded.features, video.features)
-        assert loaded.features.dtype == np.float64
+        # the stored precision is kept, read-only; the model widens at its entry
+        assert loaded.features.dtype == np.float32
+        assert not loaded.features.flags.writeable
+
+    def test_other_descriptor_types_become_float64(self):
+        wide = np.ones((3, 2))
+        assert VideoFeatures("v", wide).features is wide
+        for given in (np.ones((3, 2), dtype=np.int64), np.ones((3, 2), dtype=np.float16), [[1, 2]]):
+            assert VideoFeatures("v", given).features.dtype == np.float64
+
+    def test_write_rejects_descriptors_beyond_float32(self, tmp_path):
+        largest = float(np.finfo(np.float32).max)
+        write_features(VideoFeatures("edge", np.full((2, 3), -largest)), tmp_path / "edge.fsnf")
+        np.testing.assert_array_equal(load_features(tmp_path / "edge.fsnf").features, -largest)
+        path = tmp_path / "big.fsnf"
+        with pytest.raises(ValueError, match="^big: features are not finite as float32$"):
+            write_features(VideoFeatures("big", np.full((2, 3), 1e39)), path)
+        assert not path.exists()
 
     def test_video_id_comes_from_filename(self, tmp_path):
         video = VideoFeatures("whatever", np.ones((3, 2)))

@@ -162,6 +162,25 @@ class TestWeakScoreTrack:
         assert track.frame_count == 7
 
 
+class TestFloat32Features:
+    """A feature file's float32 descriptors score exactly like their float64
+    widening: the model widens at its entry."""
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_tracks_match_the_widened_features(self, weak):
+        narrow = np.random.default_rng(8).standard_normal((80, 4)).astype(np.float32)
+        video = VideoFeatures("v", narrow)
+        assert video.features.dtype == np.float32
+        widened = VideoFeatures("v", narrow.astype(np.float64))
+        if weak:
+            head = init_wfsn(CFG, seed=8)
+            tracks = [weak_score_track(head, v, positions=16) for v in (video, widened)]
+        else:
+            head = init_fsn(CFG, seed=8)
+            tracks = [slide_predict(head, v) for v in (video, widened)]
+        np.testing.assert_array_equal(tracks[0].scores, tracks[1].scores)
+
+
 class TestThresholdGroup:
     """One threshold: ``multi_threshold_group`` with a one-element sweep."""
 

@@ -424,6 +424,35 @@ class TestModelBoundary:
             wfsn_forward_predict(features, init_wfsn(TINY, seed=55))
 
 
+def _assert_widening_changes_nothing(loss_fn, narrow, labels, head):
+    """float32 features give bit for bit the loss and gradients of their
+    float64 widening: the model widens at its entry."""
+    assert narrow.dtype == np.float32
+    loss, grads = loss_fn(narrow, labels, head)
+    wide_loss, wide_grads = loss_fn(narrow.astype(np.float64), labels, head)
+    assert loss == wide_loss and len(grads) == len(wide_grads)
+    for grad, wide_grad in zip(grads, wide_grads):
+        np.testing.assert_array_equal(grad, wide_grad)
+
+
+class TestFloat32Features:
+    def test_fsn_loss_and_grads(self):
+        rng = np.random.default_rng(56)
+        features, labels = tiny_clips(rng, TINY, 1, 2, 0)
+        head = init_fsn(TINY, seed=56)
+        _assert_widening_changes_nothing(
+            fsn_loss_and_grads, features.astype(np.float32), labels, head
+        )
+
+    @pytest.mark.parametrize("pooling", [GAP, GMP])
+    def test_wfsn_loss_and_grads(self, pooling):
+        rng = np.random.default_rng(57)
+        features = rng.standard_normal((3, 9, 5)).astype(np.float32)
+        labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        head = init_wfsn(TINY, seed=57, pooling=pooling)
+        _assert_widening_changes_nothing(wfsn_loss_and_grads, features, labels, head)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "make",
