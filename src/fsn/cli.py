@@ -13,12 +13,13 @@ import ctypes
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .data import (
     AnnotationSet,
+    FeatureHeader,
     Segments,
     SynthConfig,
     VideoFeatures,
@@ -225,8 +226,8 @@ def _model_config(cfg: RunConfig, num_classes: int, feature_dim: int) -> ModelCo
 
 
 def _select_videos(
-    cfg: RunConfig, default_split: str, allow_empty: bool = False
-) -> tuple[list[VideoFeatures], str]:
+    cfg: RunConfig, default_split: str, allow_empty: bool = False, headers_only: bool = False
+) -> tuple[list[VideoFeatures] | list[FeatureHeader], str]:
     _require(cfg, "features_dir")
     split = cfg.split or (default_split if cfg.manifest else "all")
     if split not in ("train", "test", "all"):
@@ -243,11 +244,11 @@ def _select_videos(
             if allow_empty:
                 return [], split
             raise ValueError(f"split {split!r} selects no videos")
-        videos = load_feature_dir(cfg.features_dir, pool)
+        videos = load_feature_dir(cfg.features_dir, pool, headers_only)
     else:
         if cfg.split and cfg.split != "all":
             raise ValueError("a train/test split needs a manifest")
-        videos = load_feature_dir(cfg.features_dir)
+        videos = load_feature_dir(cfg.features_dir, headers_only=headers_only)
     return videos, split
 
 
@@ -263,11 +264,9 @@ def _synth_config(cfg: RunConfig) -> SynthConfig:
     return SynthConfig(**{k: v for k, v in values.items() if v is not None})
 
 
-def cmd_synth(cfg: RunConfig) -> dict:
-    """Generate a synthetic corpus: one .fsnf per video, written as soon as it
-    is drawn, then annotations and manifest."""
-    config = _synth_config(cfg)
-    out = _out_dir(cfg)
+def _write_corpus(config: SynthConfig, out: Path) -> dict:
+    """One .fsnf per video, written as soon as it is drawn, then annotations
+    and manifest."""
     frame_counts: dict[str, int] = {}
     rows: list[tuple] = []
     for video, video_rows in synth_videos(config):
@@ -287,17 +286,44 @@ def cmd_synth(cfg: RunConfig) -> dict:
     }
 
 
+def cmd_synth(cfg: RunConfig) -> dict:
+    """Generate a synthetic corpus. A run that fails removes the files and
+    directories it made; files that were there before stay."""
+    config = _synth_config(cfg)
+    out = Path(cfg.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    existing = set(out.iterdir())
+    try:
+        return _write_corpus(config, out)
+    except BaseException:
+        for path in set(out.iterdir()) - existing:
+            path.unlink()
+        for directory in made:
+            directory.rmdir()
+        raise
+
+
 def _load_corpus(cfg: RunConfig, default_split: str):
-    videos, split = _select_videos(cfg, default_split)
+    """The split's feature headers, the split name and the annotations, checked
+    against every feature file's frame count."""
+    headers, split = _select_videos(cfg, default_split, headers_only=True)
     _require(cfg, "annotations")
-    # the split's videos are loaded already; every other file is still read
-    # in full, so a corrupt file outside the split fails the command too
-    frame_counts = {v.video_id: v.frame_count for v in videos}
+    # the split is known by its headers here, and its payloads are read by
+    # _split_videos once the annotations check out; every other file is read
+    # in full now, so a corrupt file outside the split fails the command too
+    frame_counts = {h.video_id: h.frame_count for h in headers}
     for path in sorted(Path(cfg.features_dir).glob("*.fsnf")):
         if path.stem not in frame_counts:
             frame_counts[path.stem] = load_features(path).frame_count
     annotations = load_annotations(cfg.annotations, frame_counts=frame_counts)
-    return videos, split, annotations
+    return headers, split, annotations
+
+
+def _split_videos(cfg: RunConfig, headers: Sequence[FeatureHeader]) -> Iterator[VideoFeatures]:
+    """The videos of ``_load_corpus``' headers, each read in full when it is reached."""
+    directory = Path(cfg.features_dir)
+    return (load_features(directory / f"{h.video_id}.fsnf") for h in headers)
 
 
 def _require_positive(cfg: RunConfig, *keys: str) -> None:
@@ -328,21 +354,60 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step) -> tuple[Path, Path
     return model_path, log_path
 
 
-def _train_strong(cfg: RunConfig, init_fn) -> dict:
-    _require_positive(cfg, "iterations", "batch_size", "log_every")
-    videos, split, annotations = _load_corpus(cfg, "train")
-    model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
+def _gather_frames(
+    cfg: RunConfig,
+    headers: Sequence[FeatureHeader],
+    owner: np.ndarray,
+    start: np.ndarray,
+    centers: np.ndarray,
+    index_type,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One float32 block of the distinct frames that windows read at their
+    snippet ``centers``, and the (windows, centers) block rows of those reads.
+
+    A window is its video's index in ``headers`` and its start frame there,
+    in video order. Every video of the split is read in full, once, so each
+    file's payload is checked whether or not a window reads from it.
+    """
+    cuts = np.searchsorted(owner, np.arange(len(headers) + 1))
+    windows = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    sizes = [np.unique(start[w, None] + centers).size for w in windows]
+    base = np.concatenate(([0], np.cumsum(sizes)))
+    block = np.empty((base[-1], headers[0].feature_dim), dtype=np.float32)
+    rows = np.empty((start.size, centers.size), dtype=index_type)
+    for index, (video, w) in enumerate(zip(_split_videos(cfg, headers), windows)):
+        reads = start[w, None] + centers
+        frames = np.unique(reads)
+        rows[w] = base[index] + np.searchsorted(frames, reads)
+        block[base[index] : base[index + 1]] = video.features[frames]
+    return block, rows
+
+
+def _window_batches(
+    cfg: RunConfig,
+    headers: Sequence[FeatureHeader],
+    annotations: AnnotationSet,
+    model_config: ModelConfig,
+) -> tuple[Callable[[], tuple[np.ndarray, np.ndarray]], int]:
+    """The strong head's batch source and the length of its window order.
+
+    The windows, their classes and the frame labels come from the headers
+    and the annotations alone. The batch schedule is drawn once ahead to
+    mark the windows it picks; only the descriptors of those windows are
+    held, and the returned source draws the same schedule again.
+    """
     clip_len = model_config.clip_len
     stride = max(clip_len // 5, 1) if cfg.train_stride is None else cfg.train_stride
-    per_video = annotations.segments.per_video([v.video_id for v in videos])
-    # a window is (video index, start frame); labels stay one array per video
+    per_video = annotations.segments.per_video([h.video_id for h in headers])
+    label_type = np.min_scalar_type(annotations.num_classes)
+    # a window is (video index, start frame)
     frame_labels, owners, starts, classes = [], [], [], []
-    for index, (video, segments) in enumerate(zip(videos, per_video)):
+    for index, (header, segments) in enumerate(zip(headers, per_video)):
         kept = make_clips(
-            video, segments, clip_len=clip_len, snippet_len=model_config.snippet_len,
+            header, segments, clip_len=clip_len, snippet_len=model_config.snippet_len,
             stride=stride, min_action_frames=cfg.min_action_frames,
         )
-        frame_labels.append(label_frames(video.frame_count, segments))
+        frame_labels.append(label_frames(header.frame_count, segments, label_type))
         owners.append(np.full(kept.size, index))
         starts.append(kept)
         classes.append(clip_majority_class(frame_labels[-1], kept, clip_len))
@@ -352,19 +417,40 @@ def _train_strong(cfg: RunConfig, init_fn) -> dict:
             f"no training window passed the >= {cfg.min_action_frames} action-frame rule"
         )
     order = rebalance(np.concatenate(classes), seed=cfg.seed)
+    # a generator seeded like the one next_batch draws from makes its picks
+    schedule = np.random.default_rng([cfg.seed, 1])
+    drawn = np.zeros(start.size, dtype=bool)
+    for _ in range(cfg.iterations):
+        drawn[order[schedule.integers(0, len(order), size=cfg.batch_size)]] = True
+    # frames are numbered across the split, videos end to end
+    offsets = np.concatenate(([0], np.cumsum([h.frame_count for h in headers])))
+    index_type = np.int32 if offsets[-1] <= np.iinfo(np.int32).max else np.int64
+    # from here on a window is its slot among the drawn ones; a window never
+    # drawn maps to a neighbour's slot, which no step reads
+    order = (np.cumsum(drawn, dtype=index_type) - 1)[order]
+    owner, start = owner[drawn], start[drawn]
+    labels = np.concatenate(frame_labels)
+    label_rows = (offsets[owner] + start).astype(index_type)
     centers = snippet_centers(clip_len, model_config.snippet_len)
+    block, rows = _gather_frames(cfg, headers, owner, start, centers, index_type)
+    span = np.arange(clip_len)
     batch_rng = np.random.default_rng([cfg.seed, 1])
 
     def next_batch() -> tuple[np.ndarray, np.ndarray]:
         picks = order[batch_rng.integers(0, len(order), size=cfg.batch_size)]
-        windows = list(zip(owner[picks], start[picks]))
-        features = np.stack([videos[v].features[s + centers] for v, s in windows])
-        labels = np.stack([frame_labels[v][s : s + clip_len] for v, s in windows])
-        return features, labels
+        return block[rows[picks]], labels[label_rows[picks, None] + span]
 
+    return next_batch, len(order)
+
+
+def _train_strong(cfg: RunConfig, init_fn) -> dict:
+    _require_positive(cfg, "iterations", "batch_size", "log_every")
+    headers, split, annotations = _load_corpus(cfg, "train")
+    model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
+    next_batch, clips = _window_batches(cfg, headers, annotations, model_config)
     head = init_fn(model_config, cfg.seed)
     model_path, log_path = _fit(cfg, head, next_batch, fsn_train_step)
-    return {"model": model_path, "log": log_path, "clips": len(order), "split": split}
+    return {"model": model_path, "log": log_path, "clips": clips, "split": split}
 
 
 def cmd_train(cfg: RunConfig) -> dict:
@@ -375,17 +461,25 @@ def cmd_train(cfg: RunConfig) -> dict:
 def cmd_train_weak(cfg: RunConfig) -> dict:
     """Train the weakly supervised head from video-level labels only."""
     _require_positive(cfg, "iterations", "batch_size", "log_every", "weak_positions")
-    videos, split, annotations = _load_corpus(cfg, "train")
-    model_config = _model_config(cfg, annotations.num_classes, videos[0].feature_dim)
-    per_video = annotations.segments.per_video([v.video_id for v in videos])
-    labeled = [(v, segments.class_id) for v, segments in zip(videos, per_video) if len(segments)]
-    if not labeled:
+    headers, split, annotations = _load_corpus(cfg, "train")
+    model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
+    per_video = annotations.segments.per_video([h.video_id for h in headers])
+    if not any(len(segments) for segments in per_video):
         raise ValueError("no training video carries an action label")
-    too_short = [v.video_id for v, _ in labeled if v.frame_count < cfg.weak_positions]
+    too_short = [
+        h.video_id for h, segments in zip(headers, per_video)
+        if len(segments) and h.frame_count < cfg.weak_positions
+    ]
     if too_short:
         raise ValueError(
             f"video(s) shorter than {cfg.weak_positions} frames: {too_short[:3]}"
         )
+    # a weak sample may read any frame, so the labeled videos are held in full
+    labeled = [
+        (video, segments.class_id)
+        for video, segments in zip(_split_videos(cfg, headers), per_video)
+        if len(segments)
+    ]
     rng = np.random.default_rng([cfg.seed, 2])
 
     def next_batch() -> tuple[np.ndarray, np.ndarray]:

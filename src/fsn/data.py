@@ -13,14 +13,18 @@ parallel columns; the ground truth is such a record with every confidence
 per-video slices by one stable sort. No object is built per segment.
 
 A training window is its start frame in a video: ``make_clips`` returns the
-kept starts as an index array, ``clip_majority_class`` and ``rebalance`` work
-on index arrays too, and a training step gathers the descriptors and labels
-of its windows from the per-video arrays. Nothing is copied per window.
+kept starts as an index array, and ``clip_majority_class`` and ``rebalance``
+work on index arrays too. Windows need only a file's header
+(``read_feature_header``) and the annotations, so training finds them before
+it reads any payload; it then holds one block of the distinct frames that its
+batch schedule reads, and a step gathers its windows' descriptors and labels
+from that block and the split's label array.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -150,12 +154,21 @@ def write_features(video: VideoFeatures, path) -> None:
     Path(path).write_bytes(header + payload.tobytes())
 
 
-def load_features(path, video_id: str | None = None) -> VideoFeatures:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _FEATURE_HEADER.size:
+@dataclass(frozen=True)
+class FeatureHeader:
+    """What a feature file's header says of its video, checked against the file size."""
+
+    video_id: str
+    frame_count: int
+    feature_dim: int
+
+
+def _check_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
+    """The (feature_dim, frame_count) of a feature file whose first bytes are
+    ``head`` and whose size is ``size`` bytes."""
+    if len(head) < _FEATURE_HEADER.size:
         raise ValueError(f"{path}: truncated feature file")
-    magic, version, dim, frames = _FEATURE_HEADER.unpack_from(raw)
+    magic, version, dim, frames = _FEATURE_HEADER.unpack_from(head)
     if magic != FEATURE_MAGIC:
         raise ValueError(f"{path}: not a feature file (bad magic {magic!r})")
     if version != FEATURE_VERSION:
@@ -163,16 +176,35 @@ def load_features(path, video_id: str | None = None) -> VideoFeatures:
     if min(frames, dim) < 1:
         raise ValueError(f"{path}: {frames} frames of dimension {dim}, both must be at least 1")
     expected = _FEATURE_HEADER.size + 4 * dim * frames
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: payload is {len(raw)} bytes, header implies {expected}"
-        )
+    if size != expected:
+        raise ValueError(f"{path}: payload is {size} bytes, header implies {expected}")
+    return dim, frames
+
+
+def read_feature_header(path) -> FeatureHeader:
+    """A feature file's header alone, with the checks ``load_features`` makes
+    before it reads the payload."""
+    path = Path(path)
+    with path.open("rb") as file:
+        head = file.read(_FEATURE_HEADER.size)
+        size = os.fstat(file.fileno()).st_size
+    dim, frames = _check_header(path, head, size)
+    return FeatureHeader(path.stem, frames, dim)
+
+
+def load_features(path, video_id: str | None = None) -> VideoFeatures:
+    path = Path(path)
+    raw = path.read_bytes()
+    dim, frames = _check_header(path, raw[: _FEATURE_HEADER.size], len(raw))
     data = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size)
     return VideoFeatures(video_id or path.stem, data.reshape(frames, dim))
 
 
-def load_feature_dir(directory, video_ids=None) -> list[VideoFeatures]:
-    """Load every ``.fsnf`` file in a directory, optionally a chosen subset.
+def load_feature_dir(
+    directory, video_ids=None, headers_only: bool = False
+) -> list[VideoFeatures] | list[FeatureHeader]:
+    """Load every ``.fsnf`` file in a directory, optionally a chosen subset,
+    in name order; with ``headers_only`` read just their headers.
 
     All videos must agree on the descriptor dimension.
     """
@@ -188,7 +220,8 @@ def load_feature_dir(directory, video_ids=None) -> list[VideoFeatures]:
             )
     if not paths:
         raise FileNotFoundError(f"{directory}: no feature files found")
-    videos = [load_features(p) for p in paths]
+    read = read_feature_header if headers_only else load_features
+    videos = [read(p) for p in paths]
     dims = {v.feature_dim for v in videos}
     if len(dims) > 1:
         raise ValueError(f"{directory}: mixed feature dims {sorted(dims)}")
@@ -268,9 +301,12 @@ def load_annotations(path, frame_counts: dict[str, int] | None = None) -> Annota
     return AnnotationSet(names, seg)
 
 
-def label_frames(frame_count: int, segments: Segments) -> Array:
-    """Dense per-frame class labels; overlaps go to the earliest-starting segment."""
-    labels = np.zeros(frame_count, dtype=np.int64)
+def label_frames(frame_count: int, segments: Segments, dtype=np.int64) -> Array:
+    """Dense per-frame class labels; overlaps go to the earliest-starting segment.
+
+    ``dtype`` must hold every class id of ``segments``.
+    """
+    labels = np.zeros(frame_count, dtype=dtype)
     # painted last to first in (start, end, class) order, so the first wins
     order = np.lexsort((segments.class_id, segments.end, segments.start))[::-1]
     columns = (segments.start, segments.end, segments.class_id, segments.video_id)
@@ -282,7 +318,7 @@ def label_frames(frame_count: int, segments: Segments) -> Array:
 
 
 def make_clips(
-    video: VideoFeatures,
+    video: VideoFeatures | FeatureHeader,
     segments: Segments,
     clip_len: int = 35,
     snippet_len: int = 5,
@@ -294,7 +330,8 @@ def make_clips(
     Windows of ``clip_len`` frames start every ``stride`` frames; those with
     fewer than ``min_action_frames`` non-background frames are dropped, found
     from the cumulative action-frame count in one pass. Videos shorter than
-    one window are skipped with a warning.
+    one window are skipped with a warning. Only the video's id and frame
+    count are read, so a ``FeatureHeader`` serves as well.
     """
     if clip_len % snippet_len != 0:
         raise ValueError(f"clip_len {clip_len} is not a multiple of snippet_len {snippet_len}")

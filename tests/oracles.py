@@ -187,3 +187,33 @@ def threshold_runs(column, thresholds):
                     out.append((start, frame, column[start:frame].mean()))
                 start = None
     return out
+
+
+def per_video_batches(
+    features, frame_labels, clip_len, snippet_len, stride, min_action_frames,
+    seed, batch_size, steps,
+):
+    """The strong trainer's batches, gathered window by window from the
+    per-video arrays.
+
+    ``features`` and ``frame_labels`` hold each video's (frames, dim)
+    descriptors and dense labels. The windows are those ``window_scan``
+    keeps, video after video, ordered by ``list_rebalance`` over their
+    majority classes; each step draws ``batch_size`` of that order from
+    ``default_rng([seed, 1])``. Yields (snippet-center descriptors, int64
+    frame labels) per step.
+    """
+    windows, classes = [], []
+    for video, labels in enumerate(frame_labels):
+        for start in window_scan(labels, clip_len, stride, min_action_frames):
+            windows.append((video, start))
+            classes.append(window_majority_class(labels[start : start + clip_len]))
+    order = np.array(list_rebalance(classes, seed))
+    centers = np.arange(clip_len // snippet_len) * snippet_len + snippet_len // 2
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(steps):
+        picks = [windows[i] for i in order[rng.integers(0, len(order), size=batch_size)]]
+        yield (
+            np.stack([features[v][s + centers] for v, s in picks]),
+            np.stack([np.asarray(frame_labels[v][s : s + clip_len], np.int64) for v, s in picks]),
+        )

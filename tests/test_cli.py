@@ -3,6 +3,7 @@
 import hashlib
 import os
 import platform
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -20,10 +21,23 @@ from fsn.cli import (
     main,
     parse_config_file,
 )
-from fsn.data import SynthConfig, load_manifest, synth_generate, write_features
+from fsn.data import (
+    AnnotationSet,
+    Segments,
+    SynthConfig,
+    VideoFeatures,
+    label_frames,
+    load_annotations,
+    load_feature_dir,
+    load_manifest,
+    synth_generate,
+    write_annotations,
+    write_features,
+)
 from fsn.evaluate import EvalConfig, frame_level_map, load_report, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
 from fsn.model import load_model
+from oracles import per_video_batches
 
 
 # ---------------------------------------------------------------- config
@@ -261,33 +275,146 @@ def test_synth_rejects_descriptors_beyond_float32(tmp_path):
     assert not list((tmp_path / "out").glob("*.fsnf"))
 
 
+def test_rejected_synth_leaves_no_output_directory(tmp_path):
+    result = python_process(
+        tmp_path, FSN_MAIN, "synth", "--out", "f1/out",
+        "--num-videos", "2", "--frames-per-video", "100", "--prototype-noise", "1e39",
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "f1").exists()
+
+
+def test_rejected_synth_removes_only_the_files_it_wrote(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    (out / "synth_0002.fsnf").write_bytes(b"older")
+    written = []
+
+    def write_two(video, path):
+        if written:
+            raise ValueError(f"{video.video_id}: refused")
+        written.append(path)
+        write_features(video, path)
+
+    monkeypatch.setattr(cli, "write_features", write_two)
+    synth = ["synth", "--out", str(out), "--num-videos", "3", "--frames-per-video", "100"]
+    assert main(synth) == 1
+    assert capsys.readouterr().err == "error: synth_0001: refused\n"
+    assert written == [out / "synth_0000.fsnf"]
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "synth_0002.fsnf"]
+
+
 # ---------------------------------------------------------------- train
 
 
-def train_max_rss_kb(tmp_path, num_videos: int) -> int:
-    """The ru_maxrss of a child process that trains 5 steps on a corpus of
-    ``num_videos`` videos of 6000 frames, three quarters of them training."""
-    corpus = tmp_path / f"corpus{num_videos}"
-    assert main([
-        "synth", "--out", str(corpus),
-        "--num-videos", str(num_videos), "--frames-per-video", "6000",
-    ]) == 0
+@pytest.fixture(scope="module")
+def corpus60(tmp_path_factory):
+    """60 videos of 6000 x 16 descriptors, 45 of them training."""
+    out = tmp_path_factory.mktemp("corpus60")
+    synth = ["synth", "--out", str(out), "--num-videos", "60", "--frames-per-video", "6000"]
+    assert main(synth) == 0
+    return out
+
+
+def train_max_rss_kb(tmp_path, corpus, iterations: int) -> int:
+    """The ru_maxrss of a child process that trains ``iterations`` steps on
+    the training split of ``corpus``."""
     return max_rss_kb(
         tmp_path, "train",
         "--features-dir", str(corpus),
         "--annotations", str(corpus / "annotations.tsv"),
         "--manifest", str(corpus / "manifest.tsv"),
-        "--out", str(tmp_path / f"train{num_videos}"),
-        "--iterations", "5", "--hidden-channels", "8",
+        "--out", str(tmp_path / f"{corpus.name}-train{iterations}"),
+        "--iterations", str(iterations), "--hidden-channels", "8",
     )
 
 
 @pytest.mark.skipif(platform.system() != "Linux", reason="ru_maxrss is in KiB on Linux")
-def test_train_holds_the_corpus_at_file_precision(tmp_path):
+def test_train_memory_does_not_grow_with_the_corpus(tmp_path, corpus60):
     # 42 more training videos of 6000 x 16 descriptors are 16 MB as stored
-    # float32, and 32 MB widened to float64
-    grown_kb = train_max_rss_kb(tmp_path, 60) - train_max_rss_kb(tmp_path, 4)
-    assert grown_kb < 24 * 1024
+    # float32; 5 steps read 60 windows of them
+    corpus4 = tmp_path / "corpus4"
+    assert main([
+        "synth", "--out", str(corpus4), "--num-videos", "4", "--frames-per-video", "6000",
+    ]) == 0
+    grown_kb = train_max_rss_kb(tmp_path, corpus60, 5) - train_max_rss_kb(tmp_path, corpus4, 5)
+    assert grown_kb < 6 * 1024
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="ru_maxrss is in KiB on Linux")
+def test_train_memory_is_bounded_by_the_reachable_frames(tmp_path, corpus60):
+    # corpus60's kept windows can read 112 000 frames, 7000 KiB of
+    # descriptors: the most that any number of steps may hold
+    grown_kb = train_max_rss_kb(tmp_path, corpus60, 2000) - train_max_rss_kb(tmp_path, corpus60, 5)
+    assert grown_kb < 7000
+
+
+def window_corpus(directory: Path, num_classes: int, frame_counts) -> Path:
+    """Hand-written feature files (float32 noise, 4 dims) and annotations:
+    one segment of a random class every 40 frames."""
+    directory.mkdir()
+    rng = np.random.default_rng(0)
+    rows = []
+    for index, frames in enumerate(frame_counts):
+        video_id = f"v{index}"
+        features = rng.standard_normal((frames, 4), dtype=np.float32)
+        write_features(VideoFeatures(video_id, features), directory / f"{video_id}.fsnf")
+        for start in range(0, frames - 30, 40):
+            end = start + int(rng.integers(5, 30))
+            rows.append((video_id, int(rng.integers(1, num_classes + 1)), start, end, 1.0))
+    names = [f"c{k}" for k in range(1, num_classes + 1)]
+    annotations = AnnotationSet(names, Segments.from_rows(rows))
+    write_annotations(annotations, directory / "annotations.tsv")
+    return directory
+
+
+@pytest.mark.parametrize(
+    "batch_size, stride, num_classes",
+    [(1, 7, 3), (5, 1, 3), (12, 7, 3), (12, 1, 3), (5, 7, 300)],
+)
+def test_train_batches_match_the_per_video_gather(
+    tmp_path, monkeypatch, batch_size, stride, num_classes
+):
+    # v1 is shorter than one 35-frame clip; 300 classes need uint16 labels
+    corpus = window_corpus(tmp_path / "corpus", num_classes, [400, 20, 300, 250])
+    batches = []
+
+    def record(features, labels, head, optimizer):
+        batches.append((features, labels))
+        return 0.0
+
+    monkeypatch.setattr(cli, "fsn_train_step", record)
+    assert main([
+        "train",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--out", str(tmp_path / "out"),
+        "--iterations", "25",
+        "--batch-size", str(batch_size),
+        "--train-stride", str(stride),
+        "--hidden-channels", "4",
+        "--seed", "3",
+    ]) == 0
+    videos = load_feature_dir(corpus)
+    per_video = load_annotations(corpus / "annotations.tsv").segments.per_video(
+        [v.video_id for v in videos]
+    )
+    labels = [label_frames(v.frame_count, s) for v, s in zip(videos, per_video)]
+    expected = list(per_video_batches(
+        [v.features for v in videos], labels, 35, 5, stride, 5, 3, batch_size, 25
+    ))
+    assert len(batches) == len(expected) == 25
+    label_type = np.uint8 if num_classes < 256 else np.uint16
+    for (features, labels), (want_features, want_labels) in zip(batches, expected):
+        assert features.dtype == np.float32 and features.shape == want_features.shape
+        assert features.tobytes() == want_features.tobytes()
+        assert labels.dtype == label_type
+        assert np.array_equal(labels.astype(np.int64), want_labels)
+    if num_classes > 255:
+        assert max(int(labels.max()) for _, labels in batches) > 255
 
 
 def test_train_logs_one_row_per_interval(trained):
@@ -396,6 +523,31 @@ def test_train_fails_on_corrupt_file_outside_the_split(corpus, tmp_path, capsys)
     ])
     assert rc == 1
     assert victim.name in capsys.readouterr().err
+
+
+def test_train_checks_every_split_payload(corpus, tmp_path, capsys):
+    # frame 0 is no window's snippet center, so no batch would read the NaN
+    # that write_features refuses to write: only the full load finds it
+    features = tmp_path / "features"
+    features.mkdir()
+    for path in corpus.glob("*.fsnf"):
+        (features / path.name).write_bytes(path.read_bytes())
+    victim = features / f"{load_manifest(corpus / 'manifest.tsv')['train_ids'][0]}.fsnf"
+    raw = bytearray(victim.read_bytes())
+    raw[16:20] = struct.pack("<f", float("nan"))
+    victim.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    rc = main([
+        "train",
+        "--features-dir", str(features),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(out),
+        "--iterations", "1",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {victim.stem}: features contain non-finite values\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fsn.data import (
     SEGMENT_DTYPES,
     AnnotationSet,
+    FeatureHeader,
     SynthConfig,
     VideoFeatures,
     clip_majority_class,
@@ -21,6 +22,7 @@ from fsn.data import (
     load_manifest,
     make_clips,
     make_weak_sample,
+    read_feature_header,
     rebalance,
     snippet_centers,
     span_bounds,
@@ -94,6 +96,54 @@ class TestFeatureFiles:
             path.write_bytes(struct.pack("<4sIII", b"FSNF", 1, dim, frames))
             with pytest.raises(ValueError, match=f"{path}: {frames} frames of dimension {dim}"):
                 load_features(path)
+
+    def test_header_reads_the_header_alone(self, tmp_path):
+        path = tmp_path / "clip_h.fsnf"
+        write_features(VideoFeatures("any", np.ones((7, 3))), path)
+        assert read_feature_header(path) == FeatureHeader("clip_h", 7, 3)
+        # a payload that load_features refuses still has a sound header
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        assert read_feature_header(path) == FeatureHeader("clip_h", 7, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_features(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"FSN",  # truncated header
+            b"JUNK" + b"\x00" * 32,
+            struct.pack("<4sIII", b"FSNF", 2, 3, 5) + b"\x00" * 60,
+            struct.pack("<4sIII", b"FSNF", 1, 0, 5),
+            struct.pack("<4sIII", b"FSNF", 1, 3, 5) + b"\x00" * 56,
+            struct.pack("<4sIII", b"FSNF", 1, 3, 5) + b"\x00" * 64,
+        ],
+        ids=["truncated", "magic", "version", "zero-dim", "short-payload", "long-payload"],
+    )
+    def test_header_checks_match_the_full_load(self, tmp_path, content):
+        path = tmp_path / "v.fsnf"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as full:
+            load_features(path)
+        with pytest.raises(ValueError) as header:
+            read_feature_header(path)
+        assert str(header.value) == str(full.value)
+        assert str(header.value).startswith(f"{path}: ")
+
+    def test_directory_loading_reads_headers_only_on_request(self, tmp_path):
+        for name, dim in (("a", 3), ("b", 3)):
+            write_features(VideoFeatures(name, np.ones((4, dim))), tmp_path / f"{name}.fsnf")
+        headers = load_feature_dir(tmp_path, video_ids=["b"], headers_only=True)
+        assert headers == [FeatureHeader("b", 4, 3)]
+        write_features(VideoFeatures("c", np.ones((4, 5))), tmp_path / "c.fsnf")
+        with pytest.raises(ValueError, match="mixed"):
+            load_feature_dir(tmp_path, headers_only=True)
+
+    def test_labels_take_the_requested_type(self):
+        labels = label_frames(10, ground_truth((2, 5, 300)), np.uint16)
+        assert labels.dtype == np.uint16
+        assert labels.tolist() == [0, 0, 300, 300, 300, 0, 0, 0, 0, 0]
 
     def test_directory_loading_rejects_mixed_dims(self, tmp_path):
         write_features(VideoFeatures("a", np.ones((4, 3))), tmp_path / "a.fsnf")
