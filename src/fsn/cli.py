@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -258,6 +261,31 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+@contextmanager
+def _undone_on_failure(*directories: Path) -> Iterator[None]:
+    """Make ``directories`` for the body. If the body raises, remove every
+    directory made here and every entry the body added to the others; what
+    was there before stays."""
+    directories = {d.resolve() for d in directories}
+    made = {p for d in directories for p in (d, *d.parents) if not p.exists()}
+    existing = {d: set(d.iterdir()) for d in directories - made}
+    for directory in directories:
+        directory.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:
+            if directory.parent not in made:
+                shutil.rmtree(directory)
+        for directory, before in existing.items():
+            for path in set(directory.iterdir()) - before:
+                if path.is_dir():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink()
+        raise
+
+
 def _synth_config(cfg: RunConfig) -> SynthConfig:
     """The synth settings that are given; the rest keep SynthConfig's defaults."""
     values = {f.name: getattr(cfg, f.name) for f in fields(SynthConfig)}
@@ -291,17 +319,8 @@ def cmd_synth(cfg: RunConfig) -> dict:
     directories it made; files that were there before stay."""
     config = _synth_config(cfg)
     out = Path(cfg.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-    out.mkdir(parents=True, exist_ok=True)
-    existing = set(out.iterdir())
-    try:
+    with _undone_on_failure(out):
         return _write_corpus(config, out)
-    except BaseException:
-        for path in set(out.iterdir()) - existing:
-            path.unlink()
-        for directory in made:
-            directory.rmdir()
-        raise
 
 
 def _load_corpus(cfg: RunConfig, default_split: str):
@@ -500,16 +519,11 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
     return {"model": model_path, "log": log_path, "split": split}
 
 
-def _write_track_files(tracks: Sequence[FrameScoreTrack], directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for track in tracks:
-        write_features(
-            VideoFeatures(track.video_id, track.scores),
-            directory / f"{track.video_id}.fsnf",
-        )
-
-
 def _predict(cfg: RunConfig, weak: bool) -> dict:
+    """Score the split one video at a time. Every check that needs no payload
+    runs first; the track files go to a scratch directory beside the tracks
+    directory and are moved in after the last video, and a run that fails
+    removes what it made."""
     if weak:
         _require_positive(cfg, "weak_positions")
     _require(cfg, "model")
@@ -528,17 +542,18 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
             f"model expects feature_dim {head.config.feature_dim}, "
             f"config asks for {cfg.feature_dim}"
         )
-    videos, split = _select_videos(cfg, "test", allow_empty=True)
-    for video in videos:
-        if video.feature_dim != head.config.feature_dim:
+    headers, split = _select_videos(cfg, "test", allow_empty=True, headers_only=True)
+    for header in headers:
+        if header.feature_dim != head.config.feature_dim:
             raise ValueError(
-                f"{video.video_id}: feature_dim {video.feature_dim} does not "
+                f"{header.video_id}: feature_dim {header.feature_dim} does not "
                 f"match the model's {head.config.feature_dim}"
             )
     nms_iou = nms_threshold_for(cfg.predict_iou)
-    tracks_dir = Path(cfg.tracks) if cfg.tracks else Path(cfg.out) / "tracks"
+    out = Path(cfg.out)
+    tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
     # eval scores every track it finds, so another run's tracks would count
-    scored = {video.video_id for video in videos}
+    scored = {header.video_id for header in headers}
     stale = sorted(p.stem for p in tracks_dir.glob("*.fsnf") if p.stem not in scored)
     if stale:
         raise ValueError(
@@ -546,26 +561,36 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
             f"not score, e.g. {', '.join(stale[:3])}; predict into a fresh --out "
             f"or --tracks"
         )
-    tracks, predictions = localize(head, videos, cfg.predict_iou, cfg.weak_positions)
-    out = _out_dir(cfg)
     predictions_path = (
         Path(cfg.predictions) if cfg.predictions else out / "predictions.tsv"
     )
-    write_predictions(predictions, predictions_path)
-    _write_track_files(tracks, tracks_dir)
-    log_lines = [
-        f"command = {'predict-weak' if weak else 'predict'}",
-        f"model = {cfg.model}",
-        f"split = {split}",
-        f"videos = {len(videos)}",
-        f"predictions = {len(predictions)}",
-        f"predict_iou = {cfg.predict_iou:g}",
-        f"nms_iou = {nms_iou:g}",
-        f"weak_positions = {cfg.weak_positions}" if weak else None,
-        f"seed = {cfg.seed}",
-    ]
-    log_path = out / "predict_log.txt"
-    log_path.write_text("\n".join(l for l in log_lines if l is not None) + "\n")
+    with _undone_on_failure(out, tracks_dir.parent, tracks_dir):
+        # a fresh name each run: a killed run's leftovers are never moved in
+        scratch = Path(tempfile.mkdtemp(prefix=f".{tracks_dir.name}-", dir=tracks_dir.parent))
+
+        def write_track(track: FrameScoreTrack) -> None:
+            video = VideoFeatures(track.video_id, track.scores)
+            write_features(video, scratch / f"{track.video_id}.fsnf")
+
+        videos = _split_videos(cfg, headers)
+        predictions = localize(head, videos, cfg.predict_iou, cfg.weak_positions, write_track)
+        write_predictions(predictions, predictions_path)
+        for path in sorted(scratch.iterdir()):
+            path.replace(tracks_dir / path.name)
+        scratch.rmdir()
+        log_lines = [
+            f"command = {'predict-weak' if weak else 'predict'}",
+            f"model = {cfg.model}",
+            f"split = {split}",
+            f"videos = {len(headers)}",
+            f"predictions = {len(predictions)}",
+            f"predict_iou = {cfg.predict_iou:g}",
+            f"nms_iou = {nms_iou:g}",
+            f"weak_positions = {cfg.weak_positions}" if weak else None,
+            f"seed = {cfg.seed}",
+        ]
+        log_path = out / "predict_log.txt"
+        log_path.write_text("\n".join(l for l in log_lines if l is not None) + "\n")
     return {
         "predictions": predictions_path,
         "tracks": tracks_dir,
@@ -637,8 +662,9 @@ def cmd_eval(cfg: RunConfig) -> dict:
         predictions, test_gt, eval_config, video_ids=evaluated_ids
     )
     per_video = test_gt.segments.per_video([t.video_id for t in tracks])
+    label_type = np.min_scalar_type(annotations.num_classes)
     labels = {
-        track.video_id: label_frames(track.frame_count, segments)
+        track.video_id: label_frames(track.frame_count, segments, label_type)
         for track, segments in zip(tracks, per_video)
     }
     frame_ap, frame_map = frame_level_map(tracks, labels)

@@ -197,7 +197,10 @@ def load_features(path, video_id: str | None = None) -> VideoFeatures:
     raw = path.read_bytes()
     dim, frames = _check_header(path, raw[: _FEATURE_HEADER.size], len(raw))
     data = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size)
-    return VideoFeatures(video_id or path.stem, data.reshape(frames, dim))
+    try:
+        return VideoFeatures(video_id or path.stem, data.reshape(frames, dim))
+    except ValueError as err:  # a non-finite payload: name the file, as above
+        raise ValueError(f"{path}: {err}") from None
 
 
 def load_feature_dir(

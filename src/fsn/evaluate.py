@@ -128,9 +128,10 @@ def frame_level_map(
 ) -> tuple[Array, float]:
     """Retrieval AP over all test frames, per class, plus their mean.
 
-    ``labels`` maps video id to a dense per-frame class array (0 background).
-    Every labeled video needs a track of the same length; frames of all videos
-    are pooled before ranking. The mean skips classes without positives.
+    ``labels`` maps video id to a dense per-frame class array of any integer
+    type (0 background). Every labeled video needs a track of the same
+    length; frames of all videos are pooled before ranking, in the tracks'
+    own float type. The mean skips classes without positives.
     """
     by_id: dict[str, FrameScoreTrack] = {}
     for track in tracks:
@@ -148,7 +149,7 @@ def frame_level_map(
     for video_id in ordered_ids:
         if video_id not in by_id:
             raise ValueError(f"missing track for labeled video {video_id!r}")
-        frame_labels = np.asarray(labels[video_id], dtype=np.int64)
+        frame_labels = np.asarray(labels[video_id])
         if frame_labels.shape != (by_id[video_id].frame_count,):
             raise ValueError(
                 f"{video_id}: {frame_labels.size} labels for "

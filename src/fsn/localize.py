@@ -11,14 +11,16 @@ record ``data.Segments`` that also holds the ground truth: grouping builds one
 per class and video, NMS keeps a subset of it, ``localize`` joins and sorts
 them, and the prediction file (tab-separated, fixed header) is written from
 and parsed into one. Rows are checked only where they enter from outside, in
-``load_predictions``.
+``load_predictions``. ``localize`` works one video at a time: each finished
+score track is handed to the caller, which writes or keeps it, and only the
+video's segments stay behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +36,8 @@ NMS_OFFSET = 0.1
 class FrameScoreTrack:
     """Dense per-frame class scores for one video.
 
-    ``scores`` is (frames, channels); channel 0 is background when
+    ``scores`` is (frames, channels): float32 as a track file stores them,
+    any other input as float64. Channel 0 is background when
     ``includes_background`` is set, otherwise channel k-1 carries class k.
     """
 
@@ -43,7 +46,10 @@ class FrameScoreTrack:
     includes_background: bool
 
     def __post_init__(self) -> None:
-        self.scores = np.asarray(self.scores, dtype=np.float64)
+        scores = np.asarray(self.scores)
+        if scores.dtype != np.float32:
+            scores = scores.astype(np.float64, copy=False)
+        self.scores = scores
         if self.scores.ndim != 2 or self.scores.shape[0] < 1:
             raise ValueError(
                 f"{self.video_id}: scores must be (frames, channels), "
@@ -128,9 +134,10 @@ def multi_threshold_group(
     A run found at several thresholds (same start and end) is kept once, at
     its first appearance; candidates are ordered by threshold, then start.
     A run's confidence is its mean class score, the sum and division that
-    ``ndarray.mean`` makes, without its Python wrapper.
+    ``ndarray.mean`` makes, without its Python wrapper, in float64 whatever
+    the track's type.
     """
-    column = track.class_scores(class_id)
+    column = track.class_scores(class_id).astype(np.float64, copy=False)
     levels = np.asarray(thresholds, dtype=np.float64)
     outside = ~((levels >= 0.0) & (levels <= 1.0))
     if outside.any():
@@ -236,27 +243,35 @@ def nms_threshold_for(eval_iou: float) -> float:
 
 def localize(
     head: Head,
-    videos: Sequence[VideoFeatures],
+    videos: Iterable[VideoFeatures],
     eval_iou: float = 0.5,
     positions: int = 100,
-) -> tuple[list[FrameScoreTrack], Segments]:
-    """Score tracks and the sorted segment predictions of a collection of videos.
+    on_track: Callable[[FrameScoreTrack], None] | None = None,
+) -> Segments:
+    """The sorted segment predictions of a stream of videos.
 
     A dense head is scored by ``slide_predict``, a pooled one by
     ``weak_score_track`` with ``positions`` spans, one video after another;
     each video is one batched forward whose matrix products BLAS already
-    spreads over the cores. Every track is then grouped and suppressed at the
-    NMS threshold for ``eval_iou``. Tracks keep the order of ``videos``; the
-    predictions are sorted by (video, class, start, end).
+    spreads over the cores. Each track is grouped and suppressed at the NMS
+    threshold for ``eval_iou`` and then handed to ``on_track``, in the order
+    of ``videos``; only its segments are kept. ``videos`` is read once, so a
+    generator that loads each video when it is reached holds one at a time.
+    The predictions are sorted by (video, class, start, end).
     """
     nms_iou = nms_threshold_for(eval_iou)
-    if head.pooling is None:
-        tracks = [slide_predict(head, video) for video in videos]
-    else:
-        tracks = [weak_score_track(head, video, positions) for video in videos]
-    found = Segments.concatenate([track_to_segments(t, nms_iou) for t in tracks])
+    parts = []
+    for video in videos:
+        if head.pooling is None:
+            track = slide_predict(head, video)
+        else:
+            track = weak_score_track(head, video, positions)
+        parts.append(track_to_segments(track, nms_iou))
+        if on_track is not None:
+            on_track(track)
+    found = Segments.concatenate(parts)
     order = np.lexsort((found.end, found.start, found.class_id, found.video_id))
-    return tracks, found.take(order)
+    return found.take(order)
 
 
 PREDICTION_HEADER = "video_id\tstart\tend\tclass_id\tconfidence"

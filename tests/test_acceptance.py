@@ -328,7 +328,7 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
     truth = ground_truth((start, start + length, class_id, "held_out"))
 
     head = load_model(temporal_study["root"] / "fsn" / "model.fsn")
-    predictions = localize(head, [video], eval_iou=0.5)[1]
+    predictions = localize(head, [video], eval_iou=0.5)
     assert len(predictions)
     top_start, top_end, top_confidence, top_class, _ = rows(predictions)[
         int(np.argmax(predictions.confidence))

@@ -6,6 +6,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from fsn.data import (
     label_frames,
     load_annotations,
     load_feature_dir,
+    load_features,
     load_manifest,
     synth_generate,
     write_annotations,
@@ -546,7 +548,9 @@ def test_train_checks_every_split_payload(corpus, tmp_path, capsys):
         "--iterations", "1",
     ])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {victim.stem}: features contain non-finite values\n"
+    assert capsys.readouterr().err == (
+        f"error: {victim}: {victim.stem}: features contain non-finite values\n"
+    )
     assert not out.exists()
 
 
@@ -740,6 +744,131 @@ def test_predict_refuses_tracks_of_videos_it_does_not_score(corpus, trained, tmp
     assert (out / "predictions.tsv").read_bytes() == before["predictions.tsv"]
 
 
+def split_with_a_bad_last_video(corpus, directory: Path, kind: str) -> Path:
+    """A copy of ``corpus``' feature files and manifest whose last test video
+    fails once it is read: a NaN patched into its payload (``write_features``
+    refuses to write one), or a 3-frame video, shorter than one snippet,
+    added to the end of the split. Returns the bad video's file."""
+    directory.mkdir()
+    for path in corpus.glob("*.fsnf"):
+        (directory / path.name).write_bytes(path.read_bytes())
+    manifest = (corpus / "manifest.tsv").read_text()
+    if kind == "nan":
+        victim = directory / f"{max(load_manifest(corpus / 'manifest.tsv')['test_ids'])}.fsnf"
+        raw = bytearray(victim.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))
+        victim.write_bytes(bytes(raw))
+    else:
+        victim = directory / "synth_9999.fsnf"
+        write_features(VideoFeatures(victim.stem, np.ones((3, 6))), victim)
+        manifest += f"video\t{victim.stem}\ttest\t3\n"
+    (directory / "manifest.tsv").write_text(manifest)
+    return victim
+
+
+def tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Every entry under ``root``, hidden ones too, with the bytes of each file."""
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
+
+
+@pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh-out", "earlier-out"])
+@pytest.mark.parametrize("kind", ["nan", "short"])
+def test_predict_failing_mid_stream_leaves_no_output(
+    corpus, trained, tmp_path, monkeypatch, capsys, kind, earlier_run
+):
+    features = tmp_path / "features"
+    victim = split_with_a_bad_last_video(corpus, features, kind)
+    out = tmp_path / "pred"
+    before = {}
+    if earlier_run:
+        # another model's tracks, so a track overwritten in place would show
+        other = tmp_path / "other"
+        assert main([
+            "train",
+            "--features-dir", str(corpus),
+            "--annotations", str(corpus / "annotations.tsv"),
+            "--manifest", str(corpus / "manifest.tsv"),
+            "--out", str(other),
+            "--hidden-channels", "8",
+            "--iterations", "5",
+        ]) == 0
+        assert main(predict_args(corpus, other, out)) == 0
+        before = tree_bytes(out)
+    written = []
+
+    def write_and_record(video, path):
+        written.append(path.name)
+        write_features(video, path)
+
+    monkeypatch.setattr(cli, "write_features", write_and_record)
+    rc = main([
+        *predict_args(corpus, trained, out),
+        "--features-dir", str(features),
+        "--manifest", str(features / "manifest.tsv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    if kind == "nan":
+        assert err == f"error: {victim}: {victim.stem}: features contain non-finite values\n"
+    else:
+        assert err == f"error: {victim.stem}: 3 frames is shorter than one 5-frame snippet\n"
+    # the videos before the bad one were scored and their tracks written
+    test_ids = sorted(load_manifest(features / "manifest.tsv")["test_ids"])
+    assert written == [f"{video_id}.fsnf" for video_id in test_ids[:-1]]
+    if earlier_run:
+        assert tree_bytes(out) == before
+    else:
+        assert not out.exists()
+
+
+def test_predict_into_nested_fresh_directories_leaves_none_on_failure(
+    corpus, trained, tmp_path, capsys
+):
+    features = tmp_path / "features"
+    split_with_a_bad_last_video(corpus, features, "nan")
+    rc = main([
+        *predict_args(corpus, trained, tmp_path / "a" / "out"),
+        "--features-dir", str(features),
+        "--manifest", str(features / "manifest.tsv"),
+        "--tracks", str(tmp_path / "b" / "tracks"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["features"]
+
+
+def test_predict_memory_stays_below_the_split_descriptors(tmp_path, corpus60):
+    # predict scores, groups and writes one video at a time, so the traced
+    # peak stays below the float32 descriptors of the whole split (23 MB)
+    corpus_args = [
+        "--features-dir", str(corpus60),
+        "--annotations", str(corpus60 / "annotations.tsv"),
+        "--manifest", str(corpus60 / "manifest.tsv"),
+    ]
+    model_dir = tmp_path / "model"
+    assert main([
+        "train", *corpus_args, "--out", str(model_dir),
+        "--iterations", "5", "--hidden-channels", "8",
+    ]) == 0
+    headers = load_feature_dir(corpus60, headers_only=True)
+    descriptor_bytes = sum(4 * h.frame_count * h.feature_dim for h in headers)
+    tracemalloc.start()
+    try:
+        rc = main([
+            "predict", *corpus_args, "--split", "all",
+            "--model", str(model_dir / "model.fsn"), "--out", str(tmp_path / "pred"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(list((tmp_path / "pred" / "tracks").glob("*.fsnf"))) == len(headers) == 60
+    assert peak < descriptor_bytes, f"traced peak {peak} B"
+
+
 def test_predict_rejects_weak_model(corpus, tmp_path, capsys):
     out = tmp_path / "weak"
     main([
@@ -790,6 +919,59 @@ def test_eval_writes_report(corpus, predicted):
     report = load_report(predicted / "report.csv")
     assert "mAP" in report
     assert set(report["mAP"]) == {"iou_0.3", "iou_0.4", "iou_0.5", "iou_0.6", "iou_0.7", "frame_ap"}
+
+
+def test_eval_keeps_track_scores_float32(predicted):
+    tracks = cli._load_tracks(predicted / "tracks", 3)
+    assert tracks
+    for track in tracks:
+        stored = load_features(predicted / "tracks" / f"{track.video_id}.fsnf")
+        assert track.scores.dtype == np.float32
+        assert np.array_equal(track.scores, stored.features)
+
+
+def test_eval_labels_frames_in_the_smallest_type(tmp_path, monkeypatch):
+    # 300 classes need uint16 frame labels; the report must equal the one
+    # int64 labels give
+    num_classes, frames = 300, 40
+    rng = np.random.default_rng(3)
+    tracks = tmp_path / "tracks"
+    tracks.mkdir()
+    rows, predictions = [], []
+    for index in range(3):
+        video_id = f"v{index}"
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(frames, num_classes + 1))
+        write_features(VideoFeatures(video_id, scores), tracks / f"{video_id}.fsnf")
+        for start, class_id in ((5, 1 + 149 * index), (20, 300 - index)):
+            rows.append((video_id, class_id, start, start + 10, 1.0))
+            predictions.append(f"{video_id}\t{start}\t{start + 8}\t{class_id}\t0.75")
+    annotations = tmp_path / "annotations.tsv"
+    names = [f"c{k:03d}" for k in range(1, num_classes + 1)]
+    write_annotations(AnnotationSet(names, Segments.from_rows(rows)), annotations)
+    prediction_file = tmp_path / "predictions.tsv"
+    prediction_file.write_text(
+        "video_id\tstart\tend\tclass_id\tconfidence\n" + "\n".join(predictions) + "\n"
+    )
+    label_types = []
+
+    def recorded(frame_count, segments, dtype=np.int64):
+        label_types.append(np.dtype(dtype))
+        return label_frames(frame_count, segments, dtype)
+
+    def wide(frame_count, segments, dtype=np.int64):
+        return label_frames(frame_count, segments)
+
+    reports = []
+    for name, labeller in (("narrow", recorded), ("wide", wide)):
+        monkeypatch.setattr(cli, "label_frames", labeller)
+        assert main([
+            "eval", "--annotations", str(annotations), "--predictions", str(prediction_file),
+            "--tracks", str(tracks), "--out", str(tmp_path / name),
+        ]) == 0
+        reports.append((tmp_path / name / "report.csv").read_bytes())
+    assert label_types == [np.dtype(np.uint16)] * 3
+    assert reports[0] == reports[1]
+    assert load_report(tmp_path / "narrow" / "report.csv")["mAP"]["frame_ap"] > 0
 
 
 def test_eval_matches_library_result(corpus, predicted):

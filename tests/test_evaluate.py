@@ -131,7 +131,41 @@ class TestRankDescending:
         np.testing.assert_array_equal(rank_descending(scores), expected)
 
 
+@st.composite
+def _float32_cases(draw):
+    """Float32 score matrices of 1-3 videos, their frame labels and a label
+    type: the scores come from a small pool holding 0.0 and -0.0, so they
+    tie within and across videos."""
+    num_classes = draw(st.integers(1, 3))
+    background = draw(st.booleans())
+    pool = draw(st.lists(st.floats(-1.0, 1.0, width=32), max_size=3)) + [0.0, -0.0]
+    videos = []
+    for index in range(draw(st.integers(1, 3))):
+        frames = draw(st.integers(1, 12))
+        size = frames * (num_classes + background)
+        values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        labels = draw(st.lists(st.integers(0, num_classes), min_size=frames, max_size=frames))
+        scores = np.array(values, dtype=np.float32).reshape(frames, -1)
+        videos.append((f"v{index}", scores, np.array(labels)))
+    return videos, background, draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+
+
 class TestFrameLevelMap:
+    @settings(max_examples=300, deadline=None)
+    @given(_float32_cases())
+    def test_float32_tracks_score_like_widened_ones(self, case):
+        videos, background, label_type = case
+        narrow = [FrameScoreTrack(v, scores, background) for v, scores, _ in videos]
+        assert all(track.scores.dtype == np.float32 for track in narrow)
+        wide = [
+            FrameScoreTrack(v, scores.astype(np.float64), background)
+            for v, scores, _ in videos
+        ]
+        ap, mean = frame_level_map(narrow, {v: l.astype(label_type) for v, _, l in videos})
+        wide_ap, wide_mean = frame_level_map(wide, {v: l.astype(np.int64) for v, _, l in videos})
+        np.testing.assert_array_equal(ap, wide_ap)
+        assert mean == wide_mean
+
     def test_perfect_oracle_scores(self):
         labels = {"a": np.array([0, 1, 1, 2, 0]), "b": np.array([2, 2, 0, 1, 0])}
         tracks = []

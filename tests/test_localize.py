@@ -297,6 +297,17 @@ class TestMultiThresholdGroup:
         assert record.start.dtype == record.end.dtype == np.int64
         assert [(*key, c) for key, c in zip(bounds(record), record.confidence)] == oracle
 
+    def test_float32_track_groups_like_its_widened_copy(self):
+        # a track read from its file stays float32; confidences are float64 means
+        scores = np.random.default_rng(4).uniform(size=(300, 3)).astype(np.float32)
+        narrow = FrameScoreTrack("v", scores, includes_background=True)
+        wide = FrameScoreTrack("v", scores.astype(np.float64), includes_background=True)
+        assert narrow.scores.dtype == np.float32
+        for class_id in (1, 2):
+            got, expected = (multi_threshold_group(t, class_id) for t in (narrow, wide))
+            assert rows(got) == rows(expected)
+            assert got.confidence.dtype == np.float64
+
     def test_rejects_threshold_outside_unit_interval(self):
         with pytest.raises(ValueError, match="threshold"):
             multi_threshold_group(track_from_column([0.5, 0.7]), 1, (0.2, 1.5))
@@ -434,7 +445,7 @@ class TestLocalizePipelines:
             VideoFeatures("vid_b", rng.standard_normal((80, 4))),
             VideoFeatures("vid_a", rng.standard_normal((50, 4))),
         ]
-        predictions = localize(head, videos, eval_iou=0.5)[1]
+        predictions = localize(head, videos, eval_iou=0.5)
         assert len(predictions)
         keys = [(v, c, s, e) for s, e, _, c, v in rows(predictions)]
         assert keys == sorted(keys)
@@ -446,15 +457,29 @@ class TestLocalizePipelines:
         head = init_fsn(CFG, seed=11)
         videos = [
             VideoFeatures("vid_b", rng.standard_normal((90, 4))),
+            VideoFeatures("vid_c", rng.standard_normal((40, 4))),
             VideoFeatures("vid_a", rng.standard_normal((60, 4))),
         ]
-        tracks, predictions = localize(head, videos, eval_iou=0.5)
-        assert [t.video_id for t in tracks] == ["vid_b", "vid_a"]
+        tracks, reached = [], []
+
+        def one_shot():
+            for video in videos:
+                # every track before this video's has been handed over
+                assert len(tracks) == len(reached)
+                reached.append(video.video_id)
+                yield video
+
+        predictions = localize(head, one_shot(), eval_iou=0.5, on_track=tracks.append)
+        assert [t.video_id for t in tracks] == ["vid_b", "vid_c", "vid_a"]
+        assert reached == ["vid_b", "vid_c", "vid_a"]
+        for track, video in zip(tracks, videos):
+            expected = slide_predict(head, video)
+            assert np.array_equal(track.scores, expected.scores)
         per_track = [
             row for track in tracks
             for row in rows(track_to_segments(track, nms_threshold_for(0.5)))
         ]
-        assert {row[4] for row in per_track} == {"vid_a", "vid_b"}
+        assert {row[4] for row in per_track} == {"vid_a", "vid_b", "vid_c"}
         expected = sorted(per_track, key=lambda r: (r[4], r[3], r[0], r[1]))
         assert rows(predictions) == expected
 
@@ -462,7 +487,7 @@ class TestLocalizePipelines:
         rng = np.random.default_rng(9)
         head = init_fsn(CFG, seed=9)
         video = VideoFeatures("v", rng.standard_normal((120, 4)))
-        predictions = localize(head, [video], eval_iou=0.5)[1]
+        predictions = localize(head, [video], eval_iou=0.5)
         for class_id in (1, 2):
             mine = [row[:2] for row in rows(predictions) if row[3] == class_id]
             for i, a in enumerate(mine):
@@ -473,7 +498,7 @@ class TestLocalizePipelines:
         rng = np.random.default_rng(10)
         head = init_wfsn(CFG, seed=10)
         videos = [VideoFeatures("v", rng.standard_normal((60, 4)))]
-        predictions = localize(head, videos, eval_iou=0.3, positions=12)[1]
+        predictions = localize(head, videos, eval_iou=0.3, positions=12)
         assert np.all(predictions.start % 5 == 0) and np.all(predictions.end % 5 == 0)
         assert np.all((predictions.confidence >= 0.0) & (predictions.confidence <= 1.0))
 
