@@ -192,22 +192,21 @@ def read_feature_header(path) -> FeatureHeader:
     return FeatureHeader(path.stem, frames, dim)
 
 
-def load_features(path, video_id: str | None = None) -> VideoFeatures:
+def load_features(path) -> VideoFeatures:
+    """A feature file's video, named by the file's stem."""
     path = Path(path)
     raw = path.read_bytes()
     dim, frames = _check_header(path, raw[: _FEATURE_HEADER.size], len(raw))
     data = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size)
     try:
-        return VideoFeatures(video_id or path.stem, data.reshape(frames, dim))
+        return VideoFeatures(path.stem, data.reshape(frames, dim))
     except ValueError as err:  # a non-finite payload: name the file, as above
         raise ValueError(f"{path}: {err}") from None
 
 
-def load_feature_dir(
-    directory, video_ids=None, headers_only: bool = False
-) -> list[VideoFeatures] | list[FeatureHeader]:
-    """Load every ``.fsnf`` file in a directory, optionally a chosen subset,
-    in name order; with ``headers_only`` read just their headers.
+def load_feature_dir(directory, video_ids=None) -> list[FeatureHeader]:
+    """The headers of every ``.fsnf`` file in a directory, optionally a chosen
+    subset, in name order; no payload is read.
 
     All videos must agree on the descriptor dimension.
     """
@@ -223,12 +222,11 @@ def load_feature_dir(
             )
     if not paths:
         raise FileNotFoundError(f"{directory}: no feature files found")
-    read = read_feature_header if headers_only else load_features
-    videos = [read(p) for p in paths]
-    dims = {v.feature_dim for v in videos}
+    headers = [read_feature_header(p) for p in paths]
+    dims = {h.feature_dim for h in headers}
     if len(dims) > 1:
         raise ValueError(f"{directory}: mixed feature dims {sorted(dims)}")
-    return videos
+    return headers
 
 
 def write_annotations(annotations: AnnotationSet, path) -> None:

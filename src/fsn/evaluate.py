@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,24 +103,6 @@ def _ap_from_ranked(hits: Array, num_positives: int) -> float:
     true_ranks = np.flatnonzero(hits) + 1
     precisions = np.arange(1, true_ranks.size + 1) / true_ranks
     return float(precisions.sum() / num_positives)
-
-
-def average_precision(
-    ranked: Iterable[tuple[float, bool]], num_positives: int
-) -> float:
-    """Non-interpolated AP over (confidence, is_true_positive) pairs.
-
-    num_positives counts every positive in the ground truth, including those
-    never retrieved; zero positives define AP as 0.
-    """
-    if num_positives < 0:
-        raise ValueError(f"num_positives must be >= 0, got {num_positives}")
-    pairs = list(ranked)
-    if not pairs:
-        return 0.0
-    confidences = np.array([float(c) for c, _ in pairs])
-    flags = np.array([bool(f) for _, f in pairs])
-    return _ap_from_ranked(flags[rank_descending(confidences)], num_positives)
 
 
 def frame_level_map(
@@ -279,26 +261,3 @@ def emit_report(report: EvalReport, path) -> None:
         tail.append(f"{report.frame_map:.4f}")
     lines.append("mAP," + ",".join(tail))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_report(path) -> dict[str, dict[str, float]]:
-    """Parse an emitted CSV back into {row_label: {column: value}}."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty report")
-    header = lines[0].split(",")
-    if header[0] != "class":
-        raise ValueError(f"{path}: malformed report header")
-    if len(set(header)) != len(header):
-        raise ValueError(f"{path}: duplicate report column in {lines[0]!r}")
-    out: dict[str, dict[str, float]] = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: ragged report row {cells[0]!r}")
-        if cells[0] in out:
-            raise ValueError(f"{path}: duplicate report row {cells[0]!r}")
-        out[cells[0]] = {
-            column: float(value) for column, value in zip(header[1:], cells[1:])
-        }
-    return out

@@ -6,6 +6,8 @@ of an untrimmed video (``slide_predict`` for a dense head, ``weak_score_track``
 for a pooled one). Each class column of a track is thresholded at several
 levels in one mask pass into candidate segments, deduplicated, and pruned
 with greedy non-maximum suppression on one IoU matrix per class and video.
+``pairwise_iou`` is the one IoU kernel: NMS and the evaluation's segment
+matching both call it.
 Segments travel as arrays from grouping to the report, in the one segment
 record ``data.Segments`` that also holds the ground truth: grouping builds one
 per class and video, NMS keeps a subset of it, ``localize`` joins and sorts
@@ -160,32 +162,14 @@ def multi_threshold_group(
     return Segments(np.full(count, track.video_id), class_ids, starts, ends, confidence)
 
 
-def _interval(segment) -> tuple[float, float]:
-    if hasattr(segment, "start"):
-        start, end = segment.start, segment.end
-    else:
-        start, end = segment
-    if end <= start:
-        raise ValueError(f"bad interval [{start}, {end})")
-    return float(start), float(end)
-
-
-def temporal_iou(a, b) -> float:
-    """Intersection over union of two half-open temporal intervals."""
-    a_start, a_end = _interval(a)
-    b_start, b_end = _interval(b)
-    intersection = max(0.0, min(a_end, b_end) - max(a_start, b_start))
-    union = (a_end - a_start) + (b_end - b_start) - intersection
-    return intersection / union
-
-
 def pairwise_iou(a_start, a_end, b_start, b_end) -> Array:
     """IoU of every interval of ``a`` with every interval of ``b``.
 
     Returns a float64 (len(a), len(b)) matrix, or (len(a), m) when ``b`` holds
-    one row of m intervals per interval of ``a``. The float operations are
-    those of ``temporal_iou``, in the same order, so every entry equals the
-    scalar result bit for bit.
+    one row of m intervals per interval of ``a``. Each entry is
+    ``intersection / ((a_len + b_len) - intersection)`` in that order, so
+    swapping ``a`` and ``b`` gives the same bits, and on integer bounds every
+    entry is the IoU of the two frame sets exactly.
     """
     a_start = np.asarray(a_start, dtype=np.float64)[:, None]
     a_end = np.asarray(a_end, dtype=np.float64)[:, None]

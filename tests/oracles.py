@@ -53,6 +53,13 @@ def iou_by_frames(a, b):
     return len(sa & sb) / len(sa | sb)
 
 
+def interval_iou(a, b):
+    """IoU of two half-open intervals with real bounds, in scalar floats:
+    the intersection, then the union as (length a + length b) - intersection."""
+    intersection = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+    return intersection / (((a[1] - a[0]) + (b[1] - b[0])) - intersection)
+
+
 def greedy_nms(segments, iou_fn, threshold):
     """Literal greedy suppression over (start, end, confidence) triples.
 
@@ -89,6 +96,20 @@ def ap_by_pr_points(flags, num_positives):
             ap += (recall - prev_recall) * (tp / rank)
             prev_recall = recall
     return ap
+
+
+def pooled_frame_ap(columns, labels, class_id):
+    """Frame-level AP of one class over several videos.
+
+    ``columns`` holds each video's class scores and ``labels`` its frame
+    labels, videos in the same order. The frames are pooled in that order and
+    ranked by Python's stable sort on descending score, so tied frames keep
+    their pooled order.
+    """
+    scores = [float(score) for column in columns for score in column]
+    flags = [int(label) == class_id for video in labels for label in video]
+    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+    return ap_by_pr_points([flags[i] for i in order], sum(flags))
 
 
 def match_predictions(preds, gts, threshold, iou_fn):

@@ -1,5 +1,7 @@
 """Build ``Segments`` records from rows, of predictions or of ground truth,
-and read them back, for the tests."""
+and read them back, and parse emitted reports, for the tests."""
+
+from pathlib import Path
 
 from fsn.data import Segments
 
@@ -40,3 +42,26 @@ def gt_rows(record: Segments) -> list[tuple]:
         record.start.tolist(),
         record.end.tolist(),
     ))
+
+
+def load_report(path) -> dict[str, dict[str, float]]:
+    """Parse an emitted report CSV back into {row_label: {column: value}}."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty report")
+    header = lines[0].split(",")
+    if header[0] != "class":
+        raise ValueError(f"{path}: malformed report header")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: duplicate report column in {lines[0]!r}")
+    out: dict[str, dict[str, float]] = {}
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: ragged report row {cells[0]!r}")
+        if cells[0] in out:
+            raise ValueError(f"{path}: duplicate report row {cells[0]!r}")
+        out[cells[0]] = {
+            column: float(value) for column, value in zip(header[1:], cells[1:])
+        }
+    return out

@@ -36,10 +36,11 @@ from fsn.data import (
     write_annotations,
     write_features,
 )
-from fsn.evaluate import EvalConfig, frame_level_map, load_report, segment_level_map
+from fsn.evaluate import EvalConfig, frame_level_map, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
 from fsn.model import load_model
 from oracles import per_video_batches
+from records import load_report
 
 
 # ---------------------------------------------------------------- config
@@ -400,7 +401,7 @@ def test_train_batches_match_the_per_video_gather(
         "--hidden-channels", "4",
         "--seed", "3",
     ]) == 0
-    videos = load_feature_dir(corpus)
+    videos = [load_features(corpus / f"{h.video_id}.fsnf") for h in load_feature_dir(corpus)]
     per_video = load_annotations(corpus / "annotations.tsv").segments.per_video(
         [v.video_id for v in videos]
     )
@@ -853,7 +854,7 @@ def test_predict_memory_stays_below_the_split_descriptors(tmp_path, corpus60):
         "train", *corpus_args, "--out", str(model_dir),
         "--iterations", "5", "--hidden-channels", "8",
     ]) == 0
-    headers = load_feature_dir(corpus60, headers_only=True)
+    headers = load_feature_dir(corpus60)
     descriptor_bytes = sum(4 * h.frame_count * h.feature_dim for h in headers)
     tracemalloc.start()
     try:
@@ -1225,6 +1226,16 @@ def test_gradcheck_report_values_are_small(tmp_path):
     for line in (out / "gradcheck.txt").read_text().splitlines()[1:-2]:
         error = float(line.split()[1])
         assert error < 1e-5
+
+
+def test_gradcheck_fails_a_nan_gradient(tmp_path, monkeypatch):
+    # a NaN error must fail its check, not read as the running maximum
+    monkeypatch.setattr(cli, "relu_backward", lambda grad, cache: np.full_like(grad, np.nan))
+    out = tmp_path / "gc"
+    assert main(["gradcheck", "--out", str(out), "--gradcheck-seeds", "2"]) == 1
+    lines = (out / "gradcheck.txt").read_text().splitlines()
+    assert "relu nan FAIL".split() in [line.split() for line in lines]
+    assert lines[-1].startswith("overall: FAIL")
 
 
 # ---------------------------------------------------------------- benchmark tracer

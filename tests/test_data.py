@@ -131,14 +131,16 @@ class TestFeatureFiles:
         assert str(header.value) == str(full.value)
         assert str(header.value).startswith(f"{path}: ")
 
-    def test_directory_loading_reads_headers_only_on_request(self, tmp_path):
+    def test_directory_loading_reads_headers_only(self, tmp_path):
         for name, dim in (("a", 3), ("b", 3)):
             write_features(VideoFeatures(name, np.ones((4, dim))), tmp_path / f"{name}.fsnf")
-        headers = load_feature_dir(tmp_path, video_ids=["b"], headers_only=True)
-        assert headers == [FeatureHeader("b", 4, 3)]
-        write_features(VideoFeatures("c", np.ones((4, 5))), tmp_path / "c.fsnf")
-        with pytest.raises(ValueError, match="mixed"):
-            load_feature_dir(tmp_path, headers_only=True)
+        # a payload that does not load: only the header is read
+        write_features(VideoFeatures("c", np.ones((4, 3))), tmp_path / "c.fsnf")
+        raw = bytearray((tmp_path / "c.fsnf").read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        (tmp_path / "c.fsnf").write_bytes(bytes(raw))
+        headers = load_feature_dir(tmp_path, video_ids=["b", "c"])
+        assert headers == [FeatureHeader("b", 4, 3), FeatureHeader("c", 4, 3)]
 
     def test_labels_take_the_requested_type(self):
         labels = label_frames(10, ground_truth((2, 5, 300)), np.uint16)

@@ -12,16 +12,14 @@ from fsn.evaluate import (
     DEFAULT_STRONG_IOUS,
     DEFAULT_WEAK_IOUS,
     EvalConfig,
-    average_precision,
     emit_report,
     frame_level_map,
-    load_report,
     rank_descending,
     segment_level_map,
 )
 from fsn.localize import FrameScoreTrack
-from oracles import ap_by_pr_points, iou_by_frames, match_predictions
-from records import ground_truth, gt_rows, rows, segments
+from oracles import ap_by_pr_points, iou_by_frames, match_predictions, pooled_frame_ap
+from records import ground_truth, gt_rows, load_report, rows, segments
 
 
 def oracle_rows(predictions):
@@ -35,48 +33,43 @@ def track_for(labels, scores_by_class, video="v"):
     return FrameScoreTrack(video, scores, includes_background=False)
 
 
+def one_video_ap(scores, labels):
+    """Frame-level AP of class 1 over one video's scores and frame labels."""
+    ap, _ = frame_level_map([track_for(None, [scores])], {"v": np.array(labels)})
+    return ap[0]
+
+
 class TestAveragePrecision:
+    """Non-interpolated AP, as ``frame_level_map`` computes it for one video."""
+
     def test_all_positives_first(self):
-        ranked = [(0.9, True), (0.8, True), (0.2, False)]
-        assert average_precision(ranked, 2) == 1.0
+        assert one_video_ap([0.9, 0.8, 0.2], [1, 1, 0]) == 1.0
 
     def test_single_positive_at_rank_two(self):
-        ranked = [(0.9, False), (0.5, True)]
-        assert average_precision(ranked, 1) == 0.5
+        assert one_video_ap([0.9, 0.5], [0, 1]) == 0.5
 
     def test_zero_positives(self):
-        assert average_precision([(0.5, False)], 0) == 0.0
-        assert average_precision([], 0) == 0.0
+        assert one_video_ap([0.5], [0]) == 0.0
+        assert one_video_ap([0.5, 0.1], [0, 0]) == 0.0
 
     def test_missed_positives_cap_the_score(self):
-        # one of two positives never retrieved
-        assert average_precision([(0.9, True)], 2) == 0.5
-
-    def test_rejects_negative_positive_count(self):
-        with pytest.raises(ValueError):
-            average_precision([], -1)
+        # one of two positives ranked below all 98 negatives: about half
+        scores = [0.9] + [0.5] * 98 + [0.0]
+        labels = [1] + [0] * 98 + [1]
+        assert one_video_ap(scores, labels) == pytest.approx((1.0 + 2.0 / 100.0) / 2.0)
 
     def test_ties_keep_stable_input_order(self):
-        fp_first = [(0.5, False), (0.5, True)]
-        tp_first = [(0.5, True), (0.5, False)]
-        assert average_precision(fp_first, 1) == 0.5
-        assert average_precision(tp_first, 1) == 1.0
+        assert one_video_ap([0.5, 0.5], [0, 1]) == 0.5
+        assert one_video_ap([0.5, 0.5], [1, 0]) == 1.0
 
     def test_matches_pr_summation_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(1, 20))
-            flags = rng.uniform(size=n) < 0.4
-            confidences = np.round(rng.uniform(size=n), 2)
-            extra_missed = int(rng.integers(0, 3))
-            num_positives = int(flags.sum()) + extra_missed
-            if num_positives == 0:
-                continue
-            ranked = list(zip(confidences, flags))
-            mine = average_precision(ranked, num_positives)
-            order = np.argsort(-confidences, kind="stable")
-            oracle = ap_by_pr_points(flags[order], num_positives)
-            assert mine == pytest.approx(oracle, abs=1e-12)
+            labels = (rng.uniform(size=n) < 0.4).astype(np.int64)
+            scores = np.round(rng.uniform(size=n), 1)
+            oracle = pooled_frame_ap([scores], [labels], 1)
+            assert one_video_ap(scores, labels) == pytest.approx(oracle, abs=1e-12)
 
 
 def _few_distinct():

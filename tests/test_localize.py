@@ -1,7 +1,5 @@
 """Frame tracks, grouping, NMS, and prediction files."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,13 +15,12 @@ from fsn.localize import (
     nms_threshold_for,
     pairwise_iou,
     slide_predict,
-    temporal_iou,
     track_to_segments,
     weak_score_track,
     write_predictions,
 )
 from fsn.model import ModelConfig, fsn_forward, init_fsn, init_wfsn, wfsn_forward_predict
-from oracles import greedy_nms, iou_by_frames, threshold_runs
+from oracles import greedy_nms, interval_iou, iou_by_frames, threshold_runs
 from records import rows, segments
 
 CFG = ModelConfig(num_classes=2, feature_dim=4, hidden_channels=6, snippet_len=5, clip_len=35)
@@ -314,33 +311,36 @@ class TestMultiThresholdGroup:
 
 
 class TestTemporalIoU:
+    """``pairwise_iou``, the one IoU kernel of NMS and evaluation."""
+
+    @staticmethod
+    def iou(a, b):
+        return pairwise_iou([a[0]], [a[1]], [b[0]], [b[1]])[0, 0]
+
     def test_known_value(self):
-        assert temporal_iou((10, 20), (15, 25)) == pytest.approx(1.0 / 3.0)
+        assert self.iou((10, 20), (15, 25)) == 1.0 / 3.0
 
     def test_disjoint_and_touching(self):
-        assert temporal_iou((0, 5), (7, 9)) == 0.0
-        assert temporal_iou((0, 5), (5, 10)) == 0.0
+        assert self.iou((0, 5), (7, 9)) == 0.0
+        assert self.iou((0, 5), (5, 10)) == 0.0
 
     def test_identical(self):
-        assert temporal_iou((3, 9), (3, 9)) == 1.0
-
-    def test_accepts_segment_objects(self):
-        a, b = SimpleNamespace(start=10, end=20), SimpleNamespace(start=15, end=25)
-        assert temporal_iou(a, b) == pytest.approx(1 / 3)
+        assert self.iou((3, 9), (3, 9)) == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 50), st.integers(1, 30), st.integers(0, 50), st.integers(1, 30))
     def test_matches_frame_set_oracle_and_symmetry(self, a_start, a_len, b_start, b_len):
         a = (a_start, a_start + a_len)
         b = (b_start, b_start + b_len)
-        assert temporal_iou(a, b) == pytest.approx(iou_by_frames(a, b), abs=1e-12)
-        assert temporal_iou(a, b) == temporal_iou(b, a)
         matrix = pairwise_iou([a[0], b[0]], [a[1], b[1]], [b[0], a[0]], [b[1], a[1]])
         assert matrix.shape == (2, 2)
-        assert matrix[0, 0] == temporal_iou(a, b)
-        assert matrix[0, 1] == temporal_iou(a, a)
-        assert matrix[1, 0] == temporal_iou(b, b)
-        assert matrix[1, 1] == temporal_iou(b, a)
+        assert matrix[0, 0] == iou_by_frames(a, b)
+        assert matrix[0, 1] == 1.0
+        assert matrix[1, 0] == 1.0
+        assert matrix[1, 1] == matrix[0, 0]
+        # one row of intervals per interval of a
+        rowwise = pairwise_iou([a[0], b[0]], [a[1], b[1]], [[b[0]], [a[0]]], [[b[1]], [a[1]]])
+        assert rowwise[:, 0].tolist() == [matrix[0, 0], matrix[1, 1]]
 
     def test_pairwise_equals_scalar_on_fractional_bounds(self):
         # non-integer bounds round, so only the same op order gives equal bits
@@ -350,12 +350,21 @@ class TestTemporalIoU:
         matrix = pairwise_iou(starts[:20], ends[:20], starts[20:], ends[20:])
         for i in range(20):
             for j in range(20):
-                scalar = temporal_iou((starts[i], ends[i]), (starts[20 + j], ends[20 + j]))
+                scalar = interval_iou((starts[i], ends[i]), (starts[20 + j], ends[20 + j]))
                 assert matrix[i, j] == scalar
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0.01, 50)), min_size=1, max_size=8))
+    def test_swapping_sides_transposes_bit_for_bit(self, intervals):
+        starts = np.array([start for start, _ in intervals])
+        ends = starts + np.array([length for _, length in intervals])
+        half = len(intervals) // 2
+        a, b = (starts[:half + 1], ends[:half + 1]), (starts[half:], ends[half:])
+        np.testing.assert_array_equal(pairwise_iou(*a, *b), pairwise_iou(*b, *a).T)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
-            temporal_iou((5, 5), (0, 3))
+            pairwise_iou([5], [5], [0], [3])
         with pytest.raises(ValueError):
             pairwise_iou([0, 5], [3, 5], [0], [3])
 
@@ -492,7 +501,7 @@ class TestLocalizePipelines:
             mine = [row[:2] for row in rows(predictions) if row[3] == class_id]
             for i, a in enumerate(mine):
                 for b in mine[i + 1 :]:
-                    assert temporal_iou(a, b) <= 0.4 + 1e-12
+                    assert iou_by_frames(a, b) <= 0.4 + 1e-12
 
     def test_weak_pipeline_runs_end_to_end(self):
         rng = np.random.default_rng(10)

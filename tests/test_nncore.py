@@ -78,8 +78,7 @@ class TestDilatedConv:
             gx, gw, gb = dilated_conv1d_backward(probe, cache)
             return loss, [gw, gb, gx]
 
-        report = gradient_check(fn, [layer.weights, layer.bias, x])
-        assert report.passed, report.per_param
+        assert gradient_check(fn, [layer.weights, layer.bias, x]) < 1e-5
 
     def test_rejects_even_kernel(self):
         with pytest.raises(ValueError):
@@ -125,8 +124,7 @@ class TestBatchedOps:
             gx, gw, gb = dilated_conv1d_backward(probe, cache)
             return float((out * probe).sum()), [gw, gb, gx]
 
-        report = gradient_check(fn, [layer.weights, layer.bias, x])
-        assert report.passed, report.per_param
+        assert gradient_check(fn, [layer.weights, layer.bias, x]) < 1e-5
 
     @pytest.mark.parametrize("n,target", [(1, 5), (3, 8), (7, 35)])
     def test_upsample_forward_and_backward(self, n, target):
@@ -143,7 +141,7 @@ class TestBatchedOps:
             loss = float((out * probe).sum())
             return loss, [bilinear_upsample_1d_backward(probe, cache)]
 
-        assert gradient_check(fn, [x]).passed
+        assert gradient_check(fn, [x]) < 1e-5
 
     @pytest.mark.parametrize("mode", [GAP, GMP])
     def test_pool_forward_and_backward(self, mode):
@@ -161,7 +159,7 @@ class TestBatchedOps:
             loss = float((out * probe).sum())
             return loss, [temporal_pool_backward(probe, cache)]
 
-        assert gradient_check(fn, [x]).passed
+        assert gradient_check(fn, [x]) < 1e-5
 
     def test_gmp_tie_routes_gradient_to_earliest_per_sample(self):
         x = np.array([[[5.0, 1.0], [5.0, 2.0]], [[0.0, 3.0], [1.0, 3.0]]])
@@ -201,7 +199,7 @@ class TestRelu:
             out, cache = relu(inp)
             return float((out * probe).sum()), [relu_backward(probe, cache)]
 
-        assert gradient_check(fn, [x]).passed
+        assert gradient_check(fn, [x]) < 1e-5
 
 
 class TestBilinearUpsample:
@@ -251,7 +249,7 @@ class TestBilinearUpsample:
             loss = float((out * probe).sum())
             return loss, [bilinear_upsample_1d_backward(probe, cache)]
 
-        assert gradient_check(fn, [x]).passed
+        assert gradient_check(fn, [x]) < 1e-5
 
     @pytest.mark.parametrize("n,target", [(1, 6), (7, 35), (120, 600)])
     def test_backward_equals_dense_blend_product(self, n, target):
@@ -344,7 +342,7 @@ class TestCrossEntropy:
             loss, grad = framewise_cross_entropy(z, labels)
             return loss, [grad]
 
-        assert gradient_check(fn, [logits]).passed
+        assert gradient_check(fn, [logits]) < 1e-5
 
     def test_rejects_labels_that_are_not_one_hot(self):
         logits = np.zeros((1, 2, 3))
@@ -421,7 +419,7 @@ class TestTemporalPool:
             loss = float((out * probe).sum())
             return loss, [temporal_pool_backward(probe, cache)]
 
-        assert gradient_check(fn, [x]).passed
+        assert gradient_check(fn, [x]) < 1e-5
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -482,9 +480,7 @@ class TestGradientCheck:
             (p,) = params
             return float((a * p * p).sum()), [2.0 * a * p]
 
-        report = gradient_check(fn, [x])
-        assert report.passed
-        assert report.max_rel_error < 1e-7
+        assert gradient_check(fn, [x]) < 1e-7
 
     def test_flags_corrupted_gradient(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -493,9 +489,17 @@ class TestGradientCheck:
             (p,) = params
             return float((p * p).sum()), [2.0 * p * 1.01]
 
-        report = gradient_check(fn, [x])
-        assert not report.passed
-        assert report.max_rel_error > 1e-3
+        assert gradient_check(fn, [x]) > 1e-3
+
+    def test_nan_gradient_fails_any_tolerance(self):
+        # the exact first tensor must not mask the NaN error of the second
+        x, y = np.array([1.0, 2.0]), np.array([3.0])
+
+        def fn(params):
+            p, q = params
+            return float((p * p).sum() + q.sum()), [2.0 * p, np.array([np.nan])]
+
+        assert not gradient_check(fn, [x, y]) < 1.0
 
     def test_restores_parameters(self):
         x = np.array([1.0, 2.0])
