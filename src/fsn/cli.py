@@ -200,6 +200,8 @@ def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> Ru
                 setattr(cfg, key, SCHEMA[key](raw))
             except ValueError as err:
                 raise ValueError(f"config key {key!r}: {err}") from None
+    if cfg.seed < 0:
+        raise ValueError(f"config key 'seed': must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -356,12 +358,12 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step) -> tuple[Path, Path
     """The SGD loop over ``next_batch()`` (features, targets) batches; makes
     the output directory and saves the model and loss log there. Callers check
     their settings with ``_require_positive`` before they load any data."""
-    out = _out_dir(cfg)
     optimizer = OptimizerState(
         learning_rate=cfg.learning_rate,
         momentum=cfg.momentum,
         weight_decay=cfg.weight_decay,
     )
+    out = _out_dir(cfg)
     lines = ["iteration,loss"]
     for step in range(1, cfg.iterations + 1):
         loss = train_step(*next_batch(), head, optimizer)
@@ -374,35 +376,6 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step) -> tuple[Path, Path
     return model_path, log_path
 
 
-def _gather_frames(
-    cfg: RunConfig,
-    headers: Sequence[FeatureHeader],
-    owner: np.ndarray,
-    start: np.ndarray,
-    centers: np.ndarray,
-    index_type,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One float32 block of the distinct frames that windows read at their
-    snippet ``centers``, and the (windows, centers) block rows of those reads.
-
-    A window is its video's index in ``headers`` and its start frame there,
-    in video order. Every video of the split is read in full, once, so each
-    file's payload is checked whether or not a window reads from it.
-    """
-    cuts = np.searchsorted(owner, np.arange(len(headers) + 1))
-    windows = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    sizes = [np.unique(start[w, None] + centers).size for w in windows]
-    base = np.concatenate(([0], np.cumsum(sizes)))
-    block = np.empty((base[-1], headers[0].feature_dim), dtype=np.float32)
-    rows = np.empty((start.size, centers.size), dtype=index_type)
-    for index, (video, w) in enumerate(zip(_split_videos(cfg, headers), windows)):
-        reads = start[w, None] + centers
-        frames = np.unique(reads)
-        rows[w] = base[index] + np.searchsorted(frames, reads)
-        block[base[index] : base[index + 1]] = video.features[frames]
-    return block, rows
-
-
 def _window_batches(
     cfg: RunConfig,
     headers: Sequence[FeatureHeader],
@@ -412,9 +385,14 @@ def _window_batches(
     """The strong head's batch source and the length of its window order.
 
     The windows, their classes and the frame labels come from the headers
-    and the annotations alone. The whole batch schedule is drawn ahead, one
-    step's picks after another; only the descriptors of the windows it picks
-    are held, and the returned source replays it one step per call.
+    and the annotations alone. The whole batch schedule is drawn ahead; then
+    each video is read once and every drawn window copies its snippet
+    descriptors into one (drawn windows, snippets, feature_dim) float32 block,
+    so a step is one gather. A frame is held once per drawn window that reads
+    it. At the shipped clip_len 35 and default stride 7 no two windows share
+    a snippet centre; a smaller ``train_stride`` holds at most iterations x
+    batch_size x snippets rows (2000 steps on 40 videos of 6000 frames at
+    stride 1: 143 192 rows for 82 740 distinct frames).
     """
     clip_len = model_config.clip_len
     stride = max(clip_len // 5, 1) if cfg.train_stride is None else cfg.train_stride
@@ -437,29 +415,33 @@ def _window_batches(
             f"no training window passed the >= {cfg.min_action_frames} action-frame rule"
         )
     order = rebalance(np.concatenate(classes), seed=cfg.seed)
-    # frames are numbered across the split, videos end to end
-    offsets = np.concatenate(([0], np.cumsum([h.frame_count for h in headers])))
-    index_type = np.int32 if offsets[-1] <= np.iinfo(np.int32).max else np.int64
     # one row of windows per step, each row one draw of the generator
     rng = np.random.default_rng([cfg.seed, 1])
-    schedule = np.empty((cfg.iterations, cfg.batch_size), dtype=index_type)
+    schedule = np.empty((cfg.iterations, cfg.batch_size), dtype=np.int64)
     for row in schedule:
         row[:] = order[rng.integers(0, len(order), size=cfg.batch_size)]
     drawn = np.zeros(start.size, dtype=bool)
     drawn[schedule] = True
     # from here on a window is its slot among the drawn ones
-    schedule = (np.cumsum(drawn, dtype=index_type) - 1)[schedule]
+    schedule = (np.cumsum(drawn) - 1)[schedule]
     owner, start = owner[drawn], start[drawn]
+    # frames are numbered across the split, videos end to end
+    offsets = np.concatenate(([0], np.cumsum([h.frame_count for h in headers])))
     labels = np.concatenate(frame_labels)
-    label_rows = (offsets[owner] + start).astype(index_type)
+    label_rows = offsets[owner] + start
     centers = snippet_centers(clip_len, model_config.snippet_len)
-    block, rows = _gather_frames(cfg, headers, owner, start, centers, index_type)
+    features = np.empty((start.size, centers.size, headers[0].feature_dim), dtype=np.float32)
+    # every video is read in full, so each file's payload is checked whether
+    # or not a drawn window reads from it
+    cuts = np.searchsorted(owner, np.arange(len(headers) + 1))
+    for video, a, b in zip(_split_videos(cfg, headers), cuts[:-1], cuts[1:]):
+        features[a:b] = video.features[start[a:b, None] + centers]
     span = np.arange(clip_len)
     steps = iter(schedule)
 
     def next_batch() -> tuple[np.ndarray, np.ndarray]:
         picks = next(steps)
-        return block[rows[picks]], labels[label_rows[picks, None] + span]
+        return features[picks], labels[label_rows[picks, None] + span]
 
     return next_batch, len(order)
 

@@ -16,9 +16,9 @@ A training window is its start frame in a video: ``make_clips`` returns the
 kept starts as an index array, and ``clip_majority_class`` and ``rebalance``
 work on index arrays too. Windows need only a file's header
 (``read_feature_header``) and the annotations, so training finds them before
-it reads any payload; it then holds one block of the distinct frames that its
-batch schedule reads, and a step gathers its windows' descriptors and labels
-from that block and the split's label array.
+it reads any payload; it then holds one block of the snippet descriptors of
+every window its batch schedule draws, and a step gathers its windows'
+descriptors and labels from that block and the split's label array.
 """
 
 from __future__ import annotations

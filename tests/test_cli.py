@@ -109,7 +109,9 @@ def test_build_config_reports_bad_value():
         build_config({"context_ambiguity": "maybe"}, {})
 
 
-@pytest.mark.parametrize("key, value", [("eval_iou", "0.5,abc"), ("iterations", "x")])
+@pytest.mark.parametrize(
+    "key, value", [("eval_iou", "0.5,abc"), ("iterations", "x"), ("seed", "-1")]
+)
 def test_bad_flag_value_fails_like_a_config_value(tmp_path, capsys, key, value):
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {value}\n")
@@ -1178,12 +1180,27 @@ def test_ablate_rejects_unknown_mode(corpus, tmp_path, capsys):
         ("predict-weak", ["--model", "nowhere.fsn", "--features-dir", "nowhere"],
          "[Errno 2] No such file or directory: 'nowhere.fsn'"),
         ("synth", ["--num-videos", "1"], "need at least 2 videos"),
+        # the optimizer settings are checked before the output directory is made
+        ("train", ["--learning-rate", "-1"], "learning rate must be >= 0, got -1.0"),
+        ("train", ["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
+        ("train", ["--weight-decay", "-1"], "weight decay must be >= 0, got -1.0"),
+        ("train-weak", ["--learning-rate", "-1"], "learning rate must be >= 0, got -1.0"),
+        ("train-weak", ["--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
+        ("train-weak", ["--weight-decay", "-1"], "weight decay must be >= 0, got -1.0"),
+        ("ablate", ["--learning-rate", "-1"], "learning rate must be >= 0, got -1.0"),
+        # a negative seed is rejected while the settings are parsed
+        ("synth", ["--seed", "-1"], "config key 'seed': must be >= 0, got -1\n"),
+        ("train", ["--seed", "-1"], "config key 'seed': must be >= 0, got -1\n"),
+        ("gradcheck", ["--seed", "-1"], "config key 'seed': must be >= 0, got -1\n"),
     ],
     ids=[
         "train-iterations", "train-stride", "train-weak-batch-size",
         "ablate-mode", "ablate-temporal-iterations", "ablate-pooling-log-every",
         "eval-missing-annotations", "predict-missing-model",
         "predict-weak-missing-model", "synth-one-video",
+        "train-learning-rate", "train-momentum", "train-weight-decay",
+        "train-weak-learning-rate", "train-weak-momentum", "train-weak-weight-decay",
+        "ablate-learning-rate", "synth-seed", "train-seed", "gradcheck-seed",
     ],
 )
 def test_rejected_settings_leave_no_output_directory(

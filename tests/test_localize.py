@@ -413,6 +413,27 @@ class TestNms:
             )
             assert sorted(row[:3] for row in rows(kept)) == sorted(oracle)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(1, 20), st.sampled_from([0.3, 0.6, 0.9])),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([0.0, 0.2, 0.4, 0.6]),
+    )
+    def test_keeps_the_greedy_oracle_rows_in_order_on_general_intervals(self, draws, threshold):
+        # intervals that need not nest, with repeated starts and tied
+        # confidences, so the tie order decides which rows are kept
+        triples = [(start, start + length, confidence) for start, length, confidence in draws]
+        kept = nms(segments(*triples), threshold)
+        oracle = greedy_nms(
+            triples,
+            lambda x, y: iou_by_frames((x[0], x[1]), (y[0], y[1])),
+            threshold,
+        )
+        assert [row[:3] for row in rows(kept)] == oracle
+
     @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.4, 0.6])
     def test_matches_greedy_oracle_on_grouped_tracks(self, threshold):
         # grouping a wandering track quantized to one decimal gives nested
