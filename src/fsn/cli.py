@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
+import os
+import pickle
 import shutil
+import signal
 import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from .evaluate import (
 )
 from .localize import (
     FrameScoreTrack,
+    join_predictions,
     load_predictions,
     localize,
     nms_threshold_for,
@@ -503,11 +508,102 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
     return {"model": model_path, "log": log_path, "split": split}
 
 
+def _scoring_workers(videos: int) -> int:
+    """How many processes score a split of ``videos``: one per CPU this
+    process may run on, at most one per video. One where BLAS is not pinned to
+    one thread, since its threads would compete with the workers, or where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    blas = _openblas_threads()
+    if blas is None or blas[1]() != 1:
+        return 1
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), videos))
+
+
+def _forked(outcome: Callable[[Sequence], tuple], part: Sequence) -> tuple[int, BinaryIO]:
+    """Run ``outcome(part)`` in a forked child; returns its pid and the read
+    end of the pipe that carries the pickled outcome. The child leaves by
+    ``os._exit`` and never returns into the caller's code."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome(part)))
+    finally:
+        os._exit(0)
+
+
+def _score_split(
+    cfg: RunConfig,
+    head: Head,
+    headers: Sequence[FeatureHeader],
+    on_track: Callable[[FrameScoreTrack], None],
+) -> Segments:
+    """``localize`` over the split, in ``_scoring_workers`` processes.
+
+    With n workers, part i is ``headers[i::n]``: the parent scores part 0,
+    and each other part runs in a forked child that hands its tracks to
+    ``on_track`` and sends its segments back over a pipe. Each video is
+    scored by the same code in one process, so no byte depends on n, and
+    with n = 1 nothing is forked. ``join_predictions`` puts the parts in
+    ``localize``'s order. Every child is reaped before this returns or
+    raises; when videos fail, the error of the earliest one in split order
+    is raised.
+    """
+
+    def outcome(part: Sequence[FeatureHeader]) -> tuple:
+        """(segments, None), or (videos scored, error) when one fails."""
+        done = 0
+
+        def counted(track: FrameScoreTrack) -> None:
+            nonlocal done
+            on_track(track)
+            done += 1
+
+        try:
+            videos = _split_videos(cfg, part)
+            return localize(head, videos, cfg.predict_iou, cfg.weak_positions, counted), None
+        except Exception as err:
+            return done, err
+
+    n = _scoring_workers(len(headers))
+    children, sent, exits = [], None, []
+    try:
+        for first in range(1, n):
+            children.append(_forked(outcome, headers[first::n]))
+        outcomes = [outcome(headers[0::n])]
+        sent = [pipe.read() for _, pipe in children]
+    finally:
+        # a child whose pipe was read to its end is leaving; any other is stopped
+        for pid, pipe in children:
+            pipe.close()
+            if sent is None:
+                os.kill(pid, signal.SIGKILL)
+            exits.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for result, code in zip(sent, exits):
+        died = RuntimeError(f"a scoring worker ended without a result (exit code {code})")
+        outcomes.append(pickle.loads(result) if result else (0, died))
+    # a part stops at its first failing video, the (first + n * done)th of the split
+    failures = [
+        (first + n * done, error)
+        for first, (done, error) in enumerate(outcomes)
+        if error is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return join_predictions([segments for segments, _ in outcomes])
+
+
 def _predict(cfg: RunConfig, weak: bool) -> dict:
-    """Score the split one video at a time. Every check that needs no payload
-    runs first; the track files go to a scratch directory beside the tracks
-    directory and are moved in after the last video, and a run that fails
-    removes what it made."""
+    """Score the split one video at a time in each of ``_scoring_workers``
+    processes. Every check that needs no payload runs first; the track files
+    go to a scratch directory beside the tracks directory and are moved in
+    after the last video, and a run that fails removes what it made."""
     if weak:
         _require_positive(cfg, "weak_positions")
     _require(cfg, "model")
@@ -556,8 +652,7 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
             video = VideoFeatures(track.video_id, track.scores)
             write_features(video, scratch / f"{track.video_id}.fsnf")
 
-        videos = _split_videos(cfg, headers)
-        predictions = localize(head, videos, cfg.predict_iou, cfg.weak_positions, write_track)
+        predictions = _score_split(cfg, head, headers, write_track)
         write_predictions(predictions, predictions_path)
         for path in sorted(scratch.iterdir()):
             path.replace(tracks_dir / path.name)
@@ -963,8 +1058,41 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: 1 GiB
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """The set and get functions of the thread count of the OpenBLAS that
+    numpy's wheels load privately from ``numpy.libs`` (``ctypes.CDLL(None)``
+    does not see them); None for any other BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(min(libs.glob("libscipy_openblas*"))))
+        pin = lib.scipy_openblas_set_num_threads64_
+        count = lib.scipy_openblas_get_num_threads64_
+    except (ValueError, OSError, AttributeError):  # no such library or symbol
+        return None
+    pin.argtypes, pin.restype = [ctypes.c_int], None
+    count.argtypes, count.restype = [], ctypes.c_int
+    return pin, count
+
+
+def _pin_blas() -> None:
+    """Run BLAS on one thread in this process.
+
+    OpenBLAS splits larger products over threads, and the split changes the
+    floating-point sums: a 20-step ``train-weak`` on the pooling config wrote
+    different model bytes under 1 and 2 threads. With one thread no byte
+    depends on the thread count, and ``predict`` scores in one process per
+    CPU instead (``_scoring_workers``). Environment variables come too late,
+    since numpy is imported by then. Without numpy's OpenBLAS nothing is set.
+    """
+    blas = _openblas_threads()
+    if blas is not None:
+        blas[0](1)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     _keep_freed_memory()
+    _pin_blas()
     args = build_parser().parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}

@@ -10,12 +10,12 @@ with greedy non-maximum suppression on one IoU matrix per class and video.
 matching both call it.
 Segments travel as arrays from grouping to the report, in the one segment
 record ``data.Segments`` that also holds the ground truth: grouping builds one
-per class and video, NMS keeps a subset of it, ``localize`` joins and sorts
-them, and the prediction file (tab-separated, fixed header) is written from
-and parsed into one. Rows are checked only where they enter from outside, in
-``load_predictions``. ``localize`` works one video at a time: each finished
-score track is handed to the caller, which writes or keeps it, and only the
-video's segments stay behind.
+per class and video, NMS keeps a subset of it, ``join_predictions`` joins
+and sorts them, and the prediction file (tab-separated, fixed header) is
+written from and parsed into one. Rows are checked only where they enter
+from outside, in ``load_predictions``. ``localize`` works one video at a
+time: each finished score track is handed to the caller, which writes or
+keeps it, and only the video's segments stay behind.
 """
 
 from __future__ import annotations
@@ -236,8 +236,9 @@ def localize(
 
     A dense head is scored by ``slide_predict``, a pooled one by
     ``weak_score_track`` with ``positions`` spans, one video after another;
-    each video is one batched forward whose matrix products BLAS already
-    spreads over the cores. Each track is grouped and suppressed at the NMS
+    each video is one batched forward. The ``predict`` command runs BLAS on
+    one thread and one ``localize`` per CPU, each on a part of the split.
+    Each track is grouped and suppressed at the NMS
     threshold for ``eval_iou`` and then handed to ``on_track``, in the order
     of ``videos``; only its segments are kept. ``videos`` is read once, so a
     generator that loads each video when it is reached holds one at a time.
@@ -253,6 +254,12 @@ def localize(
         parts.append(track_to_segments(track, nms_iou))
         if on_track is not None:
             on_track(track)
+    return join_predictions(parts)
+
+
+def join_predictions(parts: Sequence[Segments]) -> Segments:
+    """The parts' segments in one record, sorted by (video, class, start, end):
+    the order of ``localize``'s predictions, whichever way the videos were split."""
     found = Segments.concatenate(parts)
     order = np.lexsort((found.end, found.start, found.class_id, found.video_id))
     return found.take(order)

@@ -3,12 +3,15 @@
 import hashlib
 import os
 import platform
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +44,8 @@ from fsn.localize import FrameScoreTrack, load_predictions
 from fsn.model import load_model
 from oracles import per_video_batches
 from records import load_report
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------- config
@@ -747,20 +752,26 @@ def test_predict_refuses_tracks_of_videos_it_does_not_score(corpus, trained, tmp
     assert (out / "predictions.tsv").read_bytes() == before["predictions.tsv"]
 
 
+def write_nan_into(path: Path) -> None:
+    """Patch a NaN into the last descriptor of a feature file (``write_features``
+    refuses to write one)."""
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+
+
 def split_with_a_bad_last_video(corpus, directory: Path, kind: str) -> Path:
     """A copy of ``corpus``' feature files and manifest whose last test video
-    fails once it is read: a NaN patched into its payload (``write_features``
-    refuses to write one), or a 3-frame video, shorter than one snippet,
-    added to the end of the split. Returns the bad video's file."""
+    fails once it is read: a NaN patched into its payload, or a 3-frame video,
+    shorter than one snippet, added to the end of the split. Returns the bad
+    video's file."""
     directory.mkdir()
     for path in corpus.glob("*.fsnf"):
         (directory / path.name).write_bytes(path.read_bytes())
     manifest = (corpus / "manifest.tsv").read_text()
     if kind == "nan":
         victim = directory / f"{max(load_manifest(corpus / 'manifest.tsv')['test_ids'])}.fsnf"
-        raw = bytearray(victim.read_bytes())
-        raw[-4:] = struct.pack("<f", float("nan"))
-        victim.write_bytes(bytes(raw))
+        write_nan_into(victim)
     else:
         victim = directory / "synth_9999.fsnf"
         write_features(VideoFeatures(victim.stem, np.ones((3, 6))), victim)
@@ -807,6 +818,8 @@ def test_predict_failing_mid_stream_leaves_no_output(
         write_features(video, path)
 
     monkeypatch.setattr(cli, "write_features", write_and_record)
+    # one scoring worker: ``written`` sees only this process's writes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     rc = main([
         *predict_args(corpus, trained, out),
         "--features-dir", str(features),
@@ -841,6 +854,159 @@ def test_predict_into_nested_fresh_directories_leaves_none_on_failure(
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["features"]
+
+
+# ---------------------------------------------------------------- scoring workers
+
+
+SEVERAL_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+needs_several_cpus = pytest.mark.skipif(
+    not SEVERAL_CPUS, reason="one CPU: predict scores in one worker"
+)
+
+ONE_CPU_MAIN = (
+    "import os, sys, fsn.cli; os.sched_setaffinity(0, {0}); "
+    "sys.exit(fsn.cli.main(sys.argv[1:]))"
+)
+
+
+@pytest.fixture(scope="module")
+def trained_weak(tmp_path_factory, corpus):
+    out = tmp_path_factory.mktemp("trained_weak")
+    assert main([
+        "train-weak",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(out),
+        "--hidden-channels", "8",
+        "--iterations", "20",
+        "--weak-positions", "40",
+        "--seed", "7",
+    ]) == 0
+    return out
+
+
+def predict_all_args(command, features, model_dir, out):
+    """``command`` over every video of ``features``, in name order."""
+    return [
+        command,
+        "--features-dir", str(features),
+        "--manifest", str(features / "manifest.tsv"),
+        "--model", str(model_dir / "model.fsn"),
+        "--split", "all",
+        "--weak-positions", "40",
+        "--out", str(out),
+    ]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_several_cpus
+@pytest.mark.parametrize("command", ["predict", "predict-weak"])
+def test_scoring_workers_write_the_bytes_of_one_worker(
+    corpus, trained, trained_weak, tmp_path, command
+):
+    model_dir = trained_weak if command == "predict-weak" else trained
+    many, one = tmp_path / "many", tmp_path / "one"
+    assert main(predict_all_args(command, corpus, model_dir, many)) == 0
+    assert cli._scoring_workers(8) > 1
+    assert_no_child_left()
+    run_python(tmp_path, ONE_CPU_MAIN, *predict_all_args(command, corpus, model_dir, one))
+    written = tree_bytes(many)
+    assert len([name for name in written if name.startswith("tracks/")]) == 8
+    assert {"predictions.tsv", "predict_log.txt"} <= set(written)
+    assert written == tree_bytes(one)
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (0, 1)], ids=["a-child-first", "the-parent-first"])
+def test_predict_reports_the_earliest_failing_video_of_any_worker(
+    corpus, trained, tmp_path, capsys, bad
+):
+    # with two or more workers, the command's own process scores video 0, and
+    # videos 1 and 2 fall in two other parts, or 2 back in part 0
+    features = tmp_path / "features"
+    features.mkdir()
+    for path in [*corpus.glob("*.fsnf"), corpus / "manifest.tsv"]:
+        (features / path.name).write_bytes(path.read_bytes())
+    victims = [sorted(features.glob("*.fsnf"))[i] for i in bad]
+    for victim in victims:
+        write_nan_into(victim)
+    out = tmp_path / "pred"
+    assert main(predict_all_args("predict", features, trained, out)) == 1
+    first = victims[0]
+    assert capsys.readouterr().err == (
+        f"error: {first}: {first.stem}: features contain non-finite values\n"
+    )
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@needs_several_cpus
+def test_predict_reports_a_worker_that_dies(corpus, trained, tmp_path, monkeypatch, capsys):
+    parent, score = os.getpid(), cli.localize
+
+    def killed_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "localize", killed_in_a_child)
+    out = tmp_path / "pred"
+    assert main(predict_all_args("predict", corpus, trained, out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: a scoring worker ended without a result (exit code {-signal.SIGKILL})\n"
+    )
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@needs_several_cpus
+def test_interrupted_predict_stops_its_workers(corpus, trained, tmp_path, monkeypatch):
+    parent, score = os.getpid(), cli.localize
+
+    def interrupted_in_the_parent(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "localize", interrupted_in_the_parent)
+    out = tmp_path / "pred"
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(predict_all_args("predict", corpus, trained, out))
+    assert time.monotonic() - started < 30
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def fails_to_load(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("missing", ["library", "loadable-library", "symbols"])
+def test_scoring_stays_in_one_process_without_numpys_openblas(
+    tmp_path, monkeypatch, missing
+):
+    if missing == "library":  # no numpy.libs beside numpy
+        numpy = SimpleNamespace(__file__=str(tmp_path / "numpy" / "__init__.py"))
+        monkeypatch.setattr(cli, "np", numpy)
+    elif missing == "loadable-library":
+        monkeypatch.setattr(cli.ctypes, "CDLL", fails_to_load)
+    else:
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._openblas_threads.cache_clear()
+    try:
+        assert cli._openblas_threads() is None
+        assert cli._pin_blas() is None
+        assert cli._scoring_workers(8) == 1
+    finally:
+        monkeypatch.undo()
+        cli._openblas_threads.cache_clear()
 
 
 def test_predict_memory_stays_below_the_split_descriptors(tmp_path, corpus60):
@@ -1307,21 +1473,40 @@ def test_benchmark_tracer_fits_the_package(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- allocator
 
 
-def python_process(cwd, code, *args) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports fsn from this checkout."""
+def python_process(cwd, code, *args, env=()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports fsn from this checkout,
+    with ``env`` added to the environment."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-c", code, *args],
-        cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=cwd, env={**os.environ, **dict(env), "PYTHONPATH": str(src)},
         capture_output=True, text=True,
     )
 
 
-def run_python(cwd, code, *args) -> str:
+def run_python(cwd, code, *args, env=()) -> str:
     """The stdout of ``python_process``, which must succeed."""
-    result = python_process(cwd, code, *args)
+    result = python_process(cwd, code, *args, env=env)
     result.check_returncode()
     return result.stdout
+
+
+def test_train_weak_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # numpy starts OpenBLAS with OPENBLAS_NUM_THREADS threads; main pins one
+    data = tmp_path / "data"
+    config = str(CONFIGS / "ablation_pooling.cfg")
+    assert main(["synth", "--config", config, "--out", str(data)]) == 0
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_python(
+            tmp_path, FSN_MAIN, "train-weak", "--config", config,
+            "--features-dir", str(data), "--annotations", str(data / "annotations.tsv"),
+            "--manifest", str(data / "manifest.tsv"), "--iterations", "20",
+            "--out", str(out), env={"OPENBLAS_NUM_THREADS": threads},
+        )
+        digests.append(hashlib.sha256((out / "model.fsn").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 # (12, 100, 32) activations are above glibc's default 128 KiB mmap threshold
