@@ -37,10 +37,10 @@ from .data import (
     load_manifest,
     label_frames,
     make_clips,
-    make_weak_sample,
     member_of,
     rebalance,
     snippet_centers,
+    span_bounds,
     synth_videos,
     write_annotations,
     write_features,
@@ -466,43 +466,58 @@ def cmd_train(cfg: RunConfig) -> dict:
     return _train_strong(cfg, init_fsn)
 
 
+def _weak_batches(
+    cfg: RunConfig,
+    headers: Sequence[FeatureHeader],
+    annotations: AnnotationSet,
+    model_config: ModelConfig,
+) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """The weak head's batch source.
+
+    A sample is one labeled video and one frame drawn uniformly from each of
+    ``weak_positions`` near-equal spans of it (``span_bounds``), with the
+    video's multi-hot label. Every video of the split is read, so a corrupt
+    unlabeled file fails the command too; the labeled ones are copied end to
+    end into one (frames, feature_dim) float32 block. A step draws its video
+    picks, then every pick's in-span offsets, from one generator, and
+    gathers the batch from the block in one index.
+    """
+    positions = cfg.weak_positions
+    per_video = annotations.segments.per_video([h.video_id for h in headers])
+    labeled = [i for i, segments in enumerate(per_video) if len(segments)]
+    if not labeled:
+        raise ValueError("no training video carries an action label")
+    counts = np.array([headers[i].frame_count for i in labeled])
+    too_short = [headers[i].video_id for i, n in zip(labeled, counts) if n < positions]
+    if too_short:
+        raise ValueError(f"video(s) shorter than {positions} frames: {too_short[:3]}")
+    # labeled video r's frames are rows first[r] to first[r + 1] of the block
+    first = np.concatenate(([0], np.cumsum(counts)))
+    block = np.empty((first[-1], headers[0].feature_dim), dtype=np.float32)
+    videos = (v for v, segments in zip(_split_videos(cfg, headers), per_video) if len(segments))
+    for row, video in enumerate(videos):
+        block[first[row] : first[row + 1]] = video.features
+    labels = np.zeros((len(labeled), model_config.num_classes))
+    for row, index in enumerate(labeled):
+        labels[row, per_video[index].class_id - 1] = 1.0
+    bounds = np.stack([span_bounds(count, positions) for count in counts])
+    lo, hi = bounds[:, :-1], bounds[:, 1:]
+    rng = np.random.default_rng([cfg.seed, 2])
+
+    def next_batch() -> tuple[np.ndarray, np.ndarray]:
+        picks = rng.integers(0, len(labeled), size=cfg.batch_size)
+        offsets = rng.integers(lo[picks], hi[picks])
+        return block[first[picks, None] + offsets], labels[picks]
+
+    return next_batch
+
+
 def cmd_train_weak(cfg: RunConfig) -> dict:
     """Train the weakly supervised head from video-level labels only."""
     _require_positive(cfg, "iterations", "batch_size", "log_every", "weak_positions")
     headers, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
-    per_video = annotations.segments.per_video([h.video_id for h in headers])
-    if not any(len(segments) for segments in per_video):
-        raise ValueError("no training video carries an action label")
-    too_short = [
-        h.video_id for h, segments in zip(headers, per_video)
-        if len(segments) and h.frame_count < cfg.weak_positions
-    ]
-    if too_short:
-        raise ValueError(
-            f"video(s) shorter than {cfg.weak_positions} frames: {too_short[:3]}"
-        )
-    # a weak sample may read any frame, so the labeled videos are held in full
-    labeled = [
-        (video, segments.class_id)
-        for video, segments in zip(_split_videos(cfg, headers), per_video)
-        if len(segments)
-    ]
-    rng = np.random.default_rng([cfg.seed, 2])
-
-    def next_batch() -> tuple[np.ndarray, np.ndarray]:
-        picks = rng.integers(0, len(labeled), size=cfg.batch_size)
-        samples = [
-            make_weak_sample(
-                *labeled[i],
-                model_config.num_classes,
-                positions=cfg.weak_positions,
-                seed=int(rng.integers(2**63)),
-            )
-            for i in picks
-        ]
-        return np.stack([f for f, _ in samples]), np.stack([l for _, l in samples])
-
+    next_batch = _weak_batches(cfg, headers, annotations, model_config)
     head = init_wfsn(model_config, cfg.seed, pooling=cfg.pooling)
     model_path, log_path = _fit(cfg, head, next_batch, wfsn_train_step)
     return {"model": model_path, "log": log_path, "split": split}

@@ -406,38 +406,6 @@ def span_bounds(frame_count: int, positions: int) -> Array:
     ).astype(np.int64)
 
 
-def make_weak_sample(
-    video: VideoFeatures,
-    positive_classes,
-    num_classes: int,
-    positions: int = 100,
-    seed: int = 0,
-) -> tuple[Array, Array]:
-    """Sample one random frame from each of ``positions`` equal spans.
-
-    Returns the (positions, feature_dim) descriptors and the video label, a
-    multi-hot vector over all classes. The video must be at least
-    ``positions`` frames long so every span is non-empty.
-    """
-    if video.frame_count < positions:
-        raise ValueError(
-            f"{video.video_id}: {video.frame_count} frames, need at least {positions}"
-        )
-    positive_classes = sorted(set(int(c) for c in positive_classes))
-    if not positive_classes:
-        raise ValueError(f"{video.video_id}: weak sample needs at least one class")
-    if positive_classes[0] < 1 or positive_classes[-1] > num_classes:
-        raise ValueError(
-            f"{video.video_id}: class ids {positive_classes} outside 1..{num_classes}"
-        )
-    bounds = span_bounds(video.frame_count, positions)
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(bounds[:-1], bounds[1:])
-    label = np.zeros(num_classes)
-    label[np.array(positive_classes) - 1] = 1.0
-    return video.features[picks], label
-
-
 @dataclass
 class SynthConfig:
     """Knobs for the synthetic untrimmed-video corpus."""

@@ -215,13 +215,19 @@ def _stack_forward(features: Array, head: Head) -> tuple[Array, tuple]:
 
 
 def _stack_backward(grad_logits: Array, cache: tuple) -> list[Array]:
-    """Parameter gradients in ``head_parameters`` order."""
+    """Parameter gradients in ``head_parameters`` order. Nothing reads the
+    gradient of the input features, so the first layer does not compute it."""
     caches, cls_cache = cache
-    grad, grad_w, grad_b = dilated_conv1d_backward(grad_logits, cls_cache)
+    grad, grad_w, grad_b = dilated_conv1d_backward(
+        grad_logits, cls_cache, input_grad=bool(caches)
+    )
     grads = [grad_w, grad_b]
-    for conv_cache, relu_cache in reversed(caches):
+    for depth in reversed(range(len(caches))):
+        conv_cache, relu_cache = caches[depth]
         grad = relu_backward(grad, relu_cache)
-        grad, grad_w, grad_b = dilated_conv1d_backward(grad, conv_cache)
+        grad, grad_w, grad_b = dilated_conv1d_backward(
+            grad, conv_cache, input_grad=depth > 0
+        )
         grads[:0] = [grad_w, grad_b]
     return grads
 

@@ -127,11 +127,13 @@ def dilated_conv1d_forward(x: Array, layer: ConvLayer1D) -> tuple[Array, tuple]:
 
 
 def dilated_conv1d_backward(
-    grad_out: Array, cache: tuple
-) -> tuple[Array, Array, Array]:
+    grad_out: Array, cache: tuple, input_grad: bool = True
+) -> tuple[Array | None, Array, Array]:
     """Gradients of a dilated conv: returns (grad_x, grad_weights, grad_bias).
 
-    The weight and bias gradients are summed over every batch axis.
+    The weight and bias gradients are summed over every batch axis. With
+    ``input_grad`` false, grad_x is not computed and comes back as None: the
+    first layer of a stack has no layer below it to pass it to.
     """
     flat, x_shape, layer = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -149,11 +151,13 @@ def dilated_conv1d_backward(
     grad_rows = grad_flat.reshape(-1, layer.out_channels)[:rows]
     grad_b = grad_rows.sum(axis=0)
     grad_w = np.empty_like(layer.weights)
+    for j in range(layer.kernel_size):
+        grad_w[:, :, j] = grad_rows.T @ flat[j * d : j * d + rows]
+    if not input_grad:
+        return None, grad_w, grad_b
     grad_xp = np.zeros_like(flat)
     for j in range(layer.kernel_size):
-        window = slice(j * d, j * d + rows)
-        grad_w[:, :, j] = grad_rows.T @ flat[window]
-        grad_xp[window] += grad_rows @ layer.weights[:, :, j]
+        grad_xp[j * d : j * d + rows] += grad_rows @ layer.weights[:, :, j]
     grad_x = grad_xp.reshape(-1, span, layer.in_channels)[:, pad : pad + length]
     return grad_x.reshape(x_shape), grad_w, grad_b
 

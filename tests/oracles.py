@@ -238,3 +238,33 @@ def per_video_batches(
             np.stack([features[v][s + centers] for v, s in picks]),
             np.stack([np.asarray(frame_labels[v][s : s + clip_len], np.int64) for v, s in picks]),
         )
+
+
+def per_sample_weak_batches(features, class_sets, num_classes, positions, seed, batch_size, steps):
+    """The weak trainer's batches, gathered sample by sample from the
+    per-video arrays of the labeled videos.
+
+    ``features`` holds each labeled video's (frames, dim) descriptors and
+    ``class_sets`` its class ids. Video v's span p is frames
+    [p * n // positions, (p + 1) * n // positions) of its n frames. Each step
+    draws ``batch_size`` video picks from ``default_rng([seed, 2])``, then in
+    one more draw each pick's offset into every one of its spans. Yields
+    (descriptors, float64 multi-hot labels) per step.
+    """
+    spans = [
+        np.array([p * len(f) // positions for p in range(positions + 1)]) for f in features
+    ]
+    rng = np.random.default_rng([seed, 2])
+    for _ in range(steps):
+        picks = rng.integers(0, len(features), size=batch_size)
+        offsets = rng.integers(
+            np.stack([spans[v][:-1] for v in picks]), np.stack([spans[v][1:] for v in picks])
+        )
+        samples, labels = [], []
+        for v, frames in zip(picks, offsets):
+            samples.append(np.stack([features[v][t] for t in frames]))
+            label = np.zeros(num_classes)
+            for class_id in class_sets[v]:
+                label[class_id - 1] = 1.0
+            labels.append(label)
+        yield np.stack(samples), np.stack(labels)

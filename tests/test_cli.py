@@ -35,6 +35,7 @@ from fsn.data import (
     load_feature_dir,
     load_features,
     load_manifest,
+    span_bounds,
     synth_generate,
     write_annotations,
     write_features,
@@ -42,7 +43,7 @@ from fsn.data import (
 from fsn.evaluate import EvalConfig, frame_level_map, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
 from fsn.model import load_model
-from oracles import per_video_batches
+from oracles import per_sample_weak_batches, per_video_batches
 from records import load_report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -595,7 +596,10 @@ def test_training_rejects_zero_loop_settings(corpus, tmp_path, capsys, command, 
 # sha256 of (model.fsn, train_log.csv) for short runs on the module corpus,
 # computed with the per-window sample objects that preceded the index-array
 # windows: window selection, rebalancing and batch sampling must not move.
-# The weights run through BLAS, so these hold for this numpy/OpenBLAS build.
+# The train-weak pair was computed with the one-generator weak batch source
+# (each step draws its video picks, then their in-span offsets); the per-sample
+# generators before it drew other frames. The weights run through BLAS, so
+# these hold for this numpy/OpenBLAS build.
 PINNED_TRAINING = {
     "train": (
         ["train", "--iterations", "40", "--log-every", "10"],
@@ -610,8 +614,8 @@ PINNED_TRAINING = {
     ),
     "train-weak": (
         ["train-weak", "--iterations", "20", "--log-every", "5", "--weak-positions", "40"],
-        "1870b4149e743e50763db225ed00912c4a1588409cfa9b9172f589db2493b565",
-        "9e29a89de40c9db0bc1d260cfb1ebb7b9af81f01118a0cfa90f7a10cbed48c82",
+        "65aa19b61bbdc37a0719dbfaf607d9bdbb711b3c35eb3ec2399f6ad169217d62",
+        "220d7b28889a79c0087d3ec829d92d0d029287acc3edd886b469a1cb2ebdf722",
     ),
 }
 
@@ -669,6 +673,97 @@ def test_train_weak_rejects_short_videos(corpus, capsys):
     ])
     assert rc == 1
     assert "shorter than 500" in capsys.readouterr().err
+
+
+# (frame count, class ids): v1 carries no label and is shorter than the 40
+# weak positions, v2 has exactly 40 frames, v4 lists one class twice
+WEAK_VIDEOS = [(400, [1, 3]), (20, []), (40, [2]), (237, [3]), (150, [1, 1])]
+
+
+def weak_corpus(directory: Path) -> Path:
+    """Feature files and annotations for ``WEAK_VIDEOS``. Descriptor column 0
+    is the frame, column 1 the video index and column 2 float32 noise; each
+    class id is one short segment."""
+    directory.mkdir()
+    rng = np.random.default_rng(0)
+    rows = []
+    for index, (frames, class_ids) in enumerate(WEAK_VIDEOS):
+        video_id = f"v{index}"
+        columns = [np.arange(frames), np.full(frames, index), rng.standard_normal(frames)]
+        features = np.stack(columns, axis=1).astype(np.float32)
+        write_features(VideoFeatures(video_id, features), directory / f"{video_id}.fsnf")
+        rows += [(video_id, c, 10 * k, 10 * k + 5, 1.0) for k, c in enumerate(class_ids)]
+    annotations = AnnotationSet(["c1", "c2", "c3"], Segments.from_rows(rows))
+    write_annotations(annotations, directory / "annotations.tsv")
+    return directory
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_train_weak_batches_match_the_per_sample_gather(tmp_path, monkeypatch, batch_size):
+    corpus = weak_corpus(tmp_path / "corpus")
+    batches = []
+
+    def record(features, labels, head, optimizer):
+        batches.append((features, labels))
+        return 0.0
+
+    monkeypatch.setattr(cli, "wfsn_train_step", record)
+    assert main([
+        "train-weak",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--out", str(tmp_path / "out"),
+        "--iterations", "30",
+        "--batch-size", str(batch_size),
+        "--weak-positions", "40",
+        "--hidden-channels", "4",
+        "--seed", "3",
+    ]) == 0
+    labeled = [i for i, (_, class_ids) in enumerate(WEAK_VIDEOS) if class_ids]
+    expected = list(per_sample_weak_batches(
+        [load_features(corpus / f"v{i}.fsnf").features for i in labeled],
+        [WEAK_VIDEOS[i][1] for i in labeled], 3, 40, 3, batch_size, 30,
+    ))
+    assert len(batches) == len(expected) == 30
+    exact_length_draws = 0
+    for (features, labels), (want_features, want_labels) in zip(batches, expected):
+        assert features.dtype == np.float32 and features.shape == want_features.shape
+        assert features.tobytes() == want_features.tobytes()
+        assert labels.dtype == np.float64 and labels.tobytes() == want_labels.tobytes()
+        for sample, label in zip(features, labels):
+            frames, class_ids = WEAK_VIDEOS[int(sample[0, 1])]
+            bounds = span_bounds(frames, 40)
+            picked = sample[:, 0].astype(np.int64)
+            assert np.all(bounds[:-1] <= picked) and np.all(picked < bounds[1:])
+            assert (np.flatnonzero(label) + 1).tolist() == sorted(set(class_ids))
+            if frames == 40:
+                assert picked.tolist() == list(range(40))
+                exact_length_draws += 1
+    assert exact_length_draws > 0
+
+
+def test_train_weak_checks_every_split_payload(tmp_path, capsys):
+    # v1 carries no label, so no batch would read the NaN that write_features
+    # refuses to write: only the full load finds it
+    corpus = weak_corpus(tmp_path / "corpus")
+    victim = corpus / "v1.fsnf"
+    raw = bytearray(victim.read_bytes())
+    raw[16:20] = struct.pack("<f", float("nan"))
+    victim.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    rc = main([
+        "train-weak",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--out", str(out),
+        "--iterations", "1",
+        "--weak-positions", "40",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {victim}: v1: features contain non-finite values\n"
+    )
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- predict

@@ -1,4 +1,4 @@
-"""Feature/annotation IO, training windows, weak sampling, synthetic corpus."""
+"""Feature/annotation IO, training windows, synthetic corpus."""
 
 import logging
 import struct
@@ -21,11 +21,9 @@ from fsn.data import (
     load_features,
     load_manifest,
     make_clips,
-    make_weak_sample,
     read_feature_header,
     rebalance,
     snippet_centers,
-    span_bounds,
     synth_generate,
     write_annotations,
     write_features,
@@ -433,42 +431,6 @@ def test_windows_match_the_per_window_oracles(runs, clip_len, stride, min_action
     expected = [window_majority_class(labels[s : s + clip_len]) for s in starts]
     assert classes.tolist() == expected
     assert rebalance(classes, seed).tolist() == list_rebalance(expected, seed)
-
-
-class TestWeakSample:
-    def test_rejects_short_video(self):
-        video = video_with_ramp(frames=50)
-        with pytest.raises(ValueError, match="at least"):
-            make_weak_sample(video, [1], num_classes=2, positions=100)
-
-    def test_each_pick_stays_in_its_span(self):
-        video = video_with_ramp(frames=237)
-        features, label = make_weak_sample(video, [2], num_classes=3, positions=100, seed=9)
-        bounds = span_bounds(237, 100)
-        picks = features[:, 0].astype(int)
-        assert np.all(picks >= bounds[:-1])
-        assert np.all(picks < bounds[1:])
-        np.testing.assert_array_equal(label, [0.0, 1.0, 0.0])
-
-    def test_exact_length_video_samples_every_frame(self):
-        video = video_with_ramp(frames=100)
-        features, _ = make_weak_sample(video, [1], num_classes=1, positions=100, seed=0)
-        np.testing.assert_array_equal(features[:, 0], np.arange(100))
-
-    def test_seed_changes_the_draw(self):
-        video = video_with_ramp(frames=500)
-        a, _ = make_weak_sample(video, [1], 1, positions=100, seed=1)
-        b, _ = make_weak_sample(video, [1], 1, positions=100, seed=2)
-        again, _ = make_weak_sample(video, [1], 1, positions=100, seed=1)
-        assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, again)
-
-    def test_rejects_bad_class_sets(self):
-        video = video_with_ramp(frames=120)
-        with pytest.raises(ValueError):
-            make_weak_sample(video, [], num_classes=2)
-        with pytest.raises(ValueError):
-            make_weak_sample(video, [3], num_classes=2)
 
 
 class TestSynth:

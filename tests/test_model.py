@@ -7,6 +7,8 @@ import pytest
 
 from fsn.model import (
     ModelConfig,
+    _stack_backward,
+    _stack_forward,
     fsn_forward,
     fsn_frame_logits,
     fsn_loss_and_grads,
@@ -30,8 +32,10 @@ from fsn.nncore import (
     GAP,
     GMP,
     OptimizerState,
+    dilated_conv1d_backward,
     framewise_cross_entropy,
     gradient_check,
+    relu_backward,
     temporal_pool,
 )
 
@@ -397,6 +401,36 @@ class TestBatchedTraining:
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
         features = np.stack([rng.standard_normal((9, 5)) for _ in labels])
         _assert_batch_matches_singles(wfsn_loss_and_grads, features, labels, head)
+
+
+def _full_stack_backward(grad_logits, cache):
+    """The stack's parameter gradients with every layer computing its input
+    gradient, the first layer's included."""
+    caches, cls_cache = cache
+    grad, grad_w, grad_b = dilated_conv1d_backward(grad_logits, cls_cache)
+    grads = [grad_w, grad_b]
+    for conv_cache, relu_cache in reversed(caches):
+        grad = relu_backward(grad, relu_cache)
+        grad, grad_w, grad_b = dilated_conv1d_backward(grad, conv_cache)
+        grads[:0] = [grad_w, grad_b]
+    return grads
+
+
+@pytest.mark.parametrize(
+    "make",
+    [init_fsn, lambda config, seed: init_wfsn(config, seed, pooling=GMP), init_ablation],
+    ids=["dense", "weak", "no-context"],
+)
+def test_stack_backward_matches_the_full_backward_bytes(make):
+    # the first layer skips its input gradient; no parameter gradient may move
+    rng = np.random.default_rng(53)
+    head = make(TINY, 53)
+    logits, cache = _stack_forward(rng.standard_normal((4, 9, TINY.feature_dim)), head)
+    probe = rng.standard_normal(logits.shape)
+    got = _stack_backward(probe, cache)
+    want = _full_stack_backward(probe, cache)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert len(got) == len(head_parameters(head))
 
 
 class TestModelBoundary:

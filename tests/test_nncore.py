@@ -80,6 +80,17 @@ class TestDilatedConv:
 
         assert gradient_check(fn, [layer.weights, layer.bias, x]) < 1e-5
 
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_backward_without_input_grad_keeps_the_parameter_grads(self, dilation):
+        rng = np.random.default_rng(17 + dilation)
+        layer = random_layer(rng, 3, 2, dilation=dilation)
+        _, cache = dilated_conv1d_forward(rng.standard_normal((4, 8, 3)), layer)
+        probe = rng.standard_normal((4, 8, 2))
+        _, gw, gb = dilated_conv1d_backward(probe, cache)
+        gx, gw_only, gb_only = dilated_conv1d_backward(probe, cache, input_grad=False)
+        assert gx is None
+        assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
+
     def test_rejects_even_kernel(self):
         with pytest.raises(ValueError):
             ConvLayer1D(weights=np.ones((1, 1, 2)), bias=np.zeros(1))
