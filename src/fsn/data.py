@@ -2,7 +2,7 @@
 
 Per-frame descriptors travel in a small binary container (magic ``FSNF``,
 float32 payload), loaded as a read-only float32 view of the file's bytes: the
-model widens what it reads to float64 at its entry. Annotations and manifests
+model computes in float32 on what it reads. Annotations and manifests
 are tab-separated text. All randomness goes through seeded
 ``numpy.random.Generator`` instances so every artifact is reproducible from
 its seed.

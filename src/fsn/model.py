@@ -23,8 +23,10 @@ stacks every window of a video the same way, so each layer runs once per step
 or per video. Input features are checked for NaN and infinity once, here at
 the model boundary, and not again inside the layers.
 
-Parameters live in the layers as float64 numpy arrays; updates mutate them
-in place through ``nncore.sgd_update``.
+The layers compute in the features' dtype (``nncore.as_seq``): float32 from
+feature files, float64 in the gradient checks. Parameters live in the layers
+as float64 numpy arrays; the loss sum stays float64, and updates mutate the
+parameters in place through ``nncore.sgd_update``.
 """
 
 from __future__ import annotations
@@ -181,18 +183,6 @@ def init_ablation(config: ModelConfig, seed: int) -> Head:
     return Head(config, [], classifier)
 
 
-def receptive_field_snippets(head: Head) -> int:
-    """Snippet positions feeding one output position: 1 + sum (k-1) * d."""
-    return 1 + sum(
-        (layer.kernel_size - 1) * layer.dilation for layer in head_layers(head)
-    )
-
-
-def receptive_field(head: Head) -> int:
-    """Receptive field in frames."""
-    return receptive_field_snippets(head) * head.config.snippet_len
-
-
 def _stack_forward(features: Array, head: Head) -> tuple[Array, tuple]:
     """Per-position class logits from snippet descriptors.
 
@@ -282,7 +272,7 @@ def fsn_loss_and_grads(
     pass.
     """
     config = head.config
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     batch = len(features)
     if batch == 0:
@@ -340,7 +330,7 @@ def wfsn_loss_and_grads(
     forward and one backward pass.
     """
     num_classes = head.config.num_classes
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.float64)
     batch = len(features)
     if batch == 0:
@@ -460,8 +450,11 @@ def load_model(path) -> Head:
             raise ValueError(
                 f"{path}: layer expects {layer.in_channels} channels, gets {chain}"
             )
-        if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
-            raise ValueError(f"{path}: layer {index} holds non-finite weights or biases")
+        # the layers compute in float32 on feature files; an overflow is reported here
+        with np.errstate(over="ignore"):
+            narrow = np.concatenate([layer.weights.ravel(), layer.bias]).astype(np.float32)
+        if not np.isfinite(narrow).all():
+            raise ValueError(f"{path}: layer {index} holds non-finite weights or biases as float32")
         chain = layer.out_channels
     if kind == _NO_TRUNK and trunk:
         raise ValueError(f"{path}: ablation head cannot carry trunk layers")

@@ -1,12 +1,18 @@
 """Differentiable numeric primitives for the temporal heads.
 
-Everything is plain numpy in double precision. Each operation exposes a forward
-pass returning ``(output, cache)`` and a matching backward pass consuming that
-cache; there is no autograd graph, the model module wires layers together by
-hand. Sequences are float64 arrays laid out as (..., time, channels): any
-leading axes are batch axes, and a plain (time, channels) array is the case
-with none. Every op runs the whole batch at once, so a training step or a
-video costs one call per layer rather than one per sample.
+Everything is plain numpy. Each operation exposes a forward pass returning
+``(output, cache)`` and a matching backward pass consuming that cache; there
+is no autograd graph, the model module wires layers together by hand.
+Sequences are arrays laid out as (..., time, channels): any leading axes are
+batch axes, and a plain (time, channels) array is the case with none. Every
+op runs the whole batch at once, so a training step or a video costs one call
+per layer rather than one per sample.
+
+The ops compute in their input's dtype: float32 stays float32, as feature
+files store it, and anything else becomes float64. A conv casts its float64
+weights to that dtype per call, so training and scoring multiply in float32
+while the weights, the loss sum and the SGD update stay float64 (Micikevicius
+et al., arXiv 1710.03740); the float64 gradient checks referee the same code.
 
 The ops check shapes and channel counts but not finiteness: scanning every
 activation of every layer for NaN would cost a pass over each array per call.
@@ -27,9 +33,16 @@ GAP = "gap"
 GMP = "gmp"
 
 
+def _as_float(x) -> Array:
+    """``x`` as an array of its compute dtype: float32 stays float32, anything
+    else becomes float64."""
+    a = np.asarray(x)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 def as_seq(x) -> Array:
-    """Coerce to a non-empty (..., time, channels) float64 array."""
-    a = np.asarray(x, dtype=np.float64)
+    """Coerce to a non-empty (..., time, channels) float32 or float64 array."""
+    a = _as_float(x)
     if a.ndim < 2:
         raise ValueError(
             f"sequence must be (..., time, channels), got shape {a.shape}"
@@ -114,14 +127,15 @@ def dilated_conv1d_forward(x: Array, layer: ConvLayer1D) -> tuple[Array, tuple]:
         )
     length, pad, d = x.shape[-2], layer.padding, layer.dilation
     span = length + 2 * pad
-    xp = np.zeros((x.size // (length * layer.in_channels), span, layer.in_channels))
+    weights = layer.weights.astype(x.dtype, copy=False)
+    xp = np.zeros((x.size // (length * layer.in_channels), span, layer.in_channels), x.dtype)
     xp[:, pad : pad + length] = x.reshape(-1, length, layer.in_channels)
     flat = xp.reshape(-1, layer.in_channels)
     rows = flat.shape[0] - 2 * pad
-    out = np.empty((flat.shape[0], layer.out_channels))
+    out = np.empty((flat.shape[0], layer.out_channels), x.dtype)
     out[:rows] = layer.bias
     for j in range(layer.kernel_size):
-        out[:rows] += flat[j * d : j * d + rows] @ layer.weights[:, :, j].T
+        out[:rows] += flat[j * d : j * d + rows] @ weights[:, :, j].T
     out = out.reshape(-1, span, layer.out_channels)[:, :length]
     return out.reshape(*x.shape[:-1], layer.out_channels), (flat, x.shape, layer)
 
@@ -131,12 +145,13 @@ def dilated_conv1d_backward(
 ) -> tuple[Array | None, Array, Array]:
     """Gradients of a dilated conv: returns (grad_x, grad_weights, grad_bias).
 
-    The weight and bias gradients are summed over every batch axis. With
-    ``input_grad`` false, grad_x is not computed and comes back as None: the
-    first layer of a stack has no layer below it to pass it to.
+    Everything is computed in the dtype of the forward's input. The weight
+    and bias gradients are summed over every batch axis. With ``input_grad``
+    false, grad_x is not computed and comes back as None: the first layer of
+    a stack has no layer below it to pass it to.
     """
     flat, x_shape, layer = cache
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=flat.dtype)
     expected = (*x_shape[:-1], layer.out_channels)
     if grad_out.shape != expected:
         raise ValueError(
@@ -145,30 +160,31 @@ def dilated_conv1d_backward(
     length, pad, d = x_shape[-2], layer.padding, layer.dilation
     span = length + 2 * pad
     # gradient rows laid out like the forward output; the gap rows stay zero
-    grad_flat = np.zeros((flat.shape[0] // span, span, layer.out_channels))
+    grad_flat = np.zeros((flat.shape[0] // span, span, layer.out_channels), flat.dtype)
     grad_flat[:, :length] = grad_out.reshape(-1, length, layer.out_channels)
     rows = flat.shape[0] - 2 * pad
     grad_rows = grad_flat.reshape(-1, layer.out_channels)[:rows]
     grad_b = grad_rows.sum(axis=0)
-    grad_w = np.empty_like(layer.weights)
+    grad_w = np.empty(layer.weights.shape, flat.dtype)
     for j in range(layer.kernel_size):
         grad_w[:, :, j] = grad_rows.T @ flat[j * d : j * d + rows]
     if not input_grad:
         return None, grad_w, grad_b
+    weights = layer.weights.astype(flat.dtype, copy=False)
     grad_xp = np.zeros_like(flat)
     for j in range(layer.kernel_size):
-        grad_xp[j * d : j * d + rows] += grad_rows @ layer.weights[:, :, j]
+        grad_xp[j * d : j * d + rows] += grad_rows @ weights[:, :, j]
     grad_x = grad_xp.reshape(-1, span, layer.in_channels)[:, pad : pad + length]
     return grad_x.reshape(x_shape), grad_w, grad_b
 
 
 def relu(x: Array) -> tuple[Array, Array]:
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float(x)
     return np.maximum(x, 0.0), x > 0.0
 
 
 def relu_backward(grad_out: Array, cache: Array) -> Array:
-    return np.asarray(grad_out, dtype=np.float64) * cache
+    return _as_float(grad_out) * cache
 
 
 def bilinear_upsample_1d(x: Array, target_len: int) -> tuple[Array, tuple]:
@@ -187,7 +203,7 @@ def bilinear_upsample_1d(x: Array, target_len: int) -> tuple[Array, tuple]:
         return np.repeat(x, target_len, axis=-2), (None, None, n, target_len)
     s = np.arange(target_len) * (n - 1) / (target_len - 1)
     lo = np.minimum(np.floor(s).astype(np.int64), n - 2)
-    alpha = (s - lo)[:, None]
+    alpha = (s - lo).astype(x.dtype, copy=False)[:, None]
     out = (1.0 - alpha) * x[..., lo, :] + alpha * x[..., lo + 1, :]
     return out, (lo, alpha, n, target_len)
 
@@ -196,15 +212,15 @@ def bilinear_upsample_1d_backward(grad_out: Array, cache: tuple) -> Array:
     # the (n, target_len) transposed blend is built here, so a forward alone
     # (scoring a video) never allocates it
     lo, alpha, n, target_len = cache
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = _as_float(grad_out)
     if grad_out.ndim < 2 or grad_out.shape[-2] != target_len:
         raise ValueError(
             f"grad shape {grad_out.shape} does not have {target_len} time steps"
         )
     if n == 1:
-        blend = np.ones((1, target_len))
+        blend = np.ones((1, target_len), grad_out.dtype)
     else:
-        blend = np.zeros((n, target_len))
+        blend = np.zeros((n, target_len), grad_out.dtype)
         frames = np.arange(target_len)
         blend[lo, frames] = 1.0 - alpha[:, 0]
         blend[lo + 1, frames] += alpha[:, 0]
@@ -275,14 +291,14 @@ def temporal_pool(x: Array, mode: str) -> tuple[Array, tuple]:
 
 def temporal_pool_backward(grad_out: Array, cache: tuple) -> Array:
     mode, shape, idx = cache
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = _as_float(grad_out)
     expected = (*shape[:-2], shape[-1])
     if grad_out.shape != expected:
         raise ValueError(f"grad shape {grad_out.shape} does not match {expected}")
     grad_out = np.expand_dims(grad_out, -2)
     if mode == GAP:
         return np.repeat(grad_out / shape[-2], shape[-2], axis=-2)
-    grad_x = np.zeros(shape)
+    grad_x = np.zeros(shape, grad_out.dtype)
     np.put_along_axis(grad_x, idx, grad_out, axis=-2)
     return grad_x
 

@@ -46,6 +46,18 @@ def naive_upsample(x, target_len):
     return out
 
 
+def receptive_field_snippets(head):
+    """Snippet positions feeding one output position of a head: 1 + sum (k-1) * d
+    over its trunk convs and its classifier."""
+    layers = [*head.convs, head.classifier]
+    return 1 + sum((layer.kernel_size - 1) * layer.dilation for layer in layers)
+
+
+def receptive_field(head):
+    """A head's receptive field in frames."""
+    return receptive_field_snippets(head) * head.config.snippet_len
+
+
 def iou_by_frames(a, b):
     """Interval IoU computed on explicit frame index sets."""
     sa = set(range(int(a[0]), int(a[1])))

@@ -20,6 +20,8 @@ from oracles import (
     match_predictions,
     naive_conv1d,
     pooled_frame_ap,
+    receptive_field,
+    receptive_field_snippets,
 )
 from records import ground_truth, gt_rows, rows, segments
 
@@ -35,8 +37,6 @@ from fsn.model import (
     init_ablation,
     init_fsn,
     load_model,
-    receptive_field,
-    receptive_field_snippets,
 )
 from fsn.nncore import ConvLayer1D, bilinear_upsample_1d, dilated_conv1d_forward
 

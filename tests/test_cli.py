@@ -42,7 +42,8 @@ from fsn.data import (
 )
 from fsn.evaluate import EvalConfig, frame_level_map, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
-from fsn.model import load_model
+from fsn.model import load_model, save_model
+from openblas import core_name
 from oracles import per_sample_weak_batches, per_video_batches
 from records import load_report
 
@@ -593,39 +594,78 @@ def test_training_rejects_zero_loop_settings(corpus, tmp_path, capsys, command, 
     assert not (tmp_path / "out" / "model.fsn").exists()
 
 
-# sha256 of (model.fsn, train_log.csv) for short runs on the module corpus,
-# computed with the per-window sample objects that preceded the index-array
-# windows: window selection, rebalancing and batch sampling must not move.
-# The train-weak pair was computed with the one-generator weak batch source
-# (each step draws its video picks, then their in-span offsets); the per-sample
-# generators before it drew other frames. The weights run through BLAS, so
-# these hold for this numpy/OpenBLAS build.
+# short training runs on the module corpus
+TRAINING_RUNS = {
+    "train": ["train", "--iterations", "40", "--log-every", "10"],
+    "train-sparse-windows": [
+        "train", "--iterations", "40", "--log-every", "10",
+        "--train-stride", "3", "--min-action-frames", "0",
+    ],
+    "train-weak": [
+        "train-weak", "--iterations", "20", "--log-every", "5", "--weak-positions", "40",
+    ],
+}
+
+# sha256 of (model.fsn, train_log.csv) of each run in TRAINING_RUNS, by the
+# OpenBLAS core whose kernels ran it (``openblas.core_name``): each core's
+# kernels round the float32 products differently. Each row was computed by
+# running this test with OPENBLAS_CORETYPE set to its core, which AMD Zen
+# maps to the Haswell kernels; a core with no row fails, naming the core.
+# Window selection, rebalancing and batch sampling must not move these.
 PINNED_TRAINING = {
-    "train": (
-        ["train", "--iterations", "40", "--log-every", "10"],
-        "ca7aab6d491113d2abccdc44553969098ed1f290ccd2ba685e342f1306f6068e",
-        "94af6082ff8852cc865552176a50b6c45d11eeeb04d57092696234718dfe31c9",
-    ),
-    "train-sparse-windows": (
-        ["train", "--iterations", "40", "--log-every", "10",
-         "--train-stride", "3", "--min-action-frames", "0"],
-        "d0574a55ad9d7569f64f8af6a472eba860cea76e5d717c5807f22d816e78d1d5",
-        "7e02db34f90f0435418669abc20f7edc582ebfc11bb1a8ab51f27e0e9b87835d",
-    ),
-    "train-weak": (
-        ["train-weak", "--iterations", "20", "--log-every", "5", "--weak-positions", "40"],
-        "65aa19b61bbdc37a0719dbfaf607d9bdbb711b3c35eb3ec2399f6ad169217d62",
-        "220d7b28889a79c0087d3ec829d92d0d029287acc3edd886b469a1cb2ebdf722",
-    ),
+    "SkylakeX": {
+        "train": (
+            "139000914257fdf33cc66ccbd6a7995b1e327cf6a09682f053ef389851fea942",
+            "60afaeaea179bfc269f90a434574328eb19b58e39476497ce16d9d5c69c1f9d9",
+        ),
+        "train-sparse-windows": (
+            "6202de5e7689372c26e099aa0fc3ed59df16d61761f9a01e1454d8fc77cf3c32",
+            "e6a8c581cf255f1d2709f333616dfa9cc235b543eb1e0e9d4965d5c5a58c65d1",
+        ),
+        "train-weak": (
+            "94ffe47e6658fbb0fa3ca83bd8d56a90fb5144a10510c74a7ab00b8925c3b133",
+            "220d7b28889a79c0087d3ec829d92d0d029287acc3edd886b469a1cb2ebdf722",
+        ),
+    },
+    "Haswell": {
+        "train": (
+            "969098486bb2c6a40b747b37f2d7e90dc79e8870ee523b1074c22c3678ff8e47",
+            "60afaeaea179bfc269f90a434574328eb19b58e39476497ce16d9d5c69c1f9d9",
+        ),
+        "train-sparse-windows": (
+            "93352de4bc4fefaf5205035130a9ac1081c77d7b7c0b7a5db225012310c8a409",
+            "9f8e05a2f4fdb524055d2c3171d67909031392e36c19e596234682164ea52d97",
+        ),
+        "train-weak": (
+            "3b9e8550b2cc0f51eb822bf0f1a9f2cf1a69de0e33d7bbb67de2aec765a8ffc6",
+            "220d7b28889a79c0087d3ec829d92d0d029287acc3edd886b469a1cb2ebdf722",
+        ),
+    },
+    "Sandybridge": {
+        "train": (
+            "ffe4369985783abb45f79434c48f93c2c784e71e1c9903ebd5ecd6b2a807d5e8",
+            "60afaeaea179bfc269f90a434574328eb19b58e39476497ce16d9d5c69c1f9d9",
+        ),
+        "train-sparse-windows": (
+            "60d69218ecf4797ac42b0dffc8c52b88ac683df19674549ed1326237bfcca128",
+            "e6a8c581cf255f1d2709f333616dfa9cc235b543eb1e0e9d4965d5c5a58c65d1",
+        ),
+        "train-weak": (
+            "812c3bd4260d11f2b5ca36e25a29f7e85cd53a48d4e8bb437c21ea564393f2fd",
+            "220d7b28889a79c0087d3ec829d92d0d029287acc3edd886b469a1cb2ebdf722",
+        ),
+    },
 }
 
 
-@pytest.mark.parametrize("run", list(PINNED_TRAINING))
+@pytest.mark.parametrize("run", list(TRAINING_RUNS))
 def test_training_bytes_are_pinned(corpus, tmp_path, run):
-    args, model_sha, log_sha = PINNED_TRAINING[run]
+    core = core_name()
+    if core not in PINNED_TRAINING:
+        pytest.fail(f"no training bytes are pinned for OpenBLAS core {core!r}")
     out = tmp_path / "out"
     rc = main([
-        *args,
+        *TRAINING_RUNS[run],
         "--features-dir", str(corpus),
         "--annotations", str(corpus / "annotations.tsv"),
         "--manifest", str(corpus / "manifest.tsv"),
@@ -639,7 +679,7 @@ def test_training_bytes_are_pinned(corpus, tmp_path, run):
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("model.fsn", "train_log.csv")
     ]
-    assert digests == [model_sha, log_sha]
+    assert digests == list(PINNED_TRAINING[core][run])
 
 
 # ---------------------------------------------------------------- train-weak
@@ -1161,6 +1201,22 @@ def test_predict_rejects_class_count_mismatch(corpus, trained, tmp_path, capsys)
     ])
     assert rc == 1
     assert "asks for 5" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_weight_that_overflows_float32(corpus, trained, tmp_path, capsys):
+    # 1e39 is a valid float64 weight, but the layers compute in float32
+    head = load_model(trained / "model.fsn")
+    head.classifier.weights.flat[0] = 1e39
+    model = tmp_path / "big" / "model.fsn"
+    model.parent.mkdir()
+    save_model(head, model)
+    out = tmp_path / "pred"
+    rc = main(predict_args(corpus, model.parent, out))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: layer 3 holds non-finite weights or biases as float32\n"
+    )
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- eval

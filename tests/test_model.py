@@ -20,8 +20,6 @@ from fsn.model import (
     init_fsn,
     init_wfsn,
     load_model,
-    receptive_field,
-    receptive_field_snippets,
     save_model,
     wfsn_forward_predict,
     wfsn_loss_and_grads,
@@ -38,6 +36,7 @@ from fsn.nncore import (
     relu_backward,
     temporal_pool,
 )
+from oracles import naive_conv1d, receptive_field, receptive_field_snippets
 
 TINY = ModelConfig(num_classes=2, feature_dim=5, hidden_channels=6, snippet_len=5, clip_len=35)
 
@@ -458,23 +457,51 @@ class TestModelBoundary:
             wfsn_forward_predict(features, init_wfsn(TINY, seed=55))
 
 
-def _assert_widening_changes_nothing(loss_fn, narrow, labels, head):
-    """float32 features give bit for bit the loss and gradients of their
-    float64 widening: the model widens at its entry."""
+# float32 keeps about 7 significant digits; a step's loss and gradients may
+# differ from their float64 widening's by this much, relative
+FLOAT32_REL = 1e-5
+
+
+def _assert_float32_follows_the_widening(loss_fn, narrow, labels, head):
+    """float32 features give the loss and gradients of their float64 widening
+    to float32 precision: the layers compute in float32, the loss sum and the
+    parameters stay float64."""
     assert narrow.dtype == np.float32
     loss, grads = loss_fn(narrow, labels, head)
     wide_loss, wide_grads = loss_fn(narrow.astype(np.float64), labels, head)
-    assert loss == wide_loss and len(grads) == len(wide_grads)
+    assert isinstance(loss, float)
+    assert loss == pytest.approx(wide_loss, rel=FLOAT32_REL)
+    assert len(grads) == len(wide_grads) == len(head_parameters(head))
     for grad, wide_grad in zip(grads, wide_grads):
-        np.testing.assert_array_equal(grad, wide_grad)
+        assert grad.dtype == np.float32 and wide_grad.dtype == np.float64
+        error = np.linalg.norm(grad - wide_grad) / np.linalg.norm(wide_grad)
+        assert error <= FLOAT32_REL
+    assert all(p.dtype == np.float64 for p in head_parameters(head))
 
 
 class TestFloat32Features:
+    @pytest.mark.parametrize(
+        "make",
+        [init_fsn, lambda config, seed: init_wfsn(config, seed, pooling=GMP), init_ablation],
+        ids=["dense", "weak", "no-context"],
+    )
+    def test_activations_stay_float32(self, make):
+        head = make(TINY, 58)
+        features = np.random.default_rng(58).standard_normal((3, 9, 5)).astype(np.float32)
+        logits, (caches, cls_cache) = _stack_forward(features, head)
+        assert logits.dtype == np.float32
+        assert cls_cache[0].dtype == np.float32
+        assert all(conv[0].dtype == np.float32 for conv, _ in caches)
+        if head.pooling is None:
+            assert fsn_forward(features, head, 45).dtype == np.float32
+        else:
+            assert wfsn_forward_predict(features, head).dtype == np.float32
+
     def test_fsn_loss_and_grads(self):
         rng = np.random.default_rng(56)
         features, labels = tiny_clips(rng, TINY, 1, 2, 0)
         head = init_fsn(TINY, seed=56)
-        _assert_widening_changes_nothing(
+        _assert_float32_follows_the_widening(
             fsn_loss_and_grads, features.astype(np.float32), labels, head
         )
 
@@ -484,7 +511,23 @@ class TestFloat32Features:
         features = rng.standard_normal((3, 9, 5)).astype(np.float32)
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         head = init_wfsn(TINY, seed=57, pooling=pooling)
-        _assert_widening_changes_nothing(wfsn_loss_and_grads, features, labels, head)
+        _assert_float32_follows_the_widening(wfsn_loss_and_grads, features, labels, head)
+
+    @pytest.mark.parametrize("make", [init_fsn, init_ablation], ids=["dense", "no-context"])
+    def test_float64_features_match_the_naive_convolutions(self, make):
+        # float64 input computes in float64, as the gradient checks need
+        head = make(TINY, 59)
+        x = np.random.default_rng(59).standard_normal((9, 5))
+        logits, _ = _stack_forward(x, head)
+        expected = x
+        for conv in head.convs:
+            expected = np.maximum(
+                naive_conv1d(expected, conv.weights, conv.bias, conv.dilation), 0.0
+            )
+        cls = head.classifier
+        expected = naive_conv1d(expected, cls.weights, cls.bias, cls.dilation)
+        assert logits.dtype == np.float64
+        assert np.abs(logits - expected).max() <= 1e-12
 
 
 class TestSerialization:
@@ -560,7 +603,8 @@ class TestSerialization:
         with pytest.raises(ValueError, match="model.fsn: clip_len 36 must be a positive multiple"):
             load_model(path)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # 1e39 is finite in float64 but overflows float32, the compute dtype
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
     @pytest.mark.parametrize("which", ["weights", "bias"])
     def test_non_finite_parameters_are_reported_with_the_path(self, tmp_path, value, which):
         head = init_fsn(TINY, seed=29)
