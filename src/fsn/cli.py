@@ -523,17 +523,26 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
     return {"model": model_path, "log": log_path, "split": split}
 
 
-def _scoring_workers(videos: int) -> int:
-    """How many processes score a split of ``videos``: one per CPU this
-    process may run on, at most one per video. One where BLAS is not pinned to
-    one thread, since its threads would compete with the workers, or where
+# A forked scoring worker costs its start and thousands of page faults. On 2
+# CPUs, a second worker made scoring a 12k-frame split of the pooling config
+# slower (38 -> 52 ms) and 18k-24k frames of either shipped config faster
+MIN_FRAMES_PER_WORKER = 10_000
+
+
+def _scoring_workers(headers: Sequence[FeatureHeader]) -> int:
+    """How many processes score the split of ``headers``: one per CPU this
+    process may run on, at most one per video and one per
+    ``MIN_FRAMES_PER_WORKER`` frames. One where BLAS is not pinned to one
+    thread, since its threads would compete with the workers, or where
     ``os.fork`` or ``os.sched_getaffinity`` is missing."""
     blas = _openblas_threads()
     if blas is None or blas[1]() != 1:
         return 1
     if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), videos))
+    frames = sum(header.frame_count for header in headers)
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, len(headers), frames // MIN_FRAMES_PER_WORKER))
 
 
 def _forked(outcome: Callable[[Sequence], tuple], part: Sequence) -> tuple[int, BinaryIO]:
@@ -586,7 +595,7 @@ def _score_split(
         except Exception as err:
             return done, err
 
-    n = _scoring_workers(len(headers))
+    n = _scoring_workers(headers)
     children, sent, exits = [], None, []
     try:
         for first in range(1, n):

@@ -368,7 +368,7 @@ def clip_majority_class(frame_labels: Array, starts: Array, clip_len: int) -> Ar
     majority = np.zeros(starts.size, dtype=np.int64)
     most = np.zeros(starts.size, dtype=np.int64)
     # ascending classes with a strict comparison: ties keep the lower id
-    for cls in np.unique(frame_labels[frame_labels > 0]):
+    for cls in np.flatnonzero(np.bincount(frame_labels[frame_labels > 0])):
         cumulative = np.concatenate(([0], np.cumsum(frame_labels == cls)))
         count = cumulative[starts + clip_len] - cumulative[starts]
         wins = count > most
@@ -389,7 +389,9 @@ def rebalance(classes, seed: int = 0) -> Array:
     classes = np.asarray(classes, dtype=np.int64)
     order = [np.arange(classes.size)]
     if classes.size:
-        present, counts = np.unique(classes, return_counts=True)
+        counts = np.bincount(classes)
+        present = np.flatnonzero(counts)
+        counts = counts[present]
         target = counts.max()
         rng = np.random.default_rng(seed)
         for cls, count in zip(present, counts):

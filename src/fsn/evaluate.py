@@ -2,11 +2,20 @@
 
 AP is non-interpolated: predictions are ranked by confidence, ties in their
 input order, and AP sums precision at every true-positive rank divided by the
-number of positives. ``rank_descending`` gives that ranking: exactly the
-permutation ``np.argsort(-scores, kind="stable")``, from the faster default
-sort with only the runs of tied scores re-sorted by index. Exact tie order
-matters: track scores come from float32 files, so every class column of a
-large test split holds hundreds of tied frames.
+number of positives. Every ranking is exactly the permutation
+``np.argsort(-scores, kind="stable")``. Exact tie order matters: track scores
+come from float32 files, so every class column of a large test split holds
+hundreds of tied frames.
+
+Frame-level AP pools the frames of all videos per class. Float32 tracks, which
+every track file holds, are ranked by one in-place sort of uint64 keys: the
+high half is the score's bits mapped to an order that ascends as the score
+descends (``-0.0`` keyed as ``0.0``, every NaN last), the low half is the
+pooled frame index, which breaks ties in input order. The keys are written
+video by video into one buffer that every class reuses, and the frame labels
+are gathered in key order to flag the hits. Float64 tracks, pools of 2**32
+frames or more, and segment confidences are ranked by ``rank_descending``: the
+faster default sort with only the runs of tied scores re-sorted by index.
 
 A segment prediction counts as a true positive only when its IoU with an
 unmatched same-class ground truth in the same video is strictly above the
@@ -100,9 +109,45 @@ def _ap_from_ranked(hits: Array, num_positives: int) -> float:
     """Non-interpolated AP of true-positive flags already in rank order."""
     if num_positives == 0 or hits.size == 0:
         return 0.0
-    true_ranks = np.flatnonzero(hits) + 1
-    precisions = np.arange(1, true_ranks.size + 1) / true_ranks
+    true_ranks = np.flatnonzero(hits)
+    true_ranks += 1
+    precisions = np.arange(1.0, true_ranks.size + 1)
+    precisions /= true_ranks
     return float(precisions.sum() / num_positives)
+
+
+def _descending_bits(scores: Array) -> Array:
+    """uint32 keys that ascend as the float32 ``scores`` descend, equal for
+    equal scores: ``-0.0`` is keyed as ``0.0`` and every NaN as the largest
+    key, so NaNs come last, as numpy sorts them."""
+    bits = scores.view(np.uint32)
+    magnitude = bits & 0x7FFFFFFF
+    # a negative's bits ascend as it descends; below it, every non-negative
+    # score (and -0.0) maps its magnitude downwards from 0x7FFFFFFF
+    keys = np.where(bits > 0x80000000, bits, 0x7FFFFFFF - magnitude)
+    keys[magnitude > 0x7F800000] = 0xFFFFFFFF
+    return keys
+
+
+def _rank_pooled(columns: Sequence[Array], keys: Array | None) -> Array:
+    """``np.argsort(-np.concatenate(columns), kind="stable")``.
+
+    With ``keys``, a uint64 buffer of the pooled size, the float32 columns are
+    packed into it (score key high, pooled index low) and sorted in place; the
+    result is a view of the buffer, valid until its next use.
+    """
+    if keys is None:
+        return rank_descending(np.concatenate(columns))
+    start = 0
+    for column in columns:
+        part = keys[start : start + column.size]
+        part[...] = _descending_bits(column)
+        part <<= 32
+        part |= np.arange(start, start + column.size, dtype=np.uint64)
+        start += column.size
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    return keys.view(np.int64)
 
 
 def frame_level_map(
@@ -143,18 +188,18 @@ def frame_level_map(
             )
         dense.append(frame_labels)
     all_labels = np.concatenate(dense)
-    ap = np.zeros(num_classes)
-    for class_id in range(1, num_classes + 1):
-        scores = np.concatenate(
-            [by_id[v].class_scores(class_id) for v in ordered_ids]
-        )
-        positives = all_labels == class_id
-        ap[class_id - 1] = _ap_from_ranked(
-            positives[rank_descending(scores)], int(positives.sum())
-        )
-    represented = np.array(
-        [np.any(all_labels == k) for k in range(1, num_classes + 1)]
+    packed = all_labels.size < 2**32 and all(
+        by_id[v].scores.dtype == np.float32 for v in ordered_ids
     )
+    keys = np.empty(all_labels.size, dtype=np.uint64) if packed else None
+    ap = np.zeros(num_classes)
+    positives = np.zeros(num_classes, dtype=np.int64)
+    for class_id in range(1, num_classes + 1):
+        order = _rank_pooled([by_id[v].class_scores(class_id) for v in ordered_ids], keys)
+        hits = all_labels[order] == class_id
+        positives[class_id - 1] = np.count_nonzero(hits)
+        ap[class_id - 1] = _ap_from_ranked(hits, int(positives[class_id - 1]))
+    represented = positives > 0
     mean = float(ap[represented].mean()) if represented.any() else 0.0
     return ap, mean
 

@@ -230,10 +230,15 @@ def bilinear_upsample_1d_backward(grad_out: Array, cache: tuple) -> Array:
 def framewise_softmax(x: Array) -> Array:
     """Softmax over the channel (last) axis, numerically stabilized.
 
-    Non-finite scores are rejected: they would come out as NaN rows.
+    Non-finite scores are rejected: they would come out as NaN rows. The
+    row maxima come from one ``np.maximum`` per channel, far faster than a
+    reduction over a short last axis and just as exact.
     """
     x = require_finite(as_seq(x))
-    z = x - x.max(axis=-1, keepdims=True)
+    peak = x[..., 0]
+    for channel in range(1, x.shape[-1]):
+        peak = np.maximum(peak, x[..., channel])
+    z = x - peak[..., None]
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 

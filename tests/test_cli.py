@@ -27,6 +27,7 @@ from fsn.cli import (
 )
 from fsn.data import (
     AnnotationSet,
+    FeatureHeader,
     Segments,
     SynthConfig,
     VideoFeatures,
@@ -1005,6 +1006,16 @@ ONE_CPU_MAIN = (
 )
 
 
+@pytest.fixture
+def forks_any_split(monkeypatch):
+    """Predict forks its workers even for the 1600-frame test corpus."""
+    monkeypatch.setattr(cli, "MIN_FRAMES_PER_WORKER", 1)
+
+
+def headers_of(*frame_counts):
+    return [FeatureHeader(f"v{i}", frames, 6) for i, frames in enumerate(frame_counts)]
+
+
 @pytest.fixture(scope="module")
 def trained_weak(tmp_path_factory, corpus):
     out = tmp_path_factory.mktemp("trained_weak")
@@ -1043,12 +1054,12 @@ def assert_no_child_left():
 @needs_several_cpus
 @pytest.mark.parametrize("command", ["predict", "predict-weak"])
 def test_scoring_workers_write_the_bytes_of_one_worker(
-    corpus, trained, trained_weak, tmp_path, command
+    corpus, trained, trained_weak, tmp_path, command, forks_any_split
 ):
     model_dir = trained_weak if command == "predict-weak" else trained
     many, one = tmp_path / "many", tmp_path / "one"
     assert main(predict_all_args(command, corpus, model_dir, many)) == 0
-    assert cli._scoring_workers(8) > 1
+    assert cli._scoring_workers(headers_of(*[200] * 8)) > 1
     assert_no_child_left()
     run_python(tmp_path, ONE_CPU_MAIN, *predict_all_args(command, corpus, model_dir, one))
     written = tree_bytes(many)
@@ -1059,7 +1070,7 @@ def test_scoring_workers_write_the_bytes_of_one_worker(
 
 @pytest.mark.parametrize("bad", [(1, 2), (0, 1)], ids=["a-child-first", "the-parent-first"])
 def test_predict_reports_the_earliest_failing_video_of_any_worker(
-    corpus, trained, tmp_path, capsys, bad
+    corpus, trained, tmp_path, capsys, bad, forks_any_split
 ):
     # with two or more workers, the command's own process scores video 0, and
     # videos 1 and 2 fall in two other parts, or 2 back in part 0
@@ -1081,7 +1092,9 @@ def test_predict_reports_the_earliest_failing_video_of_any_worker(
 
 
 @needs_several_cpus
-def test_predict_reports_a_worker_that_dies(corpus, trained, tmp_path, monkeypatch, capsys):
+def test_predict_reports_a_worker_that_dies(
+    corpus, trained, tmp_path, monkeypatch, capsys, forks_any_split
+):
     parent, score = os.getpid(), cli.localize
 
     def killed_in_a_child(*args, **kwargs):
@@ -1100,7 +1113,9 @@ def test_predict_reports_a_worker_that_dies(corpus, trained, tmp_path, monkeypat
 
 
 @needs_several_cpus
-def test_interrupted_predict_stops_its_workers(corpus, trained, tmp_path, monkeypatch):
+def test_interrupted_predict_stops_its_workers(
+    corpus, trained, tmp_path, monkeypatch, forks_any_split
+):
     parent, score = os.getpid(), cli.localize
 
     def interrupted_in_the_parent(*args, **kwargs):
@@ -1138,10 +1153,28 @@ def test_scoring_stays_in_one_process_without_numpys_openblas(
     try:
         assert cli._openblas_threads() is None
         assert cli._pin_blas() is None
-        assert cli._scoring_workers(8) == 1
+        assert cli._scoring_workers(headers_of(*[60_000] * 8)) == 1
     finally:
         monkeypatch.undo()
         cli._openblas_threads.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "frames, cpus, workers",
+    [
+        ([600] * 20, 2, 1),  # the shipped corpora's test splits stay in one process
+        ([9_999, 10_000], 2, 1),
+        ([10_000, 10_000], 2, 2),
+        ([6000] * 50, 2, 2),  # a 300k-frame split takes every CPU
+        ([6000] * 50, 64, 30),
+        ([300_000], 4, 1),  # never more workers than videos
+        ([6000] * 50, 1, 1),
+    ],
+)
+def test_scoring_workers_get_a_minimum_of_frames_each(monkeypatch, frames, cpus, workers):
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: (None, lambda: 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert cli._scoring_workers(headers_of(*frames)) == workers
 
 
 def test_predict_memory_stays_below_the_split_descriptors(tmp_path, corpus60):
@@ -1740,10 +1773,10 @@ import sys
 print("\\n".join(sys.modules))
 """
 
-EVAL_RUN = """
+COMMAND_RUN = """
 import sys
 import fsn.cli
-assert fsn.cli.main(["eval", *sys.argv[1:]]) == 0
+assert fsn.cli.main(sys.argv[1:]) == 0
 print("\\n".join(sys.modules))
 """
 
@@ -1752,7 +1785,7 @@ def test_eval_imports_only_numpy_beyond_the_standard_library(corpus, predicted, 
     # a bare interpreter's modules come from site start-up hooks, not from fsn
     bare = set(run_python(tmp_path, LIST_MODULES).split())
     loaded = set(run_python(
-        tmp_path, EVAL_RUN,
+        tmp_path, COMMAND_RUN, "eval",
         "--annotations", str(corpus / "annotations.tsv"),
         "--predictions", str(predicted / "predictions.tsv"),
         "--tracks", str(predicted / "tracks"),
@@ -1761,4 +1794,20 @@ def test_eval_imports_only_numpy_beyond_the_standard_library(corpus, predicted, 
     assert (tmp_path / "eval" / "report.csv").exists()
     new_roots = {name.split(".")[0] for name in loaded - bare}
     assert new_roots - set(sys.stdlib_module_names) == {"fsn", "numpy"}
+    assert "numpy.ma" not in loaded
+
+
+def test_train_does_not_import_numpy_ma(corpus, tmp_path):
+    # numpy.ma costs every train child its import time and resident pages
+    loaded = set(run_python(
+        tmp_path, COMMAND_RUN, "train",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--manifest", str(corpus / "manifest.tsv"),
+        "--out", str(tmp_path / "train"),
+        "--hidden-channels", "8",
+        "--iterations", "20",
+    ).split())
+    assert (tmp_path / "train" / "model.fsn").exists()
+    assert "numpy" in loaded
     assert "numpy.ma" not in loaded

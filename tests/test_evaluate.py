@@ -1,5 +1,6 @@
 """AP kernels, frame/segment mAP, and report emission."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from fsn.evaluate import (
     DEFAULT_STRONG_IOUS,
     DEFAULT_WEAK_IOUS,
     EvalConfig,
+    _rank_pooled,
     emit_report,
     frame_level_map,
     rank_descending,
@@ -124,6 +126,57 @@ class TestRankDescending:
         np.testing.assert_array_equal(rank_descending(scores), expected)
 
 
+# bits of float32 values whose keys must order right: both zeros, both
+# infinities, NaNs of both signs and other payloads (quiet and signalling),
+# subnormals, the extremes of the normal range, and a few plain scores
+_FLOAT32_EDGE_BITS = [
+    0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000,
+    0x7F800001, 0xFFBFFFFF, 0x7FFFFFFF, 0xFFFFFFFF, 0x00000001, 0x80000001,
+    0x007FFFFF, 0x807FFFFF, 0x00800000, 0x80800000, 0x7F7FFFFF, 0xFF7FFFFF,
+    *np.array([0.5, 1.0, -1.0, 1e-30], dtype=np.float32).view(np.uint32).tolist(),
+]
+
+
+@st.composite
+def _float32_pools(draw):
+    """Float32 pools split into 0-3 places: runs of one value, drawn as bits
+    (so signalling NaNs stay signalling) from the edge values or at random."""
+    bits = st.one_of(st.sampled_from(_FLOAT32_EDGE_BITS), st.integers(0, 2**32 - 1))
+    runs = draw(st.lists(st.tuples(bits, st.integers(1, 60)), min_size=1, max_size=30))
+    pool = np.concatenate([np.full(length, b, dtype=np.uint32) for b, length in runs])
+    cuts = draw(st.lists(st.integers(0, pool.size), max_size=3))
+    return np.split(pool.view(np.float32), sorted(cuts))
+
+
+class TestRankPooled:
+    """The packed-key ranking of float32 columns against numpy's stable argsort."""
+
+    @staticmethod
+    def ranked(columns):
+        keys = np.empty(sum(column.size for column in columns), dtype=np.uint64)
+        return _rank_pooled(columns, keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_float32_pools())
+    def test_equals_stable_argsort_of_negated_scores(self, columns):
+        pool = np.concatenate(columns)
+        with np.errstate(invalid="ignore"):  # numpy's sort compares signalling NaNs
+            expected = np.argsort(-pool, kind="stable")
+        np.testing.assert_array_equal(self.ranked(columns), expected)
+
+    def test_a_300k_frame_pool_of_strided_columns(self):
+        # the class columns of 50 videos of 6000 frames, with long tie runs
+        rng = np.random.default_rng(11)
+        tracks = rng.uniform(size=(50, 6000, 2)).astype(np.float32)
+        tracks[rng.random(tracks.shape) < 0.01] = 1.0
+        tracks[rng.random(tracks.shape) < 0.01] = 0.0
+        tracks[:, 1000:1500] = -0.0
+        tracks[7, :300] = np.nan
+        columns = [video[:, 1] for video in tracks]
+        expected = np.argsort(-tracks[:, :, 1].ravel(), kind="stable")
+        np.testing.assert_array_equal(self.ranked(columns), expected)
+
+
 @st.composite
 def _float32_cases(draw):
     """Float32 score matrices of 1-3 videos, their frame labels and a label
@@ -158,6 +211,25 @@ class TestFrameLevelMap:
         wide_ap, wide_mean = frame_level_map(wide, {v: l.astype(np.int64) for v, _, l in videos})
         np.testing.assert_array_equal(ap, wide_ap)
         assert mean == wide_mean
+
+    def test_transient_memory_of_a_300k_frame_split(self):
+        # 50 videos x 6000 frames x 4 classes, as eval ranks a large test
+        # split: one uint64 key per frame, not an argsort and its tie arrays
+        rng = np.random.default_rng(3)
+        tracks, labels = [], {}
+        for index in range(50):
+            scores = rng.uniform(size=(6000, 5)).astype(np.float32)
+            scores[rng.integers(0, 6000, 200)] = 1.0
+            tracks.append(FrameScoreTrack(f"v{index:02d}", scores, True))
+            labels[f"v{index:02d}"] = rng.integers(0, 5, 6000).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frame_level_map(tracks, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 5_000_000
 
     def test_perfect_oracle_scores(self):
         labels = {"a": np.array([0, 1, 1, 2, 0]), "b": np.array([2, 2, 0, 1, 0])}
