@@ -115,8 +115,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 @dataclass
 class RunConfig:
     """Merged settings for one command run: defaults, then the config file,
-    then flags. A ``None`` setting was not given; ``num_classes`` and
-    ``feature_dim`` are then taken from the data or the model."""
+    then flags. A ``None`` setting was not given; it is then taken from the
+    data or the model, or is ``ModelConfig``'s or ``SynthConfig``'s default."""
 
     features_dir: str | None = None
     annotations: str | None = None
@@ -128,10 +128,10 @@ class RunConfig:
     split: str | None = None
     num_classes: int | None = None
     feature_dim: int | None = None
-    hidden_channels: int = 256
-    snippet_len: int = 5
-    clip_len: int = 35
-    dilations: tuple[int, ...] = (1, 2, 4)
+    hidden_channels: int | None = None
+    snippet_len: int | None = None
+    clip_len: int | None = None
+    dilations: tuple[int, ...] | None = None
     pooling: str = GMP
     learning_rate: float = 1e-4
     momentum: float = 0.9
@@ -142,15 +142,15 @@ class RunConfig:
     train_stride: int | None = None
     min_action_frames: int = 5
     weak_positions: int = 100
-    num_videos: int = 80
-    frames_per_video: int = 600
-    prototype_noise: float = 0.3
-    context_ambiguity: bool = False
-    instance_density: float = 0.2
-    train_fraction: float = 0.75
-    single_class_videos: bool = False
-    min_instance_len: int = 18
-    max_instance_len: int = 30
+    num_videos: int | None = None
+    frames_per_video: int | None = None
+    prototype_noise: float | None = None
+    context_ambiguity: bool | None = None
+    instance_density: float | None = None
+    train_fraction: float | None = None
+    single_class_videos: bool | None = None
+    min_instance_len: int | None = None
+    max_instance_len: int | None = None
     eval_iou: tuple[float, ...] | None = None
     predict_iou: float = 0.5
     ablate_mode: str = "temporal"
@@ -216,7 +216,14 @@ def _require(cfg: RunConfig, *keys: str) -> None:
         raise ValueError(f"missing required setting(s): {', '.join(missing)}")
 
 
+def _given(cfg: RunConfig, config_type) -> dict:
+    """The settings of ``config_type``'s fields that ``cfg`` gives."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(config_type)}
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _model_config(cfg: RunConfig, num_classes: int, feature_dim: int) -> ModelConfig:
+    """The given architecture settings; the rest keep ModelConfig's defaults."""
     if cfg.num_classes is not None and cfg.num_classes != num_classes:
         raise ValueError(
             f"config says {cfg.num_classes} classes, data carries {num_classes}"
@@ -225,14 +232,8 @@ def _model_config(cfg: RunConfig, num_classes: int, feature_dim: int) -> ModelCo
         raise ValueError(
             f"config says feature_dim {cfg.feature_dim}, data carries {feature_dim}"
         )
-    return ModelConfig(
-        num_classes=num_classes,
-        feature_dim=feature_dim,
-        hidden_channels=cfg.hidden_channels,
-        snippet_len=cfg.snippet_len,
-        clip_len=cfg.clip_len,
-        dilations=cfg.dilations,
-    )
+    given = _given(cfg, ModelConfig)
+    return ModelConfig(**{**given, "num_classes": num_classes, "feature_dim": feature_dim})
 
 
 def _select_videos(
@@ -296,8 +297,7 @@ def _undone_on_failure(*directories: Path) -> Iterator[None]:
 
 def _synth_config(cfg: RunConfig) -> SynthConfig:
     """The synth settings that are given; the rest keep SynthConfig's defaults."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(SynthConfig)}
-    return SynthConfig(**{k: v for k, v in values.items() if v is not None})
+    return SynthConfig(**_given(cfg, SynthConfig))
 
 
 def _write_corpus(config: SynthConfig, out: Path) -> dict:
@@ -327,6 +327,13 @@ def cmd_synth(cfg: RunConfig) -> dict:
     directories it made; files that were there before stay."""
     config = _synth_config(cfg)
     out = Path(cfg.out)
+    # train reads every feature file it finds, so another corpus's would count
+    stale = sorted({p.stem for p in out.glob("*.fsnf")} - set(config.video_ids))
+    if stale:
+        raise ValueError(
+            f"{out} holds feature files of {len(stale)} video(s) this corpus does "
+            f"not write, e.g. {', '.join(stale[:3])}; synthesize into a fresh --out"
+        )
     with _undone_on_failure(out):
         return _write_corpus(config, out)
 
@@ -859,7 +866,8 @@ def _conditioned_case(build, margin_fn, floor: float = 2e-3, tries: int = 64):
     raise RuntimeError("no well-conditioned gradient-check case found")
 
 
-def _layer_check(rng, dilation: int, step: float) -> float:
+def _layer_check(rng, dilation: int, step: float, corrupt: float = 1.0) -> float:
+    """One random conv layer's check, its weight gradient scaled by ``corrupt``."""
     layer = ConvLayer1D(
         weights=rng.standard_normal((2, 3, 3)),
         bias=rng.standard_normal(2),
@@ -872,7 +880,7 @@ def _layer_check(rng, dilation: int, step: float) -> float:
         out, cache = dilated_conv1d_forward(x, layer)
         loss = float((out * probe).sum())
         _, grad_w, grad_b = dilated_conv1d_backward(probe, cache)
-        return loss, [grad_w, grad_b]
+        return loss, [grad_w * corrupt, grad_b]
 
     return gradient_check(fn, [layer.weights, layer.bias], step)
 
@@ -982,19 +990,7 @@ def gradcheck_suite(
 
     # negative control: a deliberately corrupted backward pass must be caught
     rng = np.random.default_rng(seeds[0] if len(seeds) else 0)
-    layer = ConvLayer1D(
-        weights=rng.standard_normal((2, 3, 3)), bias=rng.standard_normal(2), dilation=2
-    )
-    x = rng.standard_normal((8, 3))
-    probe = rng.standard_normal((8, 2))
-
-    def corrupted(params):
-        out, cache = dilated_conv1d_forward(x, layer)
-        loss = float((out * probe).sum())
-        _, grad_w, grad_b = dilated_conv1d_backward(probe, cache)
-        return loss, [grad_w * 1.01, grad_b]
-
-    return worst, gradient_check(corrupted, [layer.weights, layer.bias], step)
+    return worst, _layer_check(rng, 2, step, corrupt=1.01)
 
 
 def cmd_gradcheck(cfg: RunConfig) -> int:

@@ -19,6 +19,9 @@ work on index arrays too. Windows need only a file's header
 it reads any payload; it then holds one block of the snippet descriptors of
 every window its batch schedule draws, and a step gathers its windows'
 descriptors and labels from that block and the split's label array.
+
+The synthetic corpus is drawn one video at a time (``synth_videos``), so a
+caller writes each video before drawing the next and never holds it whole.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -457,17 +460,9 @@ class SynthConfig:
     def class_names(self) -> list[str]:
         return [f"action_{k:02d}" for k in range(1, self.num_classes + 1)]
 
-
-@dataclass
-class SynthDataset:
-    videos: list[VideoFeatures]
-    annotations: AnnotationSet
-    train_ids: list[str]
-    test_ids: list[str]
-    config: SynthConfig
-    background: Array = field(repr=False, default=None)
-    class_patterns: Array = field(repr=False, default=None)  # (K, 2, dim)
-    ambiguous_pairs: list[tuple[int, int]] = field(default_factory=list)
+    @property
+    def video_ids(self) -> list[str]:
+        return [f"synth_{v:04d}" for v in range(self.num_videos)]
 
 
 def _draw_instance_lengths(rng, target_frames: int, cfg: SynthConfig) -> list[int]:
@@ -484,25 +479,23 @@ def _draw_instance_lengths(rng, target_frames: int, cfg: SynthConfig) -> list[in
     return lengths
 
 
-def _synth_world(rng, cfg: SynthConfig) -> tuple[Array, Array, list[tuple[int, int]]]:
-    """The background prototype, the (K, 2, dim) class patterns and the
-    ambiguous class pairs: the first draws from a corpus seed."""
+def _synth_world(rng, cfg: SynthConfig) -> tuple[Array, Array]:
+    """The background prototype and the (K, 2, dim) class patterns: the first
+    draws from a corpus seed."""
     dim, num_classes = cfg.feature_dim, cfg.num_classes
     background = rng.normal(size=dim)
     patterns = np.zeros((num_classes, 2, dim))
-    ambiguous_pairs: list[tuple[int, int]] = []
     if cfg.context_ambiguity:
         for first in range(0, num_classes - 1, 2):
             u, v = rng.normal(size=(2, dim))
             patterns[first] = (u, v)
             patterns[first + 1] = (v, u)
-            ambiguous_pairs.append((first + 1, first + 2))
         if num_classes % 2 == 1:
             patterns[num_classes - 1] = rng.normal(size=(2, dim))
     else:
         for k in range(num_classes):
             patterns[k] = rng.normal(size=(2, dim))
-    return background, patterns, ambiguous_pairs
+    return background, patterns
 
 
 def synth_videos(config: SynthConfig) -> Iterator[tuple[VideoFeatures, list[tuple]]]:
@@ -520,11 +513,10 @@ def synth_videos(config: SynthConfig) -> Iterator[tuple[VideoFeatures, list[tupl
     """
     cfg = config
     rng = np.random.default_rng(cfg.seed)
-    background, patterns, _ = _synth_world(rng, cfg)
+    background, patterns = _synth_world(rng, cfg)
     frames, num_classes = cfg.frames_per_video, cfg.num_classes
     target_action = int(round(cfg.instance_density * frames))
-    for v in range(cfg.num_videos):
-        video_id = f"synth_{v:04d}"
+    for v, video_id in enumerate(cfg.video_ids):
         lengths = _draw_instance_lengths(rng, target_action, cfg)
         while lengths and frames - sum(lengths) < len(lengths) + 1:
             lengths.pop()
@@ -547,29 +539,6 @@ def synth_videos(config: SynthConfig) -> Iterator[tuple[VideoFeatures, list[tupl
                 cursor += length
         features += rng.normal(size=(frames, cfg.feature_dim)) * cfg.prototype_noise
         yield VideoFeatures(video_id, features), rows
-
-
-def synth_generate(config: SynthConfig) -> SynthDataset:
-    """The whole synthetic corpus in memory: ``synth_videos`` collected, with
-    the world they were drawn from."""
-    background, patterns, ambiguous_pairs = _synth_world(
-        np.random.default_rng(config.seed), config
-    )
-    videos, rows = [], []
-    for video, video_rows in synth_videos(config):
-        videos.append(video)
-        rows.extend(video_rows)
-    ids = [v.video_id for v in videos]
-    return SynthDataset(
-        videos=videos,
-        annotations=AnnotationSet(config.class_names, Segments.from_rows(rows)),
-        train_ids=ids[: config.num_train],
-        test_ids=ids[config.num_train :],
-        config=config,
-        background=background,
-        class_patterns=patterns,
-        ambiguous_pairs=ambiguous_pairs,
-    )
 
 
 def write_manifest(config: SynthConfig, frame_counts: dict[str, int], path) -> None:

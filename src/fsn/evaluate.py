@@ -14,8 +14,8 @@ descends (``-0.0`` keyed as ``0.0``, every NaN last), the low half is the
 pooled frame index, which breaks ties in input order. The keys are written
 video by video into one buffer that every class reuses, and the frame labels
 are gathered in key order to flag the hits. Float64 tracks, pools of 2**32
-frames or more, and segment confidences are ranked by ``rank_descending``: the
-faster default sort with only the runs of tied scores re-sorted by index.
+frames or more, and segment confidences are ranked by that stable argsort
+itself.
 
 A segment prediction counts as a true positive only when its IoU with an
 unmatched same-class ground truth in the same video is strictly above the
@@ -82,29 +82,6 @@ class EvalReport:
     frame_map: float | None = None
 
 
-def rank_descending(scores: Array) -> Array:
-    """The permutation ``np.argsort(-scores, kind="stable")``, computed faster.
-
-    The default (unstable) sort orders the scores; then only the runs of tied
-    scores are re-sorted by index, in one integer sort over the tied
-    positions. ``0.0`` and ``-0.0`` tie, and so do NaNs, which sort last.
-    """
-    negated = -np.asarray(scores)
-    order = np.argsort(negated)
-    ranked = negated[order]
-    tied = ranked[1:] == ranked[:-1]
-    # NaNs sort last and compare unequal, but tie with each other
-    tied[np.searchsorted(ranked, np.nan):] = True
-    if tied.any():
-        positions = np.flatnonzero(np.r_[tied, False] | np.r_[False, tied])
-        # number the runs of equal scores in rank order; one integer sort of
-        # run * size + index then orders each run's indices in its own slots
-        run = np.cumsum(np.r_[True, ~tied])[positions]
-        keys = run * order.size + order[positions]
-        order[positions] = np.sort(keys) % order.size
-    return order
-
-
 def _ap_from_ranked(hits: Array, num_positives: int) -> float:
     """Non-interpolated AP of true-positive flags already in rank order."""
     if num_positives == 0 or hits.size == 0:
@@ -137,7 +114,7 @@ def _rank_pooled(columns: Sequence[Array], keys: Array | None) -> Array:
     result is a view of the buffer, valid until its next use.
     """
     if keys is None:
-        return rank_descending(np.concatenate(columns))
+        return np.argsort(-np.concatenate(columns), kind="stable")
     start = 0
     for column in columns:
         part = keys[start : start + column.size]
@@ -281,7 +258,7 @@ def segment_level_map(
     ap = np.zeros((config.num_classes, len(thresholds)))
     for class_id in range(1, config.num_classes + 1):
         members = np.flatnonzero(predictions.class_id == class_id)
-        ranked = members[rank_descending(predictions.confidence[members])]
+        ranked = members[np.argsort(-predictions.confidence[members], kind="stable")]
         class_gts = grouped.take(slice(bounds[class_id - 1], bounds[class_id]))
         flags = _greedy_flags(predictions.take(ranked), class_gts, thresholds)
         ap[class_id - 1] = [_ap_from_ranked(f, num_gts[class_id - 1]) for f in flags]

@@ -1,9 +1,13 @@
 """Build ``Segments`` records from rows, of predictions or of ground truth,
-and read them back, and parse emitted reports, for the tests."""
+and read them back, parse emitted reports, and hold a synthetic corpus in
+memory, for the tests."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
-from fsn.data import Segments
+from numpy.random import default_rng
+
+from fsn.data import AnnotationSet, Segments, SynthConfig, _synth_world, synth_videos
 
 
 def segments(*rows) -> Segments:
@@ -65,3 +69,25 @@ def load_report(path) -> dict[str, dict[str, float]]:
             column: float(value) for column, value in zip(header[1:], cells[1:])
         }
     return out
+
+
+def synth_corpus(config: SynthConfig) -> SimpleNamespace:
+    """The whole synthetic corpus of ``config`` in memory: ``synth_videos``
+    collected into ``videos``, ``annotations``, ``train_ids`` and ``test_ids``,
+    with the ``config`` and the world they were drawn from (``background``,
+    the (K, 2, dim) ``class_patterns``)."""
+    videos, rows = [], []
+    for video, video_rows in synth_videos(config):
+        videos.append(video)
+        rows.extend(video_rows)
+    background, class_patterns = _synth_world(default_rng(config.seed), config)
+    ids = [video.video_id for video in videos]
+    return SimpleNamespace(
+        videos=videos,
+        annotations=AnnotationSet(config.class_names, Segments.from_rows(rows)),
+        train_ids=ids[: config.num_train],
+        test_ids=ids[config.num_train :],
+        config=config,
+        background=background,
+        class_patterns=class_patterns,
+    )

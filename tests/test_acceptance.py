@@ -23,10 +23,11 @@ from oracles import (
     receptive_field,
     receptive_field_snippets,
 )
-from records import ground_truth, gt_rows, rows, segments
+from records import ground_truth, gt_rows, rows, segments, synth_corpus
 
+from fsn import cli
 from fsn.cli import build_config, gradcheck_suite, main, parse_config_file
-from fsn.data import AnnotationSet, SynthConfig, VideoFeatures, synth_generate
+from fsn.data import AnnotationSet, VideoFeatures
 from fsn.evaluate import EvalConfig, frame_level_map, segment_level_map
 from fsn.localize import FrameScoreTrack, localize, nms, pairwise_iou
 from fsn.model import (
@@ -332,20 +333,7 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
     run_config = build_config(
         parse_config_file(CONFIGS / "ablation_temporal.cfg"), {}
     )
-    dataset = synth_generate(SynthConfig(
-        num_videos=run_config.num_videos,
-        frames_per_video=run_config.frames_per_video,
-        num_classes=run_config.num_classes,
-        feature_dim=run_config.feature_dim,
-        prototype_noise=run_config.prototype_noise,
-        context_ambiguity=run_config.context_ambiguity,
-        instance_density=run_config.instance_density,
-        seed=run_config.seed,
-        train_fraction=run_config.train_fraction,
-        single_class_videos=run_config.single_class_videos,
-        min_instance_len=run_config.min_instance_len,
-        max_instance_len=run_config.max_instance_len,
-    ))
+    dataset = synth_corpus(cli._synth_config(run_config))
 
     # one fresh video with a single instance, same prototypes, unseen noise
     frames, start, length, class_id = 600, 287, 28, 2
@@ -354,7 +342,7 @@ def test_criterion_6_single_instance_smoke(criterion, temporal_study):
     pattern = dataset.class_patterns[class_id - 1]
     features[start : start + length // 2] = pattern[0]
     features[start + length // 2 : start + length] = pattern[1]
-    features += rng.normal(size=features.shape) * run_config.prototype_noise
+    features += rng.normal(size=features.shape) * dataset.config.prototype_noise
     video = VideoFeatures("held_out", features)
     truth = ground_truth((start, start + length, class_id, "held_out"))
 

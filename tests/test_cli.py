@@ -1,5 +1,6 @@
 """End-to-end tests for the command line surface."""
 
+import ast
 import hashlib
 import os
 import platform
@@ -37,16 +38,15 @@ from fsn.data import (
     load_features,
     load_manifest,
     span_bounds,
-    synth_generate,
     write_annotations,
     write_features,
 )
 from fsn.evaluate import EvalConfig, frame_level_map, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
-from fsn.model import load_model, save_model
+from fsn.model import ModelConfig, load_model, save_model
 from openblas import core_name
 from oracles import per_sample_weak_batches, per_video_batches
-from records import load_report
+from records import load_report, synth_corpus
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -148,6 +148,13 @@ def test_schema_follows_run_config_fields():
     assert {f.name for f in fields(SynthConfig)} <= set(keys)
 
 
+def test_unset_settings_keep_the_dataclass_defaults():
+    # each architecture and corpus default lives in ModelConfig or SynthConfig
+    cfg = build_config({}, {})
+    assert cli._model_config(cfg, 3, 6) == ModelConfig(3, 6)
+    assert cli._synth_config(cfg) == SynthConfig(seed=42)
+
+
 # ---------------------------------------------------------------- corpus fixture
 
 
@@ -230,7 +237,7 @@ def test_synth_bytes_are_pinned(corpus):
 def test_synth_files_match_the_library_corpus(corpus, tmp_path):
     flags = {k[2:].replace("-", "_"): v for k, v in zip(SYNTH_ARGS[::2], SYNTH_ARGS[1::2])}
     cfg = build_config({}, flags)
-    for video in synth_generate(cli._synth_config(cfg)).videos:
+    for video in synth_corpus(cli._synth_config(cfg)).videos:
         expected = tmp_path / f"{video.video_id}.fsnf"
         write_features(video, expected)
         assert (corpus / expected.name).read_bytes() == expected.read_bytes()
@@ -318,6 +325,33 @@ def test_rejected_synth_removes_only_the_files_it_wrote(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "error: synth_0001: refused\n"
     assert written == [out / "synth_0000.fsnf"]
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "synth_0002.fsnf"]
+
+
+SMALL_SYNTH = ["synth", "--num-videos", "3", "--frames-per-video", "100"]
+
+
+def test_synth_rejects_an_out_holding_another_corpus(tmp_path, capsys):
+    # train without a manifest reads every feature file it finds
+    out = tmp_path / "c"
+    assert main([*SMALL_SYNTH, "--out", str(out), "--num-videos", "6", "--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([*SMALL_SYNTH, "--out", str(out), "--seed", "2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out} holds feature files of 3 video(s) this corpus does not "
+        f"write, e.g. synth_0003, synth_0004, synth_0005; synthesize into a fresh --out\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_synth_reruns_over_its_own_video_names(tmp_path):
+    out, fresh = tmp_path / "c", tmp_path / "fresh"
+    assert main([*SMALL_SYNTH, "--out", str(out), "--seed", "1"]) == 0
+    assert main([*SMALL_SYNTH, "--out", str(out), "--seed", "2"]) == 0
+    assert main([*SMALL_SYNTH, "--out", str(fresh), "--seed", "2"]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in fresh.iterdir()
+    }
 
 
 # ---------------------------------------------------------------- train
@@ -1764,6 +1798,31 @@ def test_console_entry_point_configured():
 
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert 'fsn = "fsn.cli:main"' in pyproject.read_text()
+
+
+def test_nothing_in_the_package_is_test_only():
+    # a top-level function or class is reached when its own module loads its
+    # name, another module imports it, or any module reads it as an
+    # attribute; code that only the tests call belongs under tests/
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(cli.__file__).parent.glob("*.py")}
+    reached, attributes = set(), set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                reached.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    unreached = [
+        f"{module}.{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (module, node.name) not in reached
+        and node.name not in attributes
+    ]
+    assert unreached == []
 
 
 # ---------------------------------------------------------------- runtime imports

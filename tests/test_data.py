@@ -24,13 +24,12 @@ from fsn.data import (
     read_feature_header,
     rebalance,
     snippet_centers,
-    synth_generate,
     write_annotations,
     write_features,
     write_manifest,
 )
 from oracles import list_rebalance, window_majority_class, window_scan
-from records import ground_truth, gt_rows, rows, segments
+from records import ground_truth, gt_rows, rows, segments, synth_corpus
 
 
 def video_with_ramp(video_id="vid", frames=70, dim=3):
@@ -447,29 +446,29 @@ class TestSynth:
         return SynthConfig(**defaults)
 
     def test_deterministic_per_seed(self):
-        a = synth_generate(self.small_config())
-        b = synth_generate(self.small_config())
+        a = synth_corpus(self.small_config())
+        b = synth_corpus(self.small_config())
         for va, vb in zip(a.videos, b.videos):
             np.testing.assert_array_equal(va.features, vb.features)
         assert gt_rows(a.annotations.segments) == gt_rows(b.annotations.segments)
-        c = synth_generate(self.small_config(seed=12))
+        c = synth_corpus(self.small_config(seed=12))
         assert not np.array_equal(a.videos[0].features, c.videos[0].features)
 
     def test_split_sizes_follow_train_fraction(self):
-        ds = synth_generate(self.small_config())
+        ds = synth_corpus(self.small_config())
         assert len(ds.train_ids) == 9
         assert len(ds.test_ids) == 3
         assert set(ds.train_ids) | set(ds.test_ids) == {v.video_id for v in ds.videos}
 
     def test_density_close_to_target(self):
-        ds = synth_generate(self.small_config(instance_density=0.3))
+        ds = synth_corpus(self.small_config(instance_density=0.3))
         segs = ds.annotations.segments
         total_action = int((segs.end - segs.start).sum())
         total = sum(v.frame_count for v in ds.videos)
         assert abs(total_action / total - 0.3) <= 0.03
 
     def test_instances_respect_length_bounds_and_gaps(self):
-        ds = synth_generate(self.small_config())
+        ds = synth_corpus(self.small_config())
         cfg = ds.config
         for segs in ds.annotations.segments.per_video([v.video_id for v in ds.videos]):
             order = np.argsort(segs.start)
@@ -480,14 +479,13 @@ class TestSynth:
                 assert right_start > left_end  # at least one background frame
 
     def test_ambiguity_shares_prototypes_in_reverse_order(self):
-        ds = synth_generate(self.small_config(context_ambiguity=True))
-        assert ds.ambiguous_pairs == [(1, 2), (3, 4)]
-        for a, b in ds.ambiguous_pairs:
+        ds = synth_corpus(self.small_config(context_ambiguity=True))
+        for a, b in [(1, 2), (3, 4)]:
             np.testing.assert_array_equal(ds.class_patterns[a - 1, 0], ds.class_patterns[b - 1, 1])
             np.testing.assert_array_equal(ds.class_patterns[a - 1, 1], ds.class_patterns[b - 1, 0])
 
     def test_single_frames_cannot_separate_ambiguous_pair(self):
-        ds = synth_generate(
+        ds = synth_corpus(
             self.small_config(num_videos=30, context_ambiguity=True, seed=21)
         )
         u, v = ds.class_patterns[0]
@@ -504,7 +502,7 @@ class TestSynth:
         assert hits / total <= 0.55
 
     def test_single_frames_do_separate_unambiguous_classes(self):
-        ds = synth_generate(self.small_config(num_videos=30, seed=21))
+        ds = synth_corpus(self.small_config(num_videos=30, seed=21))
         hits = total = 0
         for video in ds.videos:
             segs = ds.annotations.segments.take(ds.annotations.segments.video_id == video.video_id)
@@ -521,12 +519,12 @@ class TestSynth:
             SynthConfig(num_classes=1, context_ambiguity=True)
 
     def test_single_class_videos_have_one_class_each(self):
-        ds = synth_generate(self.small_config(single_class_videos=True))
+        ds = synth_corpus(self.small_config(single_class_videos=True))
         for segs in ds.annotations.segments.per_video([v.video_id for v in ds.videos]):
             assert len(set(segs.class_id.tolist())) == 1
 
     def test_manifest_round_trip(self, tmp_path):
-        ds = synth_generate(self.small_config())
+        ds = synth_corpus(self.small_config())
         path = tmp_path / "manifest.tsv"
         write_manifest(ds.config, {v.video_id: v.frame_count for v in ds.videos}, path)
         loaded = load_manifest(path)

@@ -16,7 +16,6 @@ from fsn.evaluate import (
     _rank_pooled,
     emit_report,
     frame_level_map,
-    rank_descending,
     segment_level_map,
 )
 from fsn.localize import FrameScoreTrack
@@ -72,58 +71,6 @@ class TestAveragePrecision:
             scores = np.round(rng.uniform(size=n), 1)
             oracle = pooled_frame_ap([scores], [labels], 1)
             assert one_video_ap(scores, labels) == pytest.approx(oracle, abs=1e-12)
-
-
-def _few_distinct():
-    return st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=300)
-
-
-def _all_equal():
-    return st.builds(
-        lambda value, n: [value] * n,
-        st.sampled_from([0.0, -0.0, 0.5, 1.0]),
-        st.integers(1, 300),
-    )
-
-
-def _float32_exact():
-    # values a float32 track file can hold, drawn from a small pool so they tie
-    pool = st.lists(st.floats(0.0, 1.0, width=32), min_size=1, max_size=6)
-    return pool.flatmap(lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=300))
-
-
-def _any_float():
-    return st.lists(st.floats(width=32, allow_nan=True), min_size=1, max_size=100)
-
-
-class TestRankDescending:
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_few_distinct(), _all_equal(), _float32_exact(), _any_float()))
-    def test_equals_stable_argsort_of_negated_scores(self, values):
-        scores = np.array(values, dtype=np.float64)
-        expected = np.argsort(-scores, kind="stable")
-        np.testing.assert_array_equal(rank_descending(scores), expected)
-
-    @pytest.mark.parametrize(
-        "scores, expected",
-        [([], []), ([0.3], [0]), ([0.0, -0.0, 1.0, -0.0, 0.0], [2, 0, 1, 3, 4])],
-    )
-    def test_small_cases(self, scores, expected):
-        np.testing.assert_array_equal(rank_descending(np.array(scores)), expected)
-
-    @pytest.mark.parametrize("kind", ["float32", "nan"])
-    def test_large_column_with_ties(self, kind):
-        # ~300k frames as in a large test split: the default sort's order of
-        # tied scores is arbitrary at this size
-        rng = np.random.default_rng(5)
-        if kind == "float32":
-            scores = rng.uniform(size=300_000).astype(np.float32).astype(np.float64)
-            scores[rng.integers(0, scores.size, 600)] = 1.0
-            scores[rng.integers(0, scores.size, 300)] = np.float32(1e-7)
-        else:
-            scores = rng.choice([0.0, 0.5, 1.0, np.nan, -np.nan], size=5000)
-        expected = np.argsort(-scores, kind="stable")
-        np.testing.assert_array_equal(rank_descending(scores), expected)
 
 
 # bits of float32 values whose keys must order right: both zeros, both
