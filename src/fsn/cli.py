@@ -74,9 +74,6 @@ from .model import (
     init_wfsn,
     load_model,
     save_model,
-    wfsn_loss_and_grads,
-    wfsn_position_logits,
-    wfsn_train_step,
 )
 from .nncore import (
     ConvLayer1D,
@@ -366,7 +363,7 @@ def _require_positive(cfg: RunConfig, *keys: str) -> None:
             raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
 
 
-def _fit(cfg: RunConfig, head: Head, next_batch, train_step) -> tuple[Path, Path]:
+def _fit(cfg: RunConfig, head: Head, next_batch) -> tuple[Path, Path]:
     """The SGD loop over ``next_batch()`` (features, targets) batches; makes
     the output directory and saves the model and loss log there. Callers check
     their settings with ``_require_positive`` before they load any data."""
@@ -378,7 +375,7 @@ def _fit(cfg: RunConfig, head: Head, next_batch, train_step) -> tuple[Path, Path
     out = _out_dir(cfg)
     lines = ["iteration,loss"]
     for step in range(1, cfg.iterations + 1):
-        loss = train_step(*next_batch(), head, optimizer)
+        loss = fsn_train_step(*next_batch(), head, optimizer)
         if step % cfg.log_every == 0:
             lines.append(f"{step},{loss:.6f}")
     model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
@@ -464,7 +461,7 @@ def _train_strong(cfg: RunConfig, init_fn) -> dict:
     model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
     next_batch, clips = _window_batches(cfg, headers, annotations, model_config)
     head = init_fn(model_config, cfg.seed)
-    model_path, log_path = _fit(cfg, head, next_batch, fsn_train_step)
+    model_path, log_path = _fit(cfg, head, next_batch)
     return {"model": model_path, "log": log_path, "clips": clips, "split": split}
 
 
@@ -526,7 +523,7 @@ def cmd_train_weak(cfg: RunConfig) -> dict:
     model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
     next_batch = _weak_batches(cfg, headers, annotations, model_config)
     head = init_wfsn(model_config, cfg.seed, pooling=cfg.pooling)
-    model_path, log_path = _fit(cfg, head, next_batch, wfsn_train_step)
+    model_path, log_path = _fit(cfg, head, next_batch)
     return {"model": model_path, "log": log_path, "split": split}
 
 
@@ -764,14 +761,22 @@ def cmd_eval(cfg: RunConfig) -> dict:
         thresholds = DEFAULT_STRONG_IOUS if with_background else DEFAULT_WEAK_IOUS
     eval_config = EvalConfig(annotations.num_classes, thresholds)
     predictions = load_predictions(predictions_path)
+    track_ids = [t.video_id for t in tracks]
+    for track, found in zip(tracks, predictions.per_video(track_ids)):
+        if found.end.max(initial=0) > track.frame_count:
+            raise ValueError(
+                f"{predictions_path}: a prediction of {track.video_id!r} ends at frame "
+                f"{found.end.max()}, past its track's {track.frame_count} frames"
+            )
     test_gt = AnnotationSet(
         annotations.class_names,
         annotations.segments.take(member_of(annotations.segments.video_id, evaluated_ids)),
     )
-    report = segment_level_map(
-        predictions, test_gt, eval_config, video_ids=evaluated_ids
-    )
-    per_video = test_gt.segments.per_video([t.video_id for t in tracks])
+    try:
+        report = segment_level_map(predictions, test_gt, eval_config, video_ids=evaluated_ids)
+    except ValueError as err:  # a prediction of an unknown video or class
+        raise ValueError(f"{predictions_path}: {err}") from None
+    per_video = test_gt.segments.per_video(track_ids)
     label_type = np.min_scalar_type(annotations.num_classes)
     labels = {
         track.video_id: label_frames(track.frame_count, segments, label_type)
@@ -834,25 +839,24 @@ def cmd_ablate(cfg: RunConfig) -> dict:
     return {"table": table_path, "reports": {names[0]: first, names[1]: second}}
 
 
-def _kink_margin(head, features) -> float:
-    """Distance of the closest hidden pre-activation to the ReLU kink."""
+def _smooth_margin(head: Head, features) -> float:
+    """Distance of a case from the loss's non-smooth points: of the closest
+    hidden pre-activation from the ReLU kink and, for a GMP head, of the top
+    two position logits per channel from a max-pool tie."""
     x = np.asarray(features, dtype=np.float64)
     margin = np.inf
     for layer in head.convs:
         z, _ = dilated_conv1d_forward(x, layer)
         margin = min(margin, float(np.abs(z).min()))
         x = np.maximum(z, 0.0)
+    if head.pooling == GMP:
+        logits, _ = dilated_conv1d_forward(x, head.classifier)
+        ordered = np.sort(logits, axis=-2)
+        margin = min(margin, float((ordered[..., -1, :] - ordered[..., -2, :]).min()))
     return margin
 
 
-def _pool_margin(head: Head, features) -> float:
-    """Gap between the top two position logits per channel (GMP tie margin)."""
-    logits = wfsn_position_logits(np.asarray(features, dtype=np.float64), head)
-    ordered = np.sort(logits, axis=-2)
-    return float((ordered[..., -1, :] - ordered[..., -2, :]).min())
-
-
-def _conditioned_case(build, margin_fn, floor: float = 2e-3, tries: int = 64):
+def _conditioned_case(build, floor: float = 2e-3, tries: int = 64):
     """Redraw until the case sits far enough from every non-smooth point.
 
     Central differences step 1e-4 across a ReLU kink or a max-pool tie and
@@ -861,7 +865,7 @@ def _conditioned_case(build, margin_fn, floor: float = 2e-3, tries: int = 64):
     """
     for attempt in range(tries):
         head, features, targets = build(attempt)
-        if margin_fn(head, features) > floor:
+        if _smooth_margin(head, features) > floor:
             return head, features, targets
     raise RuntimeError("no well-conditioned gradient-check case found")
 
@@ -956,37 +960,26 @@ def gradcheck_suite(
             features, labels = (np.stack(column) for column in zip(*draws))
             return init_fsn(small, seed * 101 + attempt), features, labels
 
-        fsn_head, clip_features, clip_labels = _conditioned_case(build_fsn, _kink_margin)
-        for name, head in (("fsn", fsn_head), ("ablation", init_ablation(small, seed))):
+        def build_weak(mode, attempt):
+            case_rng = np.random.default_rng([seed, attempt, 13])
+            head = init_wfsn(small, seed * 101 + attempt, pooling=mode)
+            return head, case_rng.standard_normal((2, 5, 3)), np.eye(2)
 
-            def fsn_fn(params, head=head):
-                return fsn_loss_and_grads(clip_features, clip_labels, head)
-
-            record(
-                f"{name}_end_to_end",
-                gradient_check(fsn_fn, head_parameters(head), step),
-            )
-
-        def weak_margin(head, features):
-            margin = _kink_margin(head, features)
-            return min(margin, _pool_margin(head, features)) if head.pooling == GMP else margin
-
+        fsn_head, *clip_batch = _conditioned_case(build_fsn)
+        cases = {
+            "fsn_end_to_end": (fsn_head, *clip_batch),
+            "ablation_end_to_end": (init_ablation(small, seed), *clip_batch),
+        }
         for mode in (GAP, GMP):
-
-            def build_weak(attempt, mode=mode):
-                case_rng = np.random.default_rng([seed, attempt, 13])
-                head = init_wfsn(small, seed * 101 + attempt, pooling=mode)
-                return head, case_rng.standard_normal((2, 5, 3)), np.eye(2)
-
-            weak_head, *weak_batch = _conditioned_case(build_weak, weak_margin)
-
-            def weak_fn(params):
-                return wfsn_loss_and_grads(*weak_batch, weak_head)
-
-            record(
-                f"wfsn_end_to_end_{mode}",
-                gradient_check(weak_fn, head_parameters(weak_head), step),
+            cases[f"wfsn_end_to_end_{mode}"] = _conditioned_case(
+                functools.partial(build_weak, mode)
             )
+        for name, (head, features, labels) in cases.items():
+
+            def loss_fn(params, head=head, features=features, labels=labels):
+                return fsn_loss_and_grads(features, labels, head)
+
+            record(name, gradient_check(loss_fn, head_parameters(head), step))
 
     # negative control: a deliberately corrupted backward pass must be caught
     rng = np.random.default_rng(seeds[0] if len(seeds) else 0)

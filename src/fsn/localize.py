@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .data import Segments, VideoFeatures, snippet_centers, span_bounds
-from .model import Head, fsn_forward, wfsn_forward_predict
+from .model import Head, fsn_forward
 from .nncore import Array
 
 GROUPING_THRESHOLDS = tuple(np.round(np.arange(11) * 0.1, 1))
@@ -120,7 +120,7 @@ def weak_score_track(
     effective = min(positions, video.frame_count)
     bounds = span_bounds(video.frame_count, effective)
     centers = (bounds[:-1] + bounds[1:]) // 2
-    scores = wfsn_forward_predict(video.features[centers], head)
+    scores = fsn_forward(video.features[centers], head)
     expanded = np.repeat(scores, np.diff(bounds), axis=0)
     return FrameScoreTrack(video.video_id, expanded, includes_background=False)
 

@@ -14,14 +14,18 @@ paper's models is configuration, not code:
 * The no-context ablation (``init_ablation``): an empty trunk and a kernel-1
   classifier, trained and scored like FSN.
 
-Every forward and backward function is rank-polymorphic over
-(..., positions, channels), like the ``nncore`` ops beneath it. Both loss
-functions take one stacked batch, (batch, positions, feature_dim) features
-plus a targets array: dense (batch, clip_len) frame labels for the dense head,
-(batch, K) multi-hot video labels for a pooled one. ``localize.slide_predict``
-stacks every window of a video the same way, so each layer runs once per step
-or per video. Input features are checked for NaN and infinity once, here at
-the model boundary, and not again inside the layers.
+Every head kind runs through the same three functions, which read the kind
+from ``head.pooling``: ``fsn_forward`` (class probabilities),
+``fsn_loss_and_grads`` (softmax cross-entropy and its gradients) and
+``fsn_train_step`` (the loss, the divergence check and the SGD update).
+``pooling`` picks only the output stage (bilinear upsample to frames, or
+``temporal_pool``) and the targets (one-hot frame labels, or multi-hot video
+labels). Every function is rank-polymorphic over (..., positions, channels),
+like the ``nncore`` ops beneath it. The loss takes one stacked (batch,
+positions, feature_dim) batch, and ``localize.slide_predict`` stacks every
+window of a video the same way, so each layer runs once per step or per
+video. Input features are checked for NaN and infinity once, here at the
+model boundary, and not again inside the layers.
 
 The layers compute in the features' dtype (``nncore.as_seq``): float32 from
 feature files, float64 in the gradient checks. Parameters live in the layers
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -222,137 +227,90 @@ def _stack_backward(grad_logits: Array, cache: tuple) -> list[Array]:
     return grads
 
 
-def fsn_frame_logits(
-    features: Array, head: Head, target_len: int | None = None
-) -> tuple[Array, tuple]:
-    """Pre-softmax frame scores: trunk logits upsampled to ``target_len``."""
-    if head.pooling is not None:
-        raise TypeError("weak heads score positions directly, not upsampled frames")
-    if target_len is None:
-        target_len = head.config.clip_len
-    pos_logits, stack_cache = _stack_forward(features, head)
-    frame_logits, up_cache = bilinear_upsample_1d(pos_logits, target_len)
-    return frame_logits, (stack_cache, up_cache)
-
-
-def fsn_backward(grad_frame_logits: Array, cache: tuple) -> list[Array]:
-    stack_cache, up_cache = cache
-    grad_pos = bilinear_upsample_1d_backward(grad_frame_logits, up_cache)
-    return _stack_backward(grad_pos, stack_cache)
-
-
 def fsn_forward(features: Array, head: Head, target_len: int | None = None) -> Array:
-    """Per-frame class probabilities, shape (..., target_len, K+1); rows sum to 1."""
-    logits, _ = fsn_frame_logits(features, head, target_len)
+    """Class probabilities; rows sum to 1.
+
+    A dense head's position scores are upsampled to ``target_len`` frames
+    (``clip_len`` by default): shape (..., target_len, K+1). A pooled head
+    scores its positions with the pooling stage removed: (..., positions, K).
+    """
+    if head.pooling is not None and target_len is not None:
+        raise TypeError("weak heads score positions directly, not upsampled frames")
+    logits, _ = _stack_forward(features, head)
+    if head.pooling is None:
+        target_len = head.config.clip_len if target_len is None else target_len
+        logits, _ = bilinear_upsample_1d(logits, target_len)
     return framewise_softmax(logits)
-
-
-def one_hot_frames(labels: Array, num_outputs: int) -> Array:
-    """One-hot rows for integer frame labels of any shape (..., frames)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim < 1 or labels.size == 0:
-        raise ValueError(
-            f"labels must be non-empty (..., frames), got shape {labels.shape}"
-        )
-    if labels.min() < 0 or labels.max() >= num_outputs:
-        raise ValueError(
-            f"labels must lie in [0, {num_outputs}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return np.eye(num_outputs)[labels]
 
 
 def fsn_loss_and_grads(
     features: Array, labels: Array, head: Head
 ) -> tuple[float, list[Array]]:
-    """Dense cross-entropy over a window batch plus parameter gradients.
+    """Softmax cross-entropy averaged over one stacked batch, plus parameter
+    gradients: one forward and one backward pass, for every head kind.
 
-    ``features`` is (batch, snippets, feature_dim) and ``labels`` the
-    (batch, clip_len) frame labels; the step is one forward and one backward
-    pass.
+    ``features`` is (batch, positions, feature_dim). ``head.pooling`` picks
+    the output stage and the targets:
+
+    * dense: clip windows of ``snippets_per_clip`` positions with (batch,
+      clip_len) frame labels. The position scores are upsampled to frames and
+      scored against the one-hot labels.
+    * pooled: any position count, with (batch, K) multi-hot video labels. The
+      position scores are pooled over the positions axis and scored against
+      the label spread evenly over its positive classes, so multi-label
+      videos average the cross-entropy over their positives.
     """
     config = head.config
     features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.int64)
     batch = len(features)
     if batch == 0:
         raise ValueError("empty batch")
-    expected = (batch, config.snippets_per_clip, config.feature_dim)
-    if features.shape != expected:
-        raise ValueError(f"features have shape {features.shape}, expected {expected}")
-    if labels.shape != (batch, config.clip_len):
-        raise ValueError(
-            f"labels have shape {labels.shape}, expected {(batch, config.clip_len)}"
-        )
-    logits, cache = fsn_frame_logits(features, head, config.clip_len)
-    loss, grad = framewise_cross_entropy(logits, one_hot_frames(labels, head.num_outputs))
-    return loss, fsn_backward(grad, cache)
-
-
-def _sgd_step(
-    loss: float, grads: list[Array], head: Head, optimizer: OptimizerState
-) -> float:
-    """Apply one update unless the loss has diverged; returns the loss."""
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"training diverged: loss is {loss}")
-    sgd_update(head_parameters(head), grads, optimizer, head_decay_flags(head))
-    return loss
+    if head.pooling is None:
+        labels = np.asarray(labels, dtype=np.int64)
+        expected = (batch, config.snippets_per_clip, config.feature_dim)
+        if features.shape != expected:
+            raise ValueError(f"features have shape {features.shape}, expected {expected}")
+        if labels.shape != (batch, config.clip_len):
+            raise ValueError(
+                f"labels have shape {labels.shape}, expected {(batch, config.clip_len)}"
+            )
+        if labels.min() < 0 or labels.max() >= head.num_outputs:
+            raise ValueError(
+                f"labels must lie in [0, {head.num_outputs}), got range "
+                f"[{labels.min()}, {labels.max()}]"
+            )
+        targets = np.eye(head.num_outputs)[labels]
+        output = partial(bilinear_upsample_1d, target_len=config.clip_len)
+        output_backward = bilinear_upsample_1d_backward
+    else:
+        labels = np.asarray(labels, dtype=np.float64)
+        if features.ndim != 3:
+            raise ValueError(f"features have shape {features.shape}, expected (batch, positions, dim)")
+        if labels.shape != (batch, config.num_classes):
+            raise ValueError(f"labels have shape {labels.shape}, expected {(batch, config.num_classes)}")
+        if not ((labels == 0.0) | (labels == 1.0)).all() or labels.sum(axis=1).min() < 1:
+            raise ValueError("video label must be multi-hot with >= 1 positive")
+        targets = labels / labels.sum(axis=1, keepdims=True)
+        output = partial(temporal_pool, mode=head.pooling)
+        output_backward = temporal_pool_backward
+    pos_logits, stack_cache = _stack_forward(features, head)
+    outputs, out_cache = output(pos_logits)
+    loss, grad = framewise_cross_entropy(outputs, targets)
+    return loss, _stack_backward(output_backward(grad, out_cache), stack_cache)
 
 
 def fsn_train_step(
     features: Array, labels: Array, head: Head, optimizer: OptimizerState
 ) -> float:
-    """One SGD step; returns the pre-update batch loss."""
-    return _sgd_step(*fsn_loss_and_grads(features, labels, head), head, optimizer)
+    """One SGD step on any head kind; returns the pre-update batch loss.
 
-
-def wfsn_position_logits(features: Array, head: Head) -> Array:
-    """Pre-softmax class scores per sampled position, shape (..., positions, K)."""
-    logits, _ = _stack_forward(features, head)
-    return logits
-
-
-def wfsn_forward_predict(features: Array, head: Head) -> Array:
-    """Per-position class probabilities with the pooling stage removed."""
-    return framewise_softmax(wfsn_position_logits(features, head))
-
-
-def wfsn_loss_and_grads(
-    features: Array, labels: Array, head: Head
-) -> tuple[float, list[Array]]:
-    """Video-label cross-entropy averaged over the batch, plus gradients.
-
-    ``features`` is (batch, positions, feature_dim) and ``labels`` the
-    (batch, K) multi-hot video labels. The position scores are pooled over
-    the positions axis and scored by the dense head's softmax cross-entropy
-    against the label spread evenly over its positive classes, so multi-label
-    videos average the cross-entropy over their positives. The step is one
-    forward and one backward pass.
+    A non-finite loss raises before the update touches the parameters.
     """
-    num_classes = head.config.num_classes
-    features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.float64)
-    batch = len(features)
-    if batch == 0:
-        raise ValueError("empty batch")
-    if features.ndim != 3:
-        raise ValueError(f"features have shape {features.shape}, expected (batch, positions, dim)")
-    if labels.shape != (batch, num_classes):
-        raise ValueError(f"labels have shape {labels.shape}, expected {(batch, num_classes)}")
-    if not ((labels == 0.0) | (labels == 1.0)).all() or labels.sum(axis=1).min() < 1:
-        raise ValueError("video label must be multi-hot with >= 1 positive")
-    pos_logits, stack_cache = _stack_forward(features, head)
-    pooled, pool_cache = temporal_pool(pos_logits, head.pooling)
-    targets = labels / labels.sum(axis=1, keepdims=True)
-    loss, grad_pooled = framewise_cross_entropy(pooled, targets)
-    grad_logits = temporal_pool_backward(grad_pooled, pool_cache)
-    return loss, _stack_backward(grad_logits, stack_cache)
-
-
-def wfsn_train_step(
-    features: Array, labels: Array, head: Head, optimizer: OptimizerState
-) -> float:
-    return _sgd_step(*wfsn_loss_and_grads(features, labels, head), head, optimizer)
+    loss, grads = fsn_loss_and_grads(features, labels, head)
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"training diverged: loss is {loss}")
+    sgd_update(head_parameters(head), grads, optimizer, head_decay_flags(head))
+    return loss
 
 
 MODEL_MAGIC = b"FSN1"
@@ -416,6 +374,8 @@ def load_model(path) -> Head:
         raise ValueError(f"{path}: unknown head kind {kind}")
     if pooling not in pools:
         raise ValueError(f"{path}: unknown pooling code {pooling}")
+    if kind != _POOLED and pools[pooling] != GMP:
+        raise ValueError(f"{path}: head kind {kind} has no pooling, but its code is {pooling}")
     (layer_count,) = struct.unpack_from("<I", raw, _MODEL_HEADER.size)
     offset = _MODEL_HEADER.size + 4
     shapes = []
@@ -460,6 +420,9 @@ def load_model(path) -> Head:
         raise ValueError(f"{path}: ablation head cannot carry trunk layers")
     if kind != _NO_TRUNK and not trunk:
         raise ValueError(f"{path}: missing trunk layers")
+    if any(layer.out_channels != hidden for layer in trunk):
+        widths = [layer.out_channels for layer in trunk]
+        raise ValueError(f"{path}: header hidden_channels {hidden}, trunk widths {widths}")
     try:
         config = ModelConfig(
             num_classes=num_classes,

@@ -32,8 +32,8 @@ from fsn.evaluate import EvalConfig, frame_level_map, segment_level_map
 from fsn.localize import FrameScoreTrack, localize, nms, pairwise_iou
 from fsn.model import (
     ModelConfig,
+    _stack_forward,
     fsn_forward,
-    fsn_frame_logits,
     head_layers,
     init_ablation,
     init_fsn,
@@ -230,8 +230,8 @@ def test_criterion_3_structural_invariants(criterion):
         base_in = rng.uniform(0.5, 1.5, size=(positions, 16))
         bumped = base_in.copy()
         bumped[positions // 2] += 1.0
-        base, _ = fsn_frame_logits(base_in, probe_head, positions)
-        moved, _ = fsn_frame_logits(bumped, probe_head, positions)
+        base, _ = _stack_forward(base_in, probe_head)
+        moved, _ = _stack_forward(bumped, probe_head)
         changed = np.flatnonzero(np.abs(moved - base).max(axis=1) > 1e-12)
         widths[expected_width] = changed.size
         assert changed.size == expected_width == receptive_field_snippets(probe_head)

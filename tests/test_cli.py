@@ -782,7 +782,7 @@ def test_train_weak_batches_match_the_per_sample_gather(tmp_path, monkeypatch, b
         batches.append((features, labels))
         return 0.0
 
-    monkeypatch.setattr(cli, "wfsn_train_step", record)
+    monkeypatch.setattr(cli, "fsn_train_step", record)
     assert main([
         "train-weak",
         "--features-dir", str(corpus),
@@ -1456,7 +1456,36 @@ def test_eval_rejects_predictions_for_unknown_video(corpus, predicted, tmp_path,
         "--out", str(tmp_path / "out"),
     ])
     assert rc == 1
-    assert "no_such_video" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert "no_such_video" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("{video}\t0\t{end}\t1\t0.5", "ends at frame {end}, past its track's {frames} frames"),
+    ("{video}\t0\t10\t99\t0.5", "prediction class 99 outside 1..3"),
+], ids=["end-past-the-track", "class-outside-the-table"])
+def test_eval_rejects_predictions_outside_the_tracks(
+    corpus, predicted, tmp_path, capsys, row, message
+):
+    track = load_features(sorted((predicted / "tracks").glob("*.fsnf"))[0])
+    values = dict(video=track.video_id, frames=track.frame_count, end=track.frame_count + 1)
+    bad = tmp_path / "bad.tsv"
+    text = (predicted / "predictions.tsv").read_text()
+    bad.write_text(text + row.format(**values) + "\n")
+    out = tmp_path / "out"
+    rc = main([
+        "eval",
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--predictions", str(bad),
+        "--tracks", str(predicted / "tracks"),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert message.format(**values) in err
+    assert not (out / "report.csv").exists()
 
 
 def test_eval_rejects_dense_and_weak_tracks_together(corpus, predicted, tmp_path, capsys):

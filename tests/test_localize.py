@@ -19,7 +19,7 @@ from fsn.localize import (
     weak_score_track,
     write_predictions,
 )
-from fsn.model import ModelConfig, fsn_forward, init_fsn, init_wfsn, wfsn_forward_predict
+from fsn.model import ModelConfig, fsn_forward, init_ablation, init_fsn, init_wfsn
 from oracles import greedy_nms, interval_iou, iou_by_frames, threshold_runs
 from records import rows, segments
 
@@ -128,7 +128,7 @@ class TestWeakScoreTrack:
         video = VideoFeatures("v", rng.standard_normal((20, 4)))
         track = weak_score_track(head, video, positions=20)
         np.testing.assert_allclose(
-            track.scores, wfsn_forward_predict(video.features, head)
+            track.scores, fsn_forward(video.features, head)
         )
         assert not track.includes_background
 
@@ -150,6 +150,16 @@ class TestWeakScoreTrack:
             record = multi_threshold_group(track, class_id)
             assert np.all(record.start % 5 == 0)
             assert np.all(record.end % 5 == 0)
+
+    @pytest.mark.parametrize("score, make", [
+        (slide_predict, lambda: init_wfsn(CFG, seed=7)),
+        (weak_score_track, lambda: init_fsn(CFG, seed=7)),
+        (weak_score_track, lambda: init_ablation(CFG, seed=7)),
+    ], ids=["slide-weak-head", "weak-dense-head", "weak-no-trunk-head"])
+    def test_each_scoring_rule_rejects_the_other_head_kind(self, score, make):
+        # both rules run the one forward, which would score either kind
+        with pytest.raises(TypeError):
+            score(make(), VideoFeatures("v", np.ones((40, 4))))
 
     def test_positions_clamp_to_short_videos(self):
         rng = np.random.default_rng(6)

@@ -10,7 +10,6 @@ from fsn.model import (
     _stack_backward,
     _stack_forward,
     fsn_forward,
-    fsn_frame_logits,
     fsn_loss_and_grads,
     fsn_train_step,
     head_decay_flags,
@@ -21,17 +20,15 @@ from fsn.model import (
     init_wfsn,
     load_model,
     save_model,
-    wfsn_forward_predict,
-    wfsn_loss_and_grads,
-    wfsn_position_logits,
-    wfsn_train_step,
 )
 from fsn.nncore import (
     GAP,
     GMP,
     OptimizerState,
+    bilinear_upsample_1d,
     dilated_conv1d_backward,
     framewise_cross_entropy,
+    framewise_softmax,
     gradient_check,
     relu_backward,
     temporal_pool,
@@ -56,9 +53,14 @@ def softmax(scores):
     return e / e.sum()
 
 
+def position_logits(features, head):
+    """The head's pre-softmax class scores per position."""
+    return _stack_forward(features, head)[0]
+
+
 def pooled_probs(features, head):
     """Video-level class probabilities: pool the position logits, then softmax."""
-    pooled, _ = temporal_pool(wfsn_position_logits(features, head), head.pooling)
+    pooled, _ = temporal_pool(position_logits(features, head), head.pooling)
     return softmax(pooled)
 
 
@@ -180,8 +182,8 @@ class TestReceptiveField:
         x = rng.uniform(0.5, 1.5, size=(positions, 5))
         bumped = x.copy()
         bumped[positions // 2] += 1.0
-        base, _ = fsn_frame_logits(x, head, positions)
-        moved, _ = fsn_frame_logits(bumped, head, positions)
+        base = position_logits(x, head)
+        moved = position_logits(bumped, head)
         changed = np.flatnonzero(np.abs(moved - base).max(axis=1) > 1e-12)
         assert changed.size == width
         assert changed[0] == positions // 2 - width // 2
@@ -194,7 +196,7 @@ class TestFsnTraining:
         head = init_fsn(TINY, seed=6)
         features, labels = tiny_clips(rng, TINY, 1, 2)
         loss, _ = fsn_loss_and_grads(features, labels, head)
-        logits = np.stack([fsn_frame_logits(f, head, 35)[0] for f in features])
+        logits = np.stack([bilinear_upsample_1d(position_logits(f, head), 35)[0] for f in features])
         expected, _ = framewise_cross_entropy(logits, np.eye(3)[labels])
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -241,30 +243,50 @@ class TestFsnTraining:
         with pytest.raises(ValueError):
             fsn_loss_and_grads(*tiny_clips(rng, TINY, 3), head)
 
+    # a dense head takes (batch, 7, 5) windows with (batch, 35) frame labels,
+    # a pooled one (batch, any, 5) features with (batch, 2) video labels
     @pytest.mark.parametrize(
-        "features_shape, labels_shape, match",
+        "make, features_shape, labels_shape, match",
         [
-            ((2, 6, 5), (2, 35), "features have shape"),  # wrong snippet count
-            ((2, 7, 4), (2, 35), "features have shape"),  # wrong feature dim
-            ((7, 5), (2, 35), "features have shape"),  # not stacked
-            ((2, 7, 5), (2, 34), "labels have shape"),  # wrong clip length
-            ((2, 7, 5), (3, 35), "labels have shape"),  # batch sizes differ
+            # the dense rows keep the ids they had before the weak rows joined
+            pytest.param(init_fsn, (2, 6, 5), (2, 35), "features have shape",  # wrong snippet count
+                         id="features_shape0-labels_shape0-features have shape"),
+            pytest.param(init_fsn, (2, 7, 4), (2, 35), "features have shape",  # wrong feature dim
+                         id="features_shape1-labels_shape1-features have shape"),
+            pytest.param(init_fsn, (7, 5), (2, 35), "features have shape",  # not stacked
+                         id="features_shape2-labels_shape2-features have shape"),
+            pytest.param(init_fsn, (2, 7, 5), (2, 34), "labels have shape",  # wrong clip length
+                         id="features_shape3-labels_shape3-labels have shape"),
+            pytest.param(init_fsn, (2, 7, 5), (3, 35), "labels have shape",  # batch sizes differ
+                         id="features_shape4-labels_shape4-labels have shape"),
+            pytest.param(init_wfsn, (0, 4, 5), (0, 2), "empty batch", id="weak-empty batch"),
+            pytest.param(init_wfsn, (4, 5), (1, 2), "features have shape", id="weak-not stacked"),
+            pytest.param(init_wfsn, (1, 4, 5), (1, 3), "labels have shape",
+                         id="weak-wrong class count"),
+            pytest.param(init_wfsn, (2, 4, 5), (1, 2), "labels have shape",
+                         id="weak-batch sizes differ"),
         ],
     )
-    def test_rejects_misshapen_batch(self, features_shape, labels_shape, match):
-        head = init_fsn(TINY, seed=9)
-        features = np.zeros(features_shape)
-        labels = np.zeros(labels_shape, dtype=np.int64)
+    def test_rejects_misshapen_batch(self, make, features_shape, labels_shape, match):
+        head = make(TINY, 9)
+        # ones are valid labels for both kinds: class 1 frames, or all positives
+        labels = np.ones(labels_shape, dtype=np.int64)
         with pytest.raises(ValueError, match=match):
-            fsn_loss_and_grads(features, labels, head)
+            fsn_loss_and_grads(np.zeros(features_shape), labels, head)
 
-    def test_end_to_end_gradients(self):
-        rng = np.random.default_rng(10)
+    @pytest.mark.parametrize("pooling", [None, GAP, GMP], ids=["dense", GAP, GMP])
+    def test_end_to_end_gradients(self, pooling):
         config = ModelConfig(num_classes=2, feature_dim=3, hidden_channels=4, snippet_len=5, clip_len=15)
-        head = init_fsn(config, seed=10)
-        batch = [(rng.standard_normal((3, 3)), rng.integers(0, 3, size=15)) for _ in range(2)]
-        features = np.stack([f for f, _ in batch])
-        labels = np.stack([l for _, l in batch])
+        if pooling is None:
+            rng = np.random.default_rng(10)
+            head = init_fsn(config, seed=10)
+            batch = [(rng.standard_normal((3, 3)), rng.integers(0, 3, size=15)) for _ in range(2)]
+            features = np.stack([f for f, _ in batch])
+            labels = np.stack([l for _, l in batch])
+        else:
+            rng = np.random.default_rng(16)
+            head = init_wfsn(config, seed=16, pooling=pooling)
+            features, labels = rng.standard_normal((2, 5, 3)), np.eye(2)
 
         def fn(params):
             return fsn_loss_and_grads(features, labels, head)
@@ -304,9 +326,18 @@ class TestWfsn:
     def test_predict_mode_rows_are_distributions(self):
         rng = np.random.default_rng(13)
         head = init_wfsn(TINY, seed=13)
-        scores = wfsn_forward_predict(rng.standard_normal((8, 5)), head)
+        scores = fsn_forward(rng.standard_normal((8, 5)), head)
         assert scores.shape == (8, 2)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(8), atol=1e-12)
+
+    @pytest.mark.parametrize("pooling", [GAP, GMP])
+    def test_forward_is_the_softmax_of_the_position_logits(self, pooling):
+        head = init_wfsn(TINY, seed=17, pooling=pooling)
+        x = np.random.default_rng(17).standard_normal((3, 8, 5)).astype(np.float32)
+        scores = fsn_forward(x, head)
+        assert scores.tobytes() == framewise_softmax(position_logits(x, head)).tobytes()
+        with pytest.raises(TypeError, match="weak heads score positions"):
+            fsn_forward(x, head, 40)
 
     def test_loss_drops_on_toy_weak_data(self):
         rng = np.random.default_rng(14)
@@ -322,9 +353,9 @@ class TestWfsn:
         features, labels = np.stack(features), np.stack(labels)
         head = init_wfsn(config, seed=14, pooling=GMP)
         opt = OptimizerState(learning_rate=0.1, momentum=0.9)
-        initial = wfsn_loss_and_grads(features, labels, head)[0]
+        initial = fsn_loss_and_grads(features, labels, head)[0]
         for _ in range(150):
-            loss = wfsn_train_step(features, labels, head, opt)
+            loss = fsn_train_step(features, labels, head, opt)
         assert loss < 0.25 * initial
 
     def test_multi_label_loss_averages_over_positives(self):
@@ -333,46 +364,23 @@ class TestWfsn:
         feats = rng.standard_normal((6, 5))
         probs = pooled_probs(feats, head)
         expected = -(np.log(probs[0]) + np.log(probs[1])) / 2.0
-        loss, _ = wfsn_loss_and_grads(feats[None], np.array([[1.0, 1.0]]), head)
+        loss, _ = fsn_loss_and_grads(feats[None], np.array([[1.0, 1.0]]), head)
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_label_without_positives(self):
         head = init_wfsn(TINY, seed=0)
         with pytest.raises(ValueError, match="multi-hot"):
-            wfsn_loss_and_grads(np.zeros((1, 4, 5)), np.zeros((1, 2)), head)
-
-    @pytest.mark.parametrize(
-        "features_shape, labels_shape, match",
-        [
-            ((0, 4, 5), (0, 2), "empty batch"),
-            ((4, 5), (1, 2), "features have shape"),  # not stacked
-            ((1, 4, 5), (1, 3), "labels have shape"),  # wrong class count
-            ((2, 4, 5), (1, 2), "labels have shape"),  # batch sizes differ
-        ],
-    )
-    def test_rejects_misshapen_batch(self, features_shape, labels_shape, match):
-        head = init_wfsn(TINY, seed=0)
-        with pytest.raises(ValueError, match=match):
-            wfsn_loss_and_grads(np.zeros(features_shape), np.ones(labels_shape), head)
-
-    @pytest.mark.parametrize("pooling", [GAP, GMP])
-    def test_end_to_end_gradients(self, pooling):
-        rng = np.random.default_rng(16)
-        config = ModelConfig(num_classes=2, feature_dim=3, hidden_channels=4, snippet_len=1, clip_len=4)
-        head = init_wfsn(config, seed=16, pooling=pooling)
-        features = np.stack([rng.standard_normal((5, 3)) for _ in (1, 2)])
-
-        def fn(params):
-            return wfsn_loss_and_grads(features, np.eye(2), head)
-
-        assert gradient_check(fn, head_parameters(head)) < 1e-5
+            fsn_loss_and_grads(np.zeros((1, 4, 5)), np.zeros((1, 2)), head)
 
 
-def _assert_batch_matches_singles(loss_fn, features, labels, head):
+def _assert_batch_matches_singles(features, labels, head):
     """A batch's loss is the mean of the batch-of-one losses and its
     gradients are their sum scaled by 1/B."""
-    loss, grads = loss_fn(features, labels, head)
-    singles = [loss_fn(features[i : i + 1], labels[i : i + 1], head) for i in range(len(features))]
+    loss, grads = fsn_loss_and_grads(features, labels, head)
+    singles = [
+        fsn_loss_and_grads(features[i : i + 1], labels[i : i + 1], head)
+        for i in range(len(features))
+    ]
     assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
     for k, grad in enumerate(grads):
         expected = sum(g[k] for _, g in singles) / len(features)
@@ -386,12 +394,12 @@ class TestBatchedTraining:
         batch = [(rng.standard_normal((7, 5)), rng.integers(0, 3, size=35)) for _ in range(5)]
         features = np.stack([f for f, _ in batch])
         labels = np.stack([l for _, l in batch])
-        _assert_batch_matches_singles(fsn_loss_and_grads, features, labels, head)
+        _assert_batch_matches_singles(features, labels, head)
 
     def test_ablation_batch_matches_single_samples(self):
         rng = np.random.default_rng(51)
         head = init_ablation(TINY, seed=51)
-        _assert_batch_matches_singles(fsn_loss_and_grads, *tiny_clips(rng, TINY, 1, 2, 1), head)
+        _assert_batch_matches_singles(*tiny_clips(rng, TINY, 1, 2, 1), head)
 
     @pytest.mark.parametrize("pooling", [GAP, GMP])
     def test_wfsn_batch_matches_single_samples(self, pooling):
@@ -399,7 +407,7 @@ class TestBatchedTraining:
         head = init_wfsn(TINY, seed=52, pooling=pooling)
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
         features = np.stack([rng.standard_normal((9, 5)) for _ in labels])
-        _assert_batch_matches_singles(wfsn_loss_and_grads, features, labels, head)
+        _assert_batch_matches_singles(features, labels, head)
 
 
 def _full_stack_backward(grad_logits, cache):
@@ -433,20 +441,17 @@ def test_stack_backward_matches_the_full_backward_bytes(make):
 
 
 class TestModelBoundary:
-    def test_nan_clip_features_are_rejected(self):
+    @pytest.mark.parametrize("make", [init_fsn, init_wfsn], ids=["dense", "weak"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_are_rejected_by_the_loss(self, make, value):
         rng = np.random.default_rng(53)
-        head = init_fsn(TINY, seed=53)
+        head = make(TINY, 53)
         features, labels = tiny_clips(rng, TINY, 1, 1)
-        features[1, 3, 2] = np.nan
+        if head.pooling is not None:
+            labels = np.eye(2)
+        features[1, 3, 2] = value
         with pytest.raises(ValueError, match="non-finite"):
             fsn_loss_and_grads(features, labels, head)
-
-    def test_nan_weak_features_are_rejected(self):
-        head = init_wfsn(TINY, seed=54)
-        features = np.zeros((1, 6, 5))
-        features[0, 2, 0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            wfsn_loss_and_grads(features, np.array([[1.0, 0.0]]), head)
 
     def test_nan_features_are_rejected_by_forward(self):
         features = np.zeros((2, 7, 5))
@@ -454,7 +459,7 @@ class TestModelBoundary:
         with pytest.raises(ValueError, match="non-finite"):
             fsn_forward(features, init_fsn(TINY, seed=55), 35)
         with pytest.raises(ValueError, match="non-finite"):
-            wfsn_forward_predict(features, init_wfsn(TINY, seed=55))
+            fsn_forward(features, init_wfsn(TINY, seed=55))
 
 
 # float32 keeps about 7 significant digits; a step's loss and gradients may
@@ -462,13 +467,13 @@ class TestModelBoundary:
 FLOAT32_REL = 1e-5
 
 
-def _assert_float32_follows_the_widening(loss_fn, narrow, labels, head):
+def _assert_float32_follows_the_widening(narrow, labels, head):
     """float32 features give the loss and gradients of their float64 widening
     to float32 precision: the layers compute in float32, the loss sum and the
     parameters stay float64."""
     assert narrow.dtype == np.float32
-    loss, grads = loss_fn(narrow, labels, head)
-    wide_loss, wide_grads = loss_fn(narrow.astype(np.float64), labels, head)
+    loss, grads = fsn_loss_and_grads(narrow, labels, head)
+    wide_loss, wide_grads = fsn_loss_and_grads(narrow.astype(np.float64), labels, head)
     assert isinstance(loss, float)
     assert loss == pytest.approx(wide_loss, rel=FLOAT32_REL)
     assert len(grads) == len(wide_grads) == len(head_parameters(head))
@@ -492,18 +497,13 @@ class TestFloat32Features:
         assert logits.dtype == np.float32
         assert cls_cache[0].dtype == np.float32
         assert all(conv[0].dtype == np.float32 for conv, _ in caches)
-        if head.pooling is None:
-            assert fsn_forward(features, head, 45).dtype == np.float32
-        else:
-            assert wfsn_forward_predict(features, head).dtype == np.float32
+        assert fsn_forward(features, head).dtype == np.float32
 
     def test_fsn_loss_and_grads(self):
         rng = np.random.default_rng(56)
         features, labels = tiny_clips(rng, TINY, 1, 2, 0)
         head = init_fsn(TINY, seed=56)
-        _assert_float32_follows_the_widening(
-            fsn_loss_and_grads, features.astype(np.float32), labels, head
-        )
+        _assert_float32_follows_the_widening(features.astype(np.float32), labels, head)
 
     @pytest.mark.parametrize("pooling", [GAP, GMP])
     def test_wfsn_loss_and_grads(self, pooling):
@@ -511,7 +511,7 @@ class TestFloat32Features:
         features = rng.standard_normal((3, 9, 5)).astype(np.float32)
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         head = init_wfsn(TINY, seed=57, pooling=pooling)
-        _assert_float32_follows_the_widening(wfsn_loss_and_grads, features, labels, head)
+        _assert_float32_follows_the_widening(features, labels, head)
 
     @pytest.mark.parametrize("make", [init_fsn, init_ablation], ids=["dense", "no-context"])
     def test_float64_features_match_the_naive_convolutions(self, make):
@@ -592,6 +592,25 @@ class TestSerialization:
         raw[8] = 1  # header kind byte: pooled, whose classifier emits K channels
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="model.fsn: classifier emits 3 channels"):
+            load_model(path)
+
+    def test_hidden_channels_must_match_the_trunk_widths(self, tmp_path):
+        path = tmp_path / "model.fsn"
+        save_model(init_fsn(TINY, seed=30), path)
+        raw = bytearray(path.read_bytes())
+        raw[18:22] = (7).to_bytes(4, "little")  # header hidden_channels 6 -> 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"model.fsn: header hidden_channels 7, trunk widths \[6, 6, 6\]"):
+            load_model(path)
+
+    @pytest.mark.parametrize("make", [init_fsn, init_ablation], ids=["dense", "no-trunk"])
+    def test_head_without_pooling_must_carry_the_gmp_code(self, tmp_path, make):
+        path = tmp_path / "model.fsn"
+        save_model(make(TINY, 31), path)
+        raw = bytearray(path.read_bytes())
+        raw[9] = 0  # header pooling code: GMP's 1 -> GAP's 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="model.fsn: head kind [02] has no pooling, but its code is 0"):
             load_model(path)
 
     def test_bad_header_value_is_reported_with_the_path(self, tmp_path):
