@@ -219,16 +219,20 @@ def _given(cfg: RunConfig, config_type) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
+def _check_given(cfg: RunConfig, num_classes: int, feature_dim: int, source: str) -> None:
+    """Stop if a given ``num_classes`` or ``feature_dim`` differs from what
+    ``source`` (the data in training, the model in scoring) carries."""
+    if cfg.num_classes not in (None, num_classes):
+        raise ValueError(f"config asks for {cfg.num_classes} classes, {source} carries {num_classes}")
+    if cfg.feature_dim not in (None, feature_dim):
+        raise ValueError(
+            f"config asks for feature_dim {cfg.feature_dim}, {source} carries {feature_dim}"
+        )
+
+
 def _model_config(cfg: RunConfig, num_classes: int, feature_dim: int) -> ModelConfig:
     """The given architecture settings; the rest keep ModelConfig's defaults."""
-    if cfg.num_classes is not None and cfg.num_classes != num_classes:
-        raise ValueError(
-            f"config says {cfg.num_classes} classes, data carries {num_classes}"
-        )
-    if cfg.feature_dim is not None and cfg.feature_dim != feature_dim:
-        raise ValueError(
-            f"config says feature_dim {cfg.feature_dim}, data carries {feature_dim}"
-        )
+    _check_given(cfg, num_classes, feature_dim, "the data")
     given = _given(cfg, ModelConfig)
     return ModelConfig(**{**given, "num_classes": num_classes, "feature_dim": feature_dim})
 
@@ -363,35 +367,13 @@ def _require_positive(cfg: RunConfig, *keys: str) -> None:
             raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
 
 
-def _fit(cfg: RunConfig, head: Head, next_batch) -> tuple[Path, Path]:
-    """The SGD loop over ``next_batch()`` (features, targets) batches; makes
-    the output directory and saves the model and loss log there. Callers check
-    their settings with ``_require_positive`` before they load any data."""
-    optimizer = OptimizerState(
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-    )
-    out = _out_dir(cfg)
-    lines = ["iteration,loss"]
-    for step in range(1, cfg.iterations + 1):
-        loss = fsn_train_step(*next_batch(), head, optimizer)
-        if step % cfg.log_every == 0:
-            lines.append(f"{step},{loss:.6f}")
-    model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
-    save_model(head, model_path)
-    log_path = out / "train_log.csv"
-    log_path.write_text("\n".join(lines) + "\n")
-    return model_path, log_path
-
-
 def _window_batches(
     cfg: RunConfig,
     headers: Sequence[FeatureHeader],
     annotations: AnnotationSet,
     model_config: ModelConfig,
-) -> tuple[Callable[[], tuple[np.ndarray, np.ndarray]], int]:
-    """The strong head's batch source and the length of its window order.
+) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """The strong head's batch source.
 
     The windows, their classes and the frame labels come from the headers
     and the annotations alone. The whole batch schedule is drawn ahead; then
@@ -452,22 +434,7 @@ def _window_batches(
         picks = next(steps)
         return features[picks], labels[label_rows[picks, None] + span]
 
-    return next_batch, len(order)
-
-
-def _train_strong(cfg: RunConfig, init_fn) -> dict:
-    _require_positive(cfg, "iterations", "batch_size", "log_every")
-    headers, split, annotations = _load_corpus(cfg, "train")
-    model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
-    next_batch, clips = _window_batches(cfg, headers, annotations, model_config)
-    head = init_fn(model_config, cfg.seed)
-    model_path, log_path = _fit(cfg, head, next_batch)
-    return {"model": model_path, "log": log_path, "clips": clips, "split": split}
-
-
-def cmd_train(cfg: RunConfig) -> dict:
-    """Train the dilated temporal head on dense frame labels."""
-    return _train_strong(cfg, init_fsn)
+    return next_batch
 
 
 def _weak_batches(
@@ -516,15 +483,42 @@ def _weak_batches(
     return next_batch
 
 
-def cmd_train_weak(cfg: RunConfig) -> dict:
-    """Train the weakly supervised head from video-level labels only."""
+def _train(cfg: RunConfig, init_head: Callable[[ModelConfig, int], Head], batches) -> dict:
+    """The SGD loop of a fresh ``init_head(model_config, seed)`` head over the
+    batch source ``batches(cfg, headers, annotations, model_config)`` of the
+    split; saves the model and the loss log. The loop settings are checked
+    before any file is read."""
     _require_positive(cfg, "iterations", "batch_size", "log_every", "weak_positions")
     headers, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
-    next_batch = _weak_batches(cfg, headers, annotations, model_config)
-    head = init_wfsn(model_config, cfg.seed, pooling=cfg.pooling)
-    model_path, log_path = _fit(cfg, head, next_batch)
+    next_batch = batches(cfg, headers, annotations, model_config)
+    head = init_head(model_config, cfg.seed)
+    optimizer = OptimizerState(
+        learning_rate=cfg.learning_rate,
+        momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay,
+    )
+    out = _out_dir(cfg)
+    lines = ["iteration,loss"]
+    for step in range(1, cfg.iterations + 1):
+        loss = fsn_train_step(*next_batch(), head, optimizer)
+        if step % cfg.log_every == 0:
+            lines.append(f"{step},{loss:.6f}")
+    model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
+    save_model(head, model_path)
+    log_path = out / "train_log.csv"
+    log_path.write_text("\n".join(lines) + "\n")
     return {"model": model_path, "log": log_path, "split": split}
+
+
+def cmd_train(cfg: RunConfig) -> dict:
+    """Train the dilated temporal head on dense frame labels."""
+    return _train(cfg, init_fsn, _window_batches)
+
+
+def cmd_train_weak(cfg: RunConfig) -> dict:
+    """Train the weakly supervised head from video-level labels only."""
+    return _train(cfg, functools.partial(init_wfsn, pooling=cfg.pooling), _weak_batches)
 
 
 # A forked scoring worker costs its start and thousands of page faults. On 2
@@ -574,37 +568,33 @@ def _score_split(
 ) -> Segments:
     """``localize`` over the split, in ``_scoring_workers`` processes.
 
-    With n workers, part i is ``headers[i::n]``: the parent scores part 0,
+    With n workers, part i is the contiguous slice
+    ``headers[len * i // n : len * (i + 1) // n]``: the parent scores part 0,
     and each other part runs in a forked child that hands its tracks to
     ``on_track`` and sends its segments back over a pipe. Each video is
     scored by the same code in one process, so no byte depends on n, and
     with n = 1 nothing is forked. ``join_predictions`` puts the parts in
     ``localize``'s order. Every child is reaped before this returns or
-    raises; when videos fail, the error of the earliest one in split order
-    is raised.
+    raises. A part stops at its first failing video and the parts follow
+    split order, so the first failed part's error, the one raised, is the
+    earliest failing video's.
     """
 
     def outcome(part: Sequence[FeatureHeader]) -> tuple:
-        """(segments, None), or (videos scored, error) when one fails."""
-        done = 0
-
-        def counted(track: FrameScoreTrack) -> None:
-            nonlocal done
-            on_track(track)
-            done += 1
-
+        """(segments, None), or (None, error) when a video fails."""
         try:
             videos = _split_videos(cfg, part)
-            return localize(head, videos, cfg.predict_iou, cfg.weak_positions, counted), None
+            return localize(head, videos, cfg.predict_iou, cfg.weak_positions, on_track), None
         except Exception as err:
-            return done, err
+            return None, err
 
     n = _scoring_workers(headers)
+    parts = [headers[len(headers) * i // n : len(headers) * (i + 1) // n] for i in range(n)]
     children, sent, exits = [], None, []
     try:
-        for first in range(1, n):
-            children.append(_forked(outcome, headers[first::n]))
-        outcomes = [outcome(headers[0::n])]
+        for part in parts[1:]:
+            children.append(_forked(outcome, part))
+        outcomes = [outcome(parts[0])]
         sent = [pipe.read() for _, pipe in children]
     finally:
         # a child whose pipe was read to its end is leaving; any other is stopped
@@ -615,41 +605,23 @@ def _score_split(
             exits.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for result, code in zip(sent, exits):
         died = RuntimeError(f"a scoring worker ended without a result (exit code {code})")
-        outcomes.append(pickle.loads(result) if result else (0, died))
-    # a part stops at its first failing video, the (first + n * done)th of the split
-    failures = [
-        (first + n * done, error)
-        for first, (done, error) in enumerate(outcomes)
-        if error is not None
-    ]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        outcomes.append(pickle.loads(result) if result else (None, died))
+    for _, error in outcomes:
+        if error is not None:
+            raise error
     return join_predictions([segments for segments, _ in outcomes])
 
 
-def _predict(cfg: RunConfig, weak: bool) -> dict:
+def cmd_predict(cfg: RunConfig) -> dict:
     """Score the split one video at a time in each of ``_scoring_workers``
-    processes. Every check that needs no payload runs first; the track files
-    go to a scratch directory beside the tracks directory and are moved in
-    after the last video, and a run that fails removes what it made."""
-    if weak:
-        _require_positive(cfg, "weak_positions")
+    processes, with a model of either head kind: ``localize`` reads the kind
+    from the head. Every check that needs no payload runs first; the track
+    files go to a scratch directory beside the tracks directory and are moved
+    in after the last video, and a run that fails removes what it made."""
+    _require_positive(cfg, "weak_positions")
     _require(cfg, "model")
     head = load_model(cfg.model)
-    if weak and head.pooling is None:
-        raise ValueError(f"{cfg.model}: not a weakly supervised model")
-    if not weak and head.pooling is not None:
-        raise ValueError(f"{cfg.model}: weakly supervised model; use predict-weak")
-    if cfg.num_classes is not None and cfg.num_classes != head.config.num_classes:
-        raise ValueError(
-            f"model was trained with {head.config.num_classes} classes, "
-            f"config asks for {cfg.num_classes}"
-        )
-    if cfg.feature_dim is not None and cfg.feature_dim != head.config.feature_dim:
-        raise ValueError(
-            f"model expects feature_dim {head.config.feature_dim}, "
-            f"config asks for {cfg.feature_dim}"
-        )
+    _check_given(cfg, head.config.num_classes, head.config.feature_dim, "the model")
     headers, split = _select_videos(cfg, "test", allow_empty=True)
     for header in headers:
         if header.feature_dim != head.config.feature_dim:
@@ -685,15 +657,16 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
         for path in sorted(scratch.iterdir()):
             path.replace(tracks_dir / path.name)
         scratch.rmdir()
+        pooled = head.pooling is not None
         log_lines = [
-            f"command = {'predict-weak' if weak else 'predict'}",
+            f"command = {'predict-weak' if pooled else 'predict'}",
             f"model = {cfg.model}",
             f"split = {split}",
             f"videos = {len(headers)}",
             f"predictions = {len(predictions)}",
             f"predict_iou = {cfg.predict_iou:g}",
             f"nms_iou = {nms_iou:g}",
-            f"weak_positions = {cfg.weak_positions}" if weak else None,
+            f"weak_positions = {cfg.weak_positions}" if pooled else None,
             f"seed = {cfg.seed}",
         ]
         log_path = out / "predict_log.txt"
@@ -704,16 +677,6 @@ def _predict(cfg: RunConfig, weak: bool) -> dict:
         "log": log_path,
         "count": len(predictions),
     }
-
-
-def cmd_predict(cfg: RunConfig) -> dict:
-    """Dense scoring and segment extraction with a strongly supervised model."""
-    return _predict(cfg, weak=False)
-
-
-def cmd_predict_weak(cfg: RunConfig) -> dict:
-    """Segment extraction from a weakly supervised model's position scores."""
-    return _predict(cfg, weak=True)
 
 
 def _load_tracks(tracks_dir: Path, num_classes: int) -> list[FrameScoreTrack]:
@@ -808,35 +771,35 @@ def _comparison_rows(
     return lines
 
 
-def _run_variant(cfg: RunConfig, name: str, train_fn, predict_fn) -> EvalReport:
-    variant_out = str(Path(cfg.out) / name)
-    train_cfg = replace(cfg, out=variant_out, model=None, predictions=None, tracks=None)
-    train_fn(train_cfg)
-    run_cfg = replace(train_cfg, model=str(Path(variant_out) / "model.fsn"), split="test")
-    predict_fn(run_cfg)
-    return cmd_eval(run_cfg)["result"]
-
-
 def cmd_ablate(cfg: RunConfig) -> dict:
     """Train and evaluate a matched pair of heads; emit the side-by-side table."""
-    if cfg.ablate_mode == "temporal":
-        names = ("fsn", "ablation")
-        first = _run_variant(cfg, "fsn", cmd_train, cmd_predict)
-        second = _run_variant(
-            cfg, "ablation", lambda c: _train_strong(c, init_ablation), cmd_predict
-        )
-    elif cfg.ablate_mode == "pooling":
-        names = ("gmp", "gap")
-        first = _run_variant(replace(cfg, pooling=GMP), "gmp", cmd_train_weak, cmd_predict_weak)
-        second = _run_variant(replace(cfg, pooling=GAP), "gap", cmd_train_weak, cmd_predict_weak)
-    else:
+    # built per call, so every name is looked up when the command runs
+    variants = {
+        "temporal": (
+            ("fsn", init_fsn, _window_batches),
+            ("ablation", init_ablation, _window_batches),
+        ),
+        "pooling": (
+            ("gmp", functools.partial(init_wfsn, pooling=GMP), _weak_batches),
+            ("gap", functools.partial(init_wfsn, pooling=GAP), _weak_batches),
+        ),
+    }
+    if cfg.ablate_mode not in variants:
         raise ValueError(
             f"ablate_mode must be 'temporal' or 'pooling', got {cfg.ablate_mode!r}"
         )
-    lines = _comparison_rows(names, (first, second))
+    reports = {}
+    for name, init_head, batches in variants[cfg.ablate_mode]:
+        variant_out = str(Path(cfg.out) / name)
+        train_cfg = replace(cfg, out=variant_out, model=None, predictions=None, tracks=None)
+        _train(train_cfg, init_head, batches)
+        run_cfg = replace(train_cfg, model=str(Path(variant_out) / "model.fsn"), split="test")
+        cmd_predict(run_cfg)
+        reports[name] = cmd_eval(run_cfg)["result"]
+    lines = _comparison_rows(tuple(reports), tuple(reports.values()))
     table_path = _out_dir(cfg) / "ablation.csv"
     table_path.write_text("\n".join(lines) + "\n")
-    return {"table": table_path, "reports": {names[0]: first, names[1]: second}}
+    return {"table": table_path, "reports": reports}
 
 
 def _smooth_margin(head: Head, features) -> float:
@@ -1031,8 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
         "synth": "generate a synthetic feature corpus",
         "train": "train the dilated temporal head on dense labels",
         "train-weak": "train the weakly supervised head on video labels",
-        "predict": "write segment predictions from a trained model",
-        "predict-weak": "segment predictions from a weak model",
+        "predict": "write segment predictions from a trained model of either head kind",
+        "predict-weak": "same as predict, which reads the head kind from the model",
         "eval": "score a prediction file against ground truth",
         "ablate": "train and compare a matched pair of heads",
         "gradcheck": "finite-difference audit of all backward passes",
@@ -1047,7 +1010,7 @@ COMMANDS = {
     "train": cmd_train,
     "train-weak": cmd_train_weak,
     "predict": cmd_predict,
-    "predict-weak": cmd_predict_weak,
+    "predict-weak": cmd_predict,
     "eval": cmd_eval,
     "ablate": cmd_ablate,
     "gradcheck": cmd_gradcheck,

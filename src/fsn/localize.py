@@ -1,9 +1,10 @@
 """From dense frame scores to scored temporal segments.
 
-``localize`` is the one prediction pipeline, shared by the ``predict`` and
-``predict-weak`` commands and the library. A trained head scores every frame
-of an untrimmed video (``slide_predict`` for a dense head, ``weak_score_track``
-for a pooled one). Each class column of a track is thresholded at several
+``localize`` is the one prediction pipeline, shared by the ``predict``
+command and the library; ``predict-weak`` is another name of that command.
+The head kind is read from the head: it scores every frame of an untrimmed
+video (``slide_predict`` for a dense head, ``weak_score_track`` for a pooled
+one). Each class column of a track is thresholded at several
 levels in one mask pass into candidate segments, deduplicated, and pruned
 with greedy non-maximum suppression on one IoU matrix per class and video.
 ``pairwise_iou`` is the one IoU kernel: NMS and the evaluation's segment

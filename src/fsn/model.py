@@ -377,6 +377,8 @@ def load_model(path) -> Head:
     if kind != _POOLED and pools[pooling] != GMP:
         raise ValueError(f"{path}: head kind {kind} has no pooling, but its code is {pooling}")
     (layer_count,) = struct.unpack_from("<I", raw, _MODEL_HEADER.size)
+    if not layer_count:
+        raise ValueError(f"{path}: empty layer table")
     offset = _MODEL_HEADER.size + 4
     shapes = []
     for _ in range(layer_count):

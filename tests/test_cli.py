@@ -609,7 +609,10 @@ def test_train_checks_every_split_payload(corpus, tmp_path, capsys):
         ("train-weak", "--batch-size", "batch_size must be >= 1, got 0"),
         ("train", "--iterations", "iterations must be >= 1, got 0"),
         ("train-weak", "--iterations", "iterations must be >= 1, got 0"),
+        ("train", "--weak-positions", "weak_positions must be >= 1, got 0"),
         ("train-weak", "--weak-positions", "weak_positions must be >= 1, got 0"),
+        # checked before the model is read, whichever its head kind
+        ("predict", "--weak-positions", "weak_positions must be >= 1, got 0"),
         ("predict-weak", "--weak-positions", "weak_positions must be >= 1, got 0"),
         ("gradcheck", "--gradcheck-seeds", "gradcheck_seeds must be >= 1, got 0"),
     ],
@@ -1102,12 +1105,16 @@ def test_scoring_workers_write_the_bytes_of_one_worker(
     assert written == tree_bytes(one)
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (0, 1)], ids=["a-child-first", "the-parent-first"])
+@pytest.mark.parametrize(
+    "bad", [(3, 6), (1, 6), (5, 7)],
+    ids=["a-child-first", "the-parent-first", "one-child-part"],
+)
 def test_predict_reports_the_earliest_failing_video_of_any_worker(
-    corpus, trained, tmp_path, capsys, bad, forks_any_split
+    corpus, trained, tmp_path, monkeypatch, capsys, bad
 ):
-    # with two or more workers, the command's own process scores video 0, and
-    # videos 1 and 2 fall in two other parts, or 2 back in part 0
+    # three workers score the 8 videos in contiguous parts 0-1, 2-4 and 5-7;
+    # the command's own process scores part 0
+    monkeypatch.setattr(cli, "_scoring_workers", lambda headers: 3)
     features = tmp_path / "features"
     features.mkdir()
     for path in [*corpus.glob("*.fsnf"), corpus / "manifest.tsv"]:
@@ -1240,25 +1247,22 @@ def test_predict_memory_stays_below_the_split_descriptors(tmp_path, corpus60):
     assert peak < descriptor_bytes, f"traced peak {peak} B"
 
 
-def test_predict_rejects_weak_model(corpus, tmp_path, capsys):
-    out = tmp_path / "weak"
-    main([
-        "train-weak",
-        "--features-dir", str(corpus),
-        "--annotations", str(corpus / "annotations.tsv"),
-        "--out", str(out),
-        "--hidden-channels", "8",
-        "--iterations", "5",
-        "--weak-positions", "40",
-    ])
-    rc = main([
-        "predict",
-        "--features-dir", str(corpus),
-        "--model", str(out / "model.fsn"),
-        "--out", str(tmp_path / "pred"),
-    ])
-    assert rc == 1
-    assert "predict-weak" in capsys.readouterr().err
+@pytest.mark.parametrize("model", ["dense", "weak"])
+def test_predict_and_predict_weak_are_one_command(
+    corpus, trained, trained_weak, tmp_path, model
+):
+    # the head kind is read from the model, and the log names the kind's command
+    model_dir = trained_weak if model == "weak" else trained
+    written = []
+    for command in ("predict", "predict-weak"):
+        out = tmp_path / command
+        assert main(predict_all_args(command, corpus, model_dir, out)) == 0
+        written.append(tree_bytes(out))
+    assert written[0] == written[1]
+    log = written[0]["predict_log.txt"].decode()
+    command = "predict-weak" if model == "weak" else "predict"
+    assert log.startswith(f"command = {command}\n")
+    assert ("weak_positions = 40" in log) == (model == "weak")
 
 
 def test_predict_rejects_class_count_mismatch(corpus, trained, tmp_path, capsys):
@@ -1268,6 +1272,17 @@ def test_predict_rejects_class_count_mismatch(corpus, trained, tmp_path, capsys)
     ])
     assert rc == 1
     assert "asks for 5" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_model_with_an_empty_layer_table(corpus, trained, tmp_path, capsys):
+    # a valid 30-byte header followed by a layer count of 0
+    model = tmp_path / "empty" / "model.fsn"
+    model.parent.mkdir()
+    model.write_bytes((trained / "model.fsn").read_bytes()[:30] + struct.pack("<I", 0))
+    out = tmp_path / "pred"
+    assert main(predict_args(corpus, model.parent, out)) == 1
+    assert capsys.readouterr().err == f"error: {model}: empty layer table\n"
+    assert not out.exists()
 
 
 def test_predict_rejects_a_weight_that_overflows_float32(corpus, trained, tmp_path, capsys):
