@@ -37,7 +37,7 @@ from .data import (
     load_manifest,
     label_frames,
     make_clips,
-    member_of,
+    read_lines,
     rebalance,
     snippet_centers,
     span_bounds,
@@ -49,10 +49,10 @@ from .data import (
 from .evaluate import (
     DEFAULT_STRONG_IOUS,
     DEFAULT_WEAK_IOUS,
-    EvalConfig,
     EvalReport,
     emit_report,
     frame_level_map,
+    iou_thresholds,
     segment_level_map,
 )
 from .localize import (
@@ -175,7 +175,7 @@ SCHEMA: dict[str, Callable] = {
 def parse_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and ``#`` comments ignored."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -388,7 +388,6 @@ def _window_batches(
     clip_len = model_config.clip_len
     stride = max(clip_len // 5, 1) if cfg.train_stride is None else cfg.train_stride
     per_video = annotations.segments.per_video([h.video_id for h in headers])
-    label_type = np.min_scalar_type(annotations.num_classes)
     # a window is (video index, start frame)
     frame_labels, owners, starts, classes = [], [], [], []
     for index, (header, segments) in enumerate(zip(headers, per_video)):
@@ -396,7 +395,7 @@ def _window_batches(
             header, segments, clip_len=clip_len, snippet_len=model_config.snippet_len,
             stride=stride, min_action_frames=cfg.min_action_frames,
         )
-        frame_labels.append(label_frames(header.frame_count, segments, label_type))
+        frame_labels.append(label_frames(header.frame_count, segments))
         owners.append(np.full(kept.size, index))
         starts.append(kept)
         classes.append(clip_majority_class(frame_labels[-1], kept, clip_len))
@@ -687,11 +686,8 @@ def _load_tracks(tracks_dir: Path, num_classes: int) -> list[FrameScoreTrack]:
     for path in paths:
         stored = load_features(path)
         channels = stored.feature_dim
-        if channels == num_classes + 1:
-            with_background = True
-        elif channels == num_classes:
-            with_background = False
-        else:
+        with_background = channels == num_classes + 1
+        if not with_background and channels != num_classes:
             raise ValueError(
                 f"{path}: track has {channels} channels for {num_classes} classes"
             )
@@ -717,12 +713,8 @@ def cmd_eval(cfg: RunConfig) -> dict:
     tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
     annotations = load_annotations(cfg.annotations)
     tracks = _load_tracks(tracks_dir, annotations.num_classes)
-    evaluated_ids = {t.video_id for t in tracks}
-    with_background = tracks[0].includes_background
-    thresholds = cfg.eval_iou
-    if thresholds is None:
-        thresholds = DEFAULT_STRONG_IOUS if with_background else DEFAULT_WEAK_IOUS
-    eval_config = EvalConfig(annotations.num_classes, thresholds)
+    default = DEFAULT_STRONG_IOUS if tracks[0].includes_background else DEFAULT_WEAK_IOUS
+    thresholds = iou_thresholds(default if cfg.eval_iou is None else cfg.eval_iou)
     predictions = load_predictions(predictions_path)
     track_ids = [t.video_id for t in tracks]
     for track, found in zip(tracks, predictions.per_video(track_ids)):
@@ -731,22 +723,18 @@ def cmd_eval(cfg: RunConfig) -> dict:
                 f"{predictions_path}: a prediction of {track.video_id!r} ends at frame "
                 f"{found.end.max()}, past its track's {track.frame_count} frames"
             )
-    test_gt = AnnotationSet(
-        annotations.class_names,
-        annotations.segments.take(member_of(annotations.segments.video_id, evaluated_ids)),
-    )
+    gt_by_video = annotations.segments.per_video(track_ids)
+    test_gt = AnnotationSet(annotations.class_names, Segments.concatenate(gt_by_video))
     try:
-        report = segment_level_map(predictions, test_gt, eval_config, video_ids=evaluated_ids)
+        segment = segment_level_map(predictions, test_gt, thresholds, video_ids=set(track_ids))
     except ValueError as err:  # a prediction of an unknown video or class
         raise ValueError(f"{predictions_path}: {err}") from None
-    per_video = test_gt.segments.per_video(track_ids)
-    label_type = np.min_scalar_type(annotations.num_classes)
     labels = {
-        track.video_id: label_frames(track.frame_count, segments, label_type)
-        for track, segments in zip(tracks, per_video)
+        track.video_id: label_frames(track.frame_count, segments)
+        for track, segments in zip(tracks, gt_by_video)
     }
-    frame_ap, frame_map = frame_level_map(tracks, labels)
-    report = replace(report, frame_ap=frame_ap, frame_map=frame_map)
+    frame = frame_level_map(tracks, labels)
+    report = EvalReport(annotations.class_names, thresholds, *segment, *frame)
     report_path = _out_dir(cfg) / "report.csv"
     emit_report(report, report_path)
     return {"report": report_path, "result": report}

@@ -9,8 +9,9 @@ its seed.
 
 A segment, predicted or annotated, is an entry of one ``Segments`` record of
 parallel columns; the ground truth is such a record with every confidence
-1.0, parsed and checked as columns by ``load_annotations`` and cut into
-per-video slices by one stable sort. No object is built per segment.
+1.0, cut into per-video slices by one stable sort. Annotation and prediction
+files are read by one row reader (``parse_segment_rows``), which parses the
+rows and checks them as columns. No object is built per segment.
 
 A training window is its start frame in a video: ``make_clips`` returns the
 kept starts as an index array, and ``clip_majority_class`` and ``rebalance``
@@ -29,9 +30,10 @@ from __future__ import annotations
 import logging
 import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,14 +245,62 @@ def write_annotations(annotations: AnnotationSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_annotations(path, frame_counts: dict[str, int] | None = None) -> AnnotationSet:
-    """Parse a segment annotation file, validating against frame counts if given.
+def read_lines(path) -> list[str]:
+    """A text file's lines; bytes that do not decode are an error naming the file."""
+    try:
+        return Path(path).read_text().splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def parse_segment_rows(path, lines: list[str], scored: bool, checks: Callable) -> Segments:
+    """The ``video_id, start, end, class_id[, confidence]`` rows after the
+    header line of ``lines``, blank ones skipped, as one record; a row without
+    ``scored`` has no confidence field and gets 1.0.
 
     Rows are parsed up to the first one that does not parse, then checked as
-    columns; the first bad row in file order names its line.
+    columns: ``checks(segments)`` lists (failing mask, message of a row index)
+    pairs, in the order a row's checks are made. The first bad row in file
+    order names its line.
     """
+    width = 5 if scored else 4
+    numbers = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    rows, error = [], None
+    for n in numbers:
+        fields = lines[n - 1].split("\t")
+        if len(fields) != width:
+            error = f"expected {width} fields, got {len(fields)}"
+            break
+        try:
+            rows.append((fields[0], int(fields[3]), int(fields[1]), int(fields[2]),
+                         float(fields[4]) if scored else 1.0))
+        except ValueError:
+            error = "non-integer field"
+            with suppress(ValueError):
+                tuple(map(int, fields[1:4]))
+                error = "non-numeric field"  # only the confidence failed
+            break
+    try:
+        seg = Segments.from_rows(rows)
+    except OverflowError:  # some field is beyond int64: keep the rows before it
+        fits = [-(2**63) <= min(r[1:4]) and max(r[1:4]) < 2**63 for r in rows]
+        rows = rows[: fits.index(False)]
+        seg, error = Segments.from_rows(rows), "integer field outside the int64 range"
+    checked = checks(seg)
+    # a row failing a check comes before the row that did not parse, if any
+    failed = np.flatnonzero(np.any([mask for mask, _ in checked], axis=0))
+    bad = int(failed[0]) if failed.size else len(rows)
+    if failed.size:
+        error = next(message(bad) for mask, message in checked if mask[bad])
+    if error is not None:
+        raise ValueError(f"{path}: line {numbers[bad]}: {error}")
+    return seg
+
+
+def load_annotations(path, frame_counts: dict[str, int] | None = None) -> AnnotationSet:
+    """Parse a segment annotation file, validating against frame counts if given."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty annotation file")
     header = lines[0].split("\t")
@@ -265,52 +315,29 @@ def load_annotations(path, frame_counts: dict[str, int] | None = None) -> Annota
         raise ValueError(
             f"{path}: line 1: class table announces {count} names, has {len(names)}"
         )
-    numbers = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    rows, error = [], None
-    for n in numbers:
-        fields = lines[n - 1].split("\t")
-        if len(fields) != 4:
-            error = f"expected 4 fields, got {len(fields)}"
-            break
-        try:
-            rows.append((fields[0], int(fields[3]), int(fields[1]), int(fields[2]), 1.0))
-        except ValueError:
-            error = "non-integer field"
-            break
-    try:
-        seg = Segments.from_rows(rows)
-    except OverflowError:  # some field is beyond int64: keep the rows before it
-        fits = [-(2**63) <= min(r[1:4]) and max(r[1:4]) < 2**63 for r in rows]
-        rows = rows[: fits.index(False)]
-        seg, error = Segments.from_rows(rows), "integer field outside the int64 range"
-    video, cls, start, end = seg.video_id, seg.class_id, seg.start, seg.end
-    checks = [
-        ((cls < 1) | (cls > count), lambda k: f"class id {cls[k]} outside 1..{count}"),
-        ((start < 0) | (end <= start), lambda k: f"bad segment [{start[k]}, {end[k]})"),
-    ]
-    if frame_counts is not None:
-        frames = np.array([frame_counts.get(v, -1) for v in video.tolist()], dtype=np.int64)
-        checks += [
-            (frames < 0, lambda k: f"unknown video {str(video[k])!r}"),
-            (end > frames,
-             lambda k: f"segment end {end[k]} exceeds {video[k]}'s {frames[k]} frames"),
+
+    def checks(seg: Segments) -> list:
+        video, cls, start, end = seg.video_id, seg.class_id, seg.start, seg.end
+        found = [
+            ((cls < 1) | (cls > count), lambda k: f"class id {cls[k]} outside 1..{count}"),
+            ((start < 0) | (end <= start), lambda k: f"bad segment [{start[k]}, {end[k]})"),
         ]
-    # a row failing a check comes before the row that did not parse, if any
-    failed = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
-    bad = int(failed[0]) if failed.size else len(rows)
-    if failed.size:
-        error = next(message(bad) for mask, message in checks if mask[bad])
-    if error is not None:
-        raise ValueError(f"{path}: line {numbers[bad]}: {error}")
-    return AnnotationSet(names, seg)
+        if frame_counts is not None:
+            frames = np.array([frame_counts.get(v, -1) for v in video.tolist()], dtype=np.int64)
+            found += [
+                (frames < 0, lambda k: f"unknown video {str(video[k])!r}"),
+                (end > frames,
+                 lambda k: f"segment end {end[k]} exceeds {video[k]}'s {frames[k]} frames"),
+            ]
+        return found
+
+    return AnnotationSet(names, parse_segment_rows(path, lines, False, checks))
 
 
-def label_frames(frame_count: int, segments: Segments, dtype=np.int64) -> Array:
-    """Dense per-frame class labels; overlaps go to the earliest-starting segment.
-
-    ``dtype`` must hold every class id of ``segments``.
-    """
-    labels = np.zeros(frame_count, dtype=dtype)
+def label_frames(frame_count: int, segments: Segments) -> Array:
+    """Dense per-frame class labels, in the smallest unsigned type that holds
+    the largest class id; overlaps go to the earliest-starting segment."""
+    labels = np.zeros(frame_count, dtype=np.min_scalar_type(segments.class_id.max(initial=0)))
     # painted last to first in (start, end, class) order, so the first wins
     order = np.lexsort((segments.class_id, segments.end, segments.start))[::-1]
     columns = (segments.start, segments.end, segments.class_id, segments.video_id)
@@ -560,7 +587,7 @@ def load_manifest(path) -> dict:
     train_ids: list[str] = []
     test_ids: list[str] = []
     listed: set[str] = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

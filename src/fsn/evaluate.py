@@ -28,9 +28,10 @@ descending IoU: at any threshold a row's hits are a prefix of its order, so
 the greedy pass at each threshold takes, row by row, the first untaken
 ground truth of that prefix.
 
-Classes with no ground-truth instance get AP 0 by definition but are left out
-of the mAP average, so a prediction set identical to the ground truth scores
-a clean 1.0 regardless of which classes the corpus happens to exercise.
+Both metrics return arrays, per-class AP and the mean over classes (per IoU
+threshold for segments), and ``report.csv`` always has every column. Classes
+with no ground-truth instance get AP 0 by definition but are left out of the
+mean, so a prediction set identical to the ground truth scores a clean 1.0.
 """
 
 from __future__ import annotations
@@ -49,37 +50,29 @@ DEFAULT_STRONG_IOUS = (0.3, 0.4, 0.5, 0.6, 0.7)
 DEFAULT_WEAK_IOUS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-@dataclass
-class EvalConfig:
-    num_classes: int
-    iou_thresholds: tuple[float, ...] = DEFAULT_STRONG_IOUS
-
-    def __post_init__(self) -> None:
-        self.iou_thresholds = tuple(float(t) for t in self.iou_thresholds)
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
-        if not self.iou_thresholds:
-            raise ValueError("need at least one IoU threshold")
-        for t in self.iou_thresholds:
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"IoU threshold {t} outside (0, 1]")
-        pairs = zip(self.iou_thresholds, self.iou_thresholds[1:])
-        if any(later <= earlier for earlier, later in pairs):
-            raise ValueError(
-                f"thresholds must strictly ascend, got {self.iou_thresholds}"
-            )
+def iou_thresholds(values: Sequence[float]) -> tuple[float, ...]:
+    """``values`` as a tuple of floats: at least one, each in (0, 1], strictly ascending."""
+    thresholds = tuple(float(t) for t in values)
+    if not thresholds:
+        raise ValueError("need at least one IoU threshold")
+    for t in thresholds:
+        if not 0.0 < t <= 1.0:
+            raise ValueError(f"IoU threshold {t} outside (0, 1]")
+    if any(later <= earlier for earlier, later in zip(thresholds, thresholds[1:])):
+        raise ValueError(f"thresholds must strictly ascend, got {thresholds}")
+    return thresholds
 
 
 @dataclass
 class EvalReport:
-    """Per-class APs with their means; frame-level columns are optional."""
+    """Per-class segment and frame APs with their means."""
 
     class_names: list[str]
     iou_thresholds: tuple[float, ...]
     segment_ap: Array  # (classes, thresholds)
     segment_map: Array  # (thresholds,)
-    frame_ap: Array | None = None  # (classes,)
-    frame_map: float | None = None
+    frame_ap: Array  # (classes,)
+    frame_map: float
 
 
 def _ap_from_ranked(hits: Array, num_positives: int) -> float:
@@ -221,65 +214,51 @@ def _greedy_flags(ranked: Segments, gts: Segments, thresholds: Sequence[float]) 
 def segment_level_map(
     predictions: Segments,
     gt: AnnotationSet,
-    config: EvalConfig | None = None,
+    thresholds: Sequence[float] = DEFAULT_STRONG_IOUS,
     video_ids: set[str] | None = None,
-) -> EvalReport:
-    """Detection AP per class and IoU threshold, with per-threshold means.
+) -> tuple[Array, Array]:
+    """Detection AP per class and IoU threshold, and the per-threshold means.
 
     ``video_ids``, when given, is the universe of evaluated videos and any
     prediction outside it is an error; otherwise the ground truth's videos
     define the universe.
     """
-    if config is None:
-        config = EvalConfig(gt.num_classes)
-    if config.num_classes != gt.num_classes:
-        raise ValueError(
-            f"config expects {config.num_classes} classes, "
-            f"annotations carry {gt.num_classes}"
-        )
+    thresholds = iou_thresholds(thresholds)
+    num_classes = gt.num_classes
     segments = gt.segments
     known = video_ids if video_ids is not None else segments.video_id
     unknown = ~member_of(predictions.video_id, known)
-    outside = (predictions.class_id < 1) | (predictions.class_id > config.num_classes)
+    outside = (predictions.class_id < 1) | (predictions.class_id > num_classes)
     if np.any(unknown | outside):
         first = int(np.argmax(unknown | outside))
         if unknown[first]:
             video = str(predictions.video_id[first])
             raise ValueError(f"prediction references unknown video {video!r}")
         raise ValueError(
-            f"prediction class {predictions.class_id[first]} "
-            f"outside 1..{config.num_classes}"
+            f"prediction class {predictions.class_id[first]} outside 1..{num_classes}"
         )
-    # one stable sort groups the ground truth by (class, video), file order within
+    # one stable sort groups the ground truth by (class, video), input order within
     grouped = segments.take(np.lexsort((segments.video_id, segments.class_id)))
-    bounds = np.searchsorted(grouped.class_id, np.arange(1, config.num_classes + 2))
+    bounds = np.searchsorted(grouped.class_id, np.arange(1, num_classes + 2))
     num_gts = np.diff(bounds)
-    thresholds = config.iou_thresholds
-    ap = np.zeros((config.num_classes, len(thresholds)))
-    for class_id in range(1, config.num_classes + 1):
+    ap = np.zeros((num_classes, len(thresholds)))
+    for class_id in range(1, num_classes + 1):
         members = np.flatnonzero(predictions.class_id == class_id)
         ranked = members[np.argsort(-predictions.confidence[members], kind="stable")]
         class_gts = grouped.take(slice(bounds[class_id - 1], bounds[class_id]))
         flags = _greedy_flags(predictions.take(ranked), class_gts, thresholds)
         ap[class_id - 1] = [_ap_from_ranked(f, num_gts[class_id - 1]) for f in flags]
     represented = num_gts > 0
-    seg_map = ap[represented].mean(axis=0) if represented.any() else np.zeros(len(thresholds))
-    return EvalReport(list(gt.class_names), thresholds, segment_ap=ap, segment_map=seg_map)
+    mean = ap[represented].mean(axis=0) if represented.any() else np.zeros(len(thresholds))
+    return ap, mean
 
 
 def emit_report(report: EvalReport, path) -> None:
     """Deterministic CSV: one row per class plus a final mAP row, 4 decimals."""
-    columns = [f"iou_{t:g}" for t in report.iou_thresholds]
-    if report.frame_ap is not None:
-        columns.append("frame_ap")
+    columns = [f"iou_{t:g}" for t in report.iou_thresholds] + ["frame_ap"]
     lines = ["class," + ",".join(columns)]
-    for idx, name in enumerate(report.class_names):
-        cells = [f"{v:.4f}" for v in report.segment_ap[idx]]
-        if report.frame_ap is not None:
-            cells.append(f"{report.frame_ap[idx]:.4f}")
-        lines.append(f"{name}," + ",".join(cells))
-    tail = [f"{v:.4f}" for v in report.segment_map]
-    if report.frame_map is not None:
-        tail.append(f"{report.frame_map:.4f}")
-    lines.append("mAP," + ",".join(tail))
+    segment_rows = [*report.segment_ap.tolist(), report.segment_map.tolist()]
+    frame_cells = [*report.frame_ap.tolist(), report.frame_map]
+    for name, segment, frame in zip([*report.class_names, "mAP"], segment_rows, frame_cells):
+        lines.append(f"{name}," + ",".join(f"{v:.4f}" for v in [*segment, frame]))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -13,8 +13,9 @@ Segments travel as arrays from grouping to the report, in the one segment
 record ``data.Segments`` that also holds the ground truth: grouping builds one
 per class and video, NMS keeps a subset of it, ``join_predictions`` joins
 and sorts them, and the prediction file (tab-separated, fixed header) is
-written from and parsed into one. Rows are checked only where they enter
-from outside, in ``load_predictions``. ``localize`` works one video at a
+written from one and parsed into one by the row reader that also reads the
+annotations. Rows are checked only where they enter from outside, in
+``load_predictions``. ``localize`` works one video at a
 time: each finished score track is handed to the caller, which writes or
 keeps it, and only the video's segments stay behind.
 """
@@ -27,7 +28,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import Segments, VideoFeatures, snippet_centers, span_bounds
+from .data import (
+    Segments, VideoFeatures, parse_segment_rows, read_lines, snippet_centers, span_bounds,
+)
 from .model import Head, fsn_forward
 from .nncore import Array
 
@@ -280,26 +283,17 @@ def write_predictions(predictions: Segments, path) -> None:
 def load_predictions(path) -> Segments:
     """Parse a prediction file; a malformed row is an error naming its line."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != PREDICTION_HEADER:
         raise ValueError(f"{path}: missing prediction header")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"{path}: line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            start, end, class_id = int(parts[1]), int(parts[2]), int(parts[3])
-            confidence = float(parts[4])
-            if start < 0 or end <= start:
-                raise ValueError(f"bad segment [{start}, {end})")
-            if class_id < 1:
-                raise ValueError(f"class ids start at 1, got {class_id}")
-            if not 0.0 <= confidence <= 1.0:
-                raise ValueError(f"confidence {confidence} outside [0, 1]")
-        except ValueError as err:
-            raise ValueError(f"{path}: line {lineno}: {err}") from None
-        rows.append((parts[0], class_id, start, end, confidence))
-    return Segments.from_rows(rows)
+
+    def checks(seg: Segments) -> list:
+        start, end, cls, confidence = seg.start, seg.end, seg.class_id, seg.confidence
+        return [
+            ((start < 0) | (end <= start), lambda k: f"bad segment [{start[k]}, {end[k]})"),
+            (cls < 1, lambda k: f"class ids start at 1, got {cls[k]}"),
+            (~((confidence >= 0.0) & (confidence <= 1.0)),
+             lambda k: f"confidence {confidence[k]} outside [0, 1]"),
+        ]
+
+    return parse_segment_rows(path, lines, True, checks)

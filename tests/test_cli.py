@@ -41,7 +41,7 @@ from fsn.data import (
     write_annotations,
     write_features,
 )
-from fsn.evaluate import EvalConfig, frame_level_map, segment_level_map
+from fsn.evaluate import frame_level_map, segment_level_map
 from fsn.localize import FrameScoreTrack, load_predictions
 from fsn.model import ModelConfig, load_model, save_model
 from openblas import core_name
@@ -1356,12 +1356,13 @@ def test_eval_labels_frames_in_the_smallest_type(tmp_path, monkeypatch):
     )
     label_types = []
 
-    def recorded(frame_count, segments, dtype=np.int64):
-        label_types.append(np.dtype(dtype))
-        return label_frames(frame_count, segments, dtype)
+    def recorded(frame_count, segments):
+        labels = label_frames(frame_count, segments)
+        label_types.append(labels.dtype)
+        return labels
 
-    def wide(frame_count, segments, dtype=np.int64):
-        return label_frames(frame_count, segments)
+    def wide(frame_count, segments):
+        return label_frames(frame_count, segments).astype(np.int64)
 
     reports = []
     for name, labeller in (("narrow", recorded), ("wide", wide)):
@@ -1393,11 +1394,8 @@ def test_eval_matches_library_result(corpus, predicted):
         annotations.class_names,
         segments.take(np.array([v in test_ids for v in segments.video_id.tolist()], dtype=bool)),
     )
-    segment = segment_level_map(
-        load_predictions(predicted / "predictions.tsv"),
-        test_gt,
-        EvalConfig(annotations.num_classes),
-        video_ids=test_ids,
+    _, segment_map = segment_level_map(
+        load_predictions(predicted / "predictions.tsv"), test_gt, video_ids=test_ids
     )
     labels = {
         t.video_id: label_frames(
@@ -1406,7 +1404,7 @@ def test_eval_matches_library_result(corpus, predicted):
         for t in tracks
     }
     _, frame_map = frame_level_map(tracks, labels)
-    assert report["mAP"]["iou_0.5"] == pytest.approx(segment.segment_map[2], abs=5e-5)
+    assert report["mAP"]["iou_0.5"] == pytest.approx(segment_map[2], abs=5e-5)
     assert report["mAP"]["frame_ap"] == pytest.approx(frame_map, abs=5e-5)
 
 
@@ -1479,14 +1477,19 @@ def test_eval_rejects_predictions_for_unknown_video(corpus, predicted, tmp_path,
 @pytest.mark.parametrize("row, message", [
     ("{video}\t0\t{end}\t1\t0.5", "ends at frame {end}, past its track's {frames} frames"),
     ("{video}\t0\t10\t99\t0.5", "prediction class 99 outside 1..3"),
-], ids=["end-past-the-track", "class-outside-the-table"])
+    ("{video}\t0\t99999999999999999999\t1\t0.5",
+     "line {line}: integer field outside the int64 range"),
+], ids=["end-past-the-track", "class-outside-the-table", "bound-beyond-int64"])
 def test_eval_rejects_predictions_outside_the_tracks(
     corpus, predicted, tmp_path, capsys, row, message
 ):
     track = load_features(sorted((predicted / "tracks").glob("*.fsnf"))[0])
-    values = dict(video=track.video_id, frames=track.frame_count, end=track.frame_count + 1)
     bad = tmp_path / "bad.tsv"
     text = (predicted / "predictions.tsv").read_text()
+    values = dict(
+        video=track.video_id, frames=track.frame_count, end=track.frame_count + 1,
+        line=text.count("\n") + 1,
+    )
     bad.write_text(text + row.format(**values) + "\n")
     out = tmp_path / "out"
     rc = main([
@@ -1527,6 +1530,42 @@ def test_eval_rejects_dense_and_weak_tracks_together(corpus, predicted, tmp_path
     assert err.startswith("error: ") and err.count("\n") == 1
     assert paths[1].name in err and "do not mix" in err
     assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["predictions", "annotations", "manifest", "config"])
+def test_text_input_that_is_not_utf8_names_its_file(
+    corpus, trained, predicted, tmp_path, capsys, source
+):
+    config = tmp_path / "gradcheck.cfg"
+    config.write_text("gradcheck_seeds = 1\n")
+    files = {
+        "predictions": predicted / "predictions.tsv",
+        "annotations": corpus / "annotations.tsv",
+        "manifest": corpus / "manifest.tsv",
+        "config": config,
+    }
+    # a byte that starts no UTF-8 sequence, in the middle of the file
+    text = files[source].read_bytes()
+    bad = files[source] = tmp_path / f"bad_{source}"
+    bad.write_bytes(text[: len(text) // 2] + b"\xff" + text[len(text) // 2 :])
+    evaluate = [
+        "eval", "--annotations", str(files["annotations"]),
+        "--predictions", str(files["predictions"]), "--tracks", str(predicted / "tracks"),
+    ]
+    argv = {
+        "predictions": evaluate,
+        "annotations": evaluate,
+        "manifest": [
+            "predict", "--features-dir", str(corpus), "--manifest", str(files["manifest"]),
+            "--model", str(trained / "model.fsn"),
+        ],
+        "config": ["gradcheck", "--config", str(files["config"])],
+    }[source]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_eval_rerun_is_byte_identical(corpus, predicted, tmp_path):

@@ -28,6 +28,7 @@ from fsn.data import (
     write_features,
     write_manifest,
 )
+from fsn.localize import PREDICTION_HEADER, load_predictions
 from oracles import list_rebalance, window_majority_class, window_scan
 from records import ground_truth, gt_rows, rows, segments, synth_corpus
 
@@ -139,10 +140,13 @@ class TestFeatureFiles:
         headers = load_feature_dir(tmp_path, video_ids=["b", "c"])
         assert headers == [FeatureHeader("b", 4, 3), FeatureHeader("c", 4, 3)]
 
-    def test_labels_take_the_requested_type(self):
-        labels = label_frames(10, ground_truth((2, 5, 300)), np.uint16)
+    def test_labels_take_the_smallest_type(self):
+        labels = label_frames(10, ground_truth((2, 5, 300)))
         assert labels.dtype == np.uint16
         assert labels.tolist() == [0, 0, 300, 300, 300, 0, 0, 0, 0, 0]
+        labels = label_frames(10, ground_truth((2, 5, 3)))
+        assert labels.dtype == np.uint8
+        assert labels.tolist() == [0, 0, 3, 3, 3, 0, 0, 0, 0, 0]
 
     def test_directory_loading_rejects_mixed_dims(self, tmp_path):
         write_features(VideoFeatures("a", np.ones((4, 3))), tmp_path / "a.fsnf")
@@ -218,6 +222,20 @@ BAD_ANNOTATION_ROWS = {
     "end past frames": ("v1\t0\t101\t1", "segment end 101 exceeds v1's 100 frames"),
 }
 
+# one bad row per check, and the message load_predictions gives for it
+BAD_PREDICTION_ROWS = {
+    "field count": ("v1\t0\t5\t1", "expected 5 fields, got 4"),
+    "non-integer field": ("v1\t0\tfive\t1\t0.5", "non-integer field"),
+    "non-numeric confidence": ("v1\t0\t5\t1\thigh", "non-numeric field"),
+    "beyond int64": (
+        "v1\t0\t99999999999999999999\t1\t0.5", "integer field outside the int64 range"
+    ),
+    "bad interval": ("v1\t5\t3\t1\t0.5", "bad segment [5, 3)"),
+    "class id 0": ("v1\t0\t5\t0\t0.5", "class ids start at 1, got 0"),
+    "confidence above 1": ("v1\t0\t5\t1\t1.5", "confidence 1.5 outside [0, 1]"),
+    "confidence nan": ("v1\t0\t5\t1\tnan", "confidence nan outside [0, 1]"),
+}
+
 
 class TestAnnotationRows:
     HEADER = "classes\t2\tjump\tthrow\n"
@@ -267,6 +285,31 @@ class TestAnnotationRows:
             ("v1", 1, 10, 15), ("v1", 1, 10, 20), ("v1", 2, 10, 20),
             ("v1", 2, 30, 45), ("v10", 1, 3, 9), ("v2", 1, 0, 5),
         ]
+
+
+class TestPredictionRows:
+    def rejection(self, tmp_path, *rows) -> str:
+        """The error of loading a prediction file of ``rows``."""
+        path = tmp_path / "predictions.tsv"
+        path.write_text(PREDICTION_HEADER + "\n" + "".join(f"{row}\n" for row in rows))
+        with pytest.raises(ValueError) as err:
+            load_predictions(path)
+        return str(err.value).removeprefix(f"{path}: ")
+
+    @pytest.mark.parametrize("check", list(BAD_PREDICTION_ROWS))
+    def test_rejects_bad_row_naming_its_line(self, tmp_path, check):
+        row, message = BAD_PREDICTION_ROWS[check]
+        error = self.rejection(tmp_path, "v1\t0\t5\t1\t0.9", "", row, "v1\t5\t9\t2\t0.1")
+        assert error == f"line 4: {message}"
+
+    def test_first_bad_row_in_file_order_decides(self, tmp_path):
+        checks = list(BAD_PREDICTION_ROWS.values())
+        for first_row, first_message in checks:
+            for second_row, second_message in checks:
+                if first_message == second_message:
+                    continue
+                error = self.rejection(tmp_path, "v1\t0\t5\t1\t0.9", first_row, second_row)
+                assert error == f"line 3: {first_message}"
 
 
 VIDEO_IDS = ("v", "v1", "w", "x10")

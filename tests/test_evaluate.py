@@ -1,5 +1,6 @@
 """AP kernels, frame/segment mAP, and report emission."""
 
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -12,10 +13,11 @@ from fsn.data import AnnotationSet
 from fsn.evaluate import (
     DEFAULT_STRONG_IOUS,
     DEFAULT_WEAK_IOUS,
-    EvalConfig,
+    EvalReport,
     _rank_pooled,
     emit_report,
     frame_level_map,
+    iou_thresholds,
     segment_level_map,
 )
 from fsn.localize import FrameScoreTrack
@@ -246,17 +248,18 @@ class TestSegmentLevelMap:
     def test_ground_truth_predictions_score_one(self):
         gts = [(0, 10, 1), (20, 30, 2), (40, 50, 1, "w")]
         preds = segments((0, 10, 0.9, 1), (20, 30, 0.8, 2), (40, 50, 0.7, 1, "w"))
-        report = segment_level_map(preds, self.annotations(gts))
-        np.testing.assert_allclose(report.segment_ap, 1.0)
-        np.testing.assert_allclose(report.segment_map, 1.0)
-        assert report.iou_thresholds == DEFAULT_STRONG_IOUS
+        ap, mean = segment_level_map(preds, self.annotations(gts))
+        np.testing.assert_allclose(ap, 1.0)
+        np.testing.assert_allclose(mean, 1.0)
+        default = inspect.signature(segment_level_map).parameters["thresholds"].default
+        assert default == DEFAULT_STRONG_IOUS
+        assert ap.shape == (2, len(DEFAULT_STRONG_IOUS))
 
     def test_iou_equal_to_threshold_is_a_false_positive(self):
         gts = [(0, 10)]
         preds = segments((0, 5, 0.9))  # IoU exactly 0.5
-        config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
-        report = segment_level_map(preds, self.annotations(gts), config)
-        assert report.segment_ap[0, 0] == 0.0
+        ap, _ = segment_level_map(preds, self.annotations(gts), (0.5,))
+        assert ap[0, 0] == 0.0
 
     def test_hand_built_three_versus_two(self):
         gts = [(0, 10), (20, 30)]
@@ -265,17 +268,15 @@ class TestSegmentLevelMap:
             (0, 9, 0.8),  # IoU 0.9, but the GT is already matched
             (19, 29, 0.7),  # IoU 9/11 with second GT
         )
-        config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
-        report = segment_level_map(preds, self.annotations(gts), config)
-        assert report.segment_ap[0, 0] == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
+        ap, _ = segment_level_map(preds, self.annotations(gts), (0.5,))
+        assert ap[0, 0] == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
 
     def test_greedy_matching_prefers_best_iou(self):
         gts = [(0, 10), (8, 18)]
         # single prediction overlapping both; must take the higher-IoU one
         preds = segments((7, 17, 0.9))
-        config = EvalConfig(num_classes=2, iou_thresholds=(0.3,))
-        report = segment_level_map(preds, self.annotations(gts), config)
-        assert report.segment_ap[0, 0] == pytest.approx(0.5)
+        ap, _ = segment_level_map(preds, self.annotations(gts), (0.3,))
+        assert ap[0, 0] == pytest.approx(0.5)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2)
@@ -296,8 +297,7 @@ class TestSegmentLevelMap:
                 triples.append((start, end, float(np.round(rng.uniform(), 3))))
             preds = segments(*triples)
             threshold = float(rng.choice([0.3, 0.5, 0.7]))
-            config = EvalConfig(num_classes=1, iou_thresholds=(threshold,))
-            report = segment_level_map(preds, self.annotations(gts, 1), config)
+            ap, _ = segment_level_map(preds, self.annotations(gts, 1), (threshold,))
             flags, _ = match_predictions(
                 oracle_rows(preds),
                 gt_rows(ground_truth(*gts)),
@@ -305,7 +305,7 @@ class TestSegmentLevelMap:
                 lambda a, b: iou_by_frames(a, b),
             )
             oracle = ap_by_pr_points(flags, len(gts))
-            assert report.segment_ap[0, 0] == pytest.approx(oracle, abs=1e-12)
+            assert ap[0, 0] == pytest.approx(oracle, abs=1e-12)
 
     def test_multi_video_multi_class_matches_oracle(self):
         # GTs of each class spread over several videos, tied (2-decimal)
@@ -340,8 +340,7 @@ class TestSegmentLevelMap:
                 table.append((300, 303, 0.5, 3, video))
             preds = segments(*table)
             annotations = self.annotations(gts, 3)
-            config = EvalConfig(num_classes=3, iou_thresholds=thresholds)
-            report = segment_level_map(preds, annotations, config)
+            ap, _ = segment_level_map(preds, annotations, thresholds)
             for class_id in (1, 2, 3):
                 class_preds = [p for p in oracle_rows(preds) if p[1] == class_id]
                 class_gts = [g for g in gt_rows(annotations.segments) if g[1] == class_id]
@@ -350,7 +349,7 @@ class TestSegmentLevelMap:
                         class_preds, class_gts, threshold, iou_by_frames
                     )
                     oracle = ap_by_pr_points(flags, len(class_gts))
-                    assert report.segment_ap[class_id - 1, t_idx] == pytest.approx(
+                    assert ap[class_id - 1, t_idx] == pytest.approx(
                         oracle, abs=1e-12
                     )
 
@@ -362,35 +361,33 @@ class TestSegmentLevelMap:
              float(np.round(rng.uniform(), 2)))
             for i in range(5)
         ])
-        report = segment_level_map(preds, self.annotations(gts))
-        diffs = np.diff(report.segment_map)
+        _, mean = segment_level_map(preds, self.annotations(gts))
+        diffs = np.diff(mean)
         assert np.all(diffs <= 1e-12)
 
     def test_ap_invariant_under_monotone_confidence_transform(self):
         gts = [(0, 10), (30, 40)]
         preds = segments((0, 8, 0.6), (29, 41, 0.3), (50, 60, 0.8))
-        base = segment_level_map(preds, self.annotations(gts))
+        base, _ = segment_level_map(preds, self.annotations(gts))
         squashed = replace(preds, confidence=preds.confidence**2)
-        after = segment_level_map(squashed, self.annotations(gts))
-        np.testing.assert_allclose(base.segment_ap, after.segment_ap)
+        after, _ = segment_level_map(squashed, self.annotations(gts))
+        np.testing.assert_allclose(base, after)
 
     def test_removing_a_false_positive_never_hurts(self):
         gts = [(0, 10)]
         with_fp = segments((0, 10, 0.6), (50, 60, 0.9))
         without = segments((0, 10, 0.6))
-        config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
-        before = segment_level_map(with_fp, self.annotations(gts), config)
-        after = segment_level_map(without, self.annotations(gts), config)
-        assert after.segment_ap[0, 0] >= before.segment_ap[0, 0]
+        before, _ = segment_level_map(with_fp, self.annotations(gts), (0.5,))
+        after, _ = segment_level_map(without, self.annotations(gts), (0.5,))
+        assert after[0, 0] >= before[0, 0]
 
     def test_duplicate_on_matched_gt_never_helps(self):
         gts = [(0, 10)]
         base = segments((0, 10, 0.9))
         duplicated = segments((0, 10, 0.9), (0, 10, 0.5))
-        config = EvalConfig(num_classes=2, iou_thresholds=(0.5,))
-        before = segment_level_map(base, self.annotations(gts), config)
-        after = segment_level_map(duplicated, self.annotations(gts), config)
-        assert after.segment_ap[0, 0] <= before.segment_ap[0, 0]
+        before, _ = segment_level_map(base, self.annotations(gts), (0.5,))
+        after, _ = segment_level_map(duplicated, self.annotations(gts), (0.5,))
+        assert after[0, 0] <= before[0, 0]
 
     def test_rejects_unknown_video(self):
         gts = [(0, 10)]
@@ -398,10 +395,8 @@ class TestSegmentLevelMap:
         with pytest.raises(ValueError, match="unknown video"):
             segment_level_map(preds, self.annotations(gts))
         # explicit universe admits videos without ground truth
-        report = segment_level_map(
-            preds, self.annotations(gts), video_ids={"v", "mystery"}
-        )
-        assert report.segment_ap[0, 0] == 0.0
+        ap, _ = segment_level_map(preds, self.annotations(gts), video_ids={"v", "mystery"})
+        assert ap[0, 0] == 0.0
 
     def test_first_bad_prediction_names_the_error(self):
         gts = [(0, 10)]
@@ -413,18 +408,20 @@ class TestSegmentLevelMap:
 
     def test_weak_default_thresholds(self):
         assert DEFAULT_WEAK_IOUS == (0.1, 0.2, 0.3, 0.4, 0.5)
-        config = EvalConfig(num_classes=1, iou_thresholds=DEFAULT_WEAK_IOUS)
-        assert config.iou_thresholds == DEFAULT_WEAK_IOUS
+        assert iou_thresholds(DEFAULT_WEAK_IOUS) == DEFAULT_WEAK_IOUS
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
-            EvalConfig(num_classes=1, iou_thresholds=(0.5, 0.3))
+            iou_thresholds((0.5, 0.3))
         with pytest.raises(ValueError):
-            EvalConfig(num_classes=1, iou_thresholds=(0.0, 0.5))
+            iou_thresholds((0.0, 0.5))
         with pytest.raises(ValueError):
-            EvalConfig(num_classes=1, iou_thresholds=())
+            iou_thresholds(())
         with pytest.raises(ValueError, match="strictly ascend"):
-            EvalConfig(num_classes=1, iou_thresholds=(0.5, 0.5))
+            iou_thresholds((0.5, 0.5))
+        # segment_level_map checks its thresholds the same way
+        with pytest.raises(ValueError, match=r"^IoU threshold 0\.0 outside \(0, 1\]$"):
+            segment_level_map(segments(), self.annotations([(0, 10)]), (0.0, 0.5))
 
 
 _MATCH_THRESHOLDS = (0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.75, 1.0)
@@ -464,11 +461,8 @@ def test_segment_map_matches_the_greedy_oracle(gts, preds, thresholds):
     gt_record = ground_truth(*[(s, s + n, c, v) for s, n, c, v in gts])
     pred_record = segments(*[(s, s + n, p, c, v) for s, n, p, c, v in preds])
     thresholds = tuple(sorted(thresholds))
-    report = segment_level_map(
-        pred_record,
-        AnnotationSet(["x", "y", "z"], gt_record),
-        EvalConfig(num_classes=3, iou_thresholds=thresholds),
-        video_ids={"a", "b", "c"},
+    ap, _ = segment_level_map(
+        pred_record, AnnotationSet(["x", "y", "z"], gt_record), thresholds, video_ids={"a", "b", "c"}
     )
     for class_id in (1, 2, 3):
         class_preds = [p for p in oracle_rows(pred_record) if p[1] == class_id]
@@ -476,7 +470,7 @@ def test_segment_map_matches_the_greedy_oracle(gts, preds, thresholds):
         for t_idx, threshold in enumerate(thresholds):
             flags, _ = match_predictions(class_preds, class_gts, threshold, iou_by_frames)
             oracle = ap_by_pr_points(flags, len(class_gts))
-            assert report.segment_ap[class_id - 1, t_idx] == pytest.approx(oracle, abs=1e-12)
+            assert ap[class_id - 1, t_idx] == pytest.approx(oracle, abs=1e-12)
 
 
 class TestReports:
@@ -484,10 +478,8 @@ class TestReports:
         gts = [(0, 10, 1), (20, 30, 2)]
         preds = segments((0, 10, 0.9, 1), (20, 28, 0.8, 2))
         names = ["action_01", "action_02"]
-        report = segment_level_map(preds, AnnotationSet(names, ground_truth(*gts)))
-        report.frame_ap = np.array([0.75, 0.5])
-        report.frame_map = 0.625
-        return report
+        ap, mean = segment_level_map(preds, AnnotationSet(names, ground_truth(*gts)))
+        return EvalReport(names, DEFAULT_STRONG_IOUS, ap, mean, np.array([0.75, 0.5]), 0.625)
 
     def test_emission_is_deterministic(self, tmp_path):
         report = self.make_report()
@@ -535,13 +527,3 @@ class TestReports:
         with pytest.raises(ValueError, match="duplicate report row") as err:
             load_report(path)
         assert str(path) in str(err.value)
-
-    def test_report_without_frame_column(self, tmp_path):
-        report = self.make_report()
-        report.frame_ap = None
-        report.frame_map = None
-        path = tmp_path / "report.csv"
-        emit_report(report, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "class,iou_0.3,iou_0.4,iou_0.5,iou_0.6,iou_0.7"
-
