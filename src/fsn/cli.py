@@ -715,24 +715,17 @@ def cmd_eval(cfg: RunConfig) -> dict:
     tracks = _load_tracks(tracks_dir, annotations.num_classes)
     default = DEFAULT_STRONG_IOUS if tracks[0].includes_background else DEFAULT_WEAK_IOUS
     thresholds = iou_thresholds(default if cfg.eval_iou is None else cfg.eval_iou)
-    predictions = load_predictions(predictions_path)
-    track_ids = [t.video_id for t in tracks]
-    for track, found in zip(tracks, predictions.per_video(track_ids)):
-        if found.end.max(initial=0) > track.frame_count:
-            raise ValueError(
-                f"{predictions_path}: a prediction of {track.video_id!r} ends at frame "
-                f"{found.end.max()}, past its track's {track.frame_count} frames"
-            )
-    gt_by_video = annotations.segments.per_video(track_ids)
-    test_gt = AnnotationSet(annotations.class_names, Segments.concatenate(gt_by_video))
+    predictions = load_predictions(predictions_path, tracks)
+    gt_by_video = annotations.segments.per_video([t.video_id for t in tracks])
     try:
-        segment = segment_level_map(predictions, test_gt, thresholds, video_ids=set(track_ids))
-    except ValueError as err:  # a prediction of an unknown video or class
-        raise ValueError(f"{predictions_path}: {err}") from None
-    labels = {
-        track.video_id: label_frames(track.frame_count, segments)
-        for track, segments in zip(tracks, gt_by_video)
-    }
+        labels = {
+            track.video_id: label_frames(track.frame_count, segments)
+            for track, segments in zip(tracks, gt_by_video)
+        }
+    except ValueError as err:  # a ground-truth segment past its video's track
+        raise ValueError(f"{cfg.annotations}: {err}") from None
+    test_gt = AnnotationSet(annotations.class_names, Segments.concatenate(gt_by_video))
+    segment = segment_level_map(predictions, test_gt, thresholds)
     frame = frame_level_map(tracks, labels)
     report = EvalReport(annotations.class_names, thresholds, *segment, *frame)
     report_path = _out_dir(cfg) / "report.csv"

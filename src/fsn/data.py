@@ -140,14 +140,6 @@ class AnnotationSet:
         return len(self.class_names)
 
 
-def member_of(values: Array, keys) -> Array:
-    """Whether each entry of the string column ``values`` is one of ``keys``,
-    by binary search in the sorted keys (numpy's set routines would import
-    ``numpy.ma`` in every process that calls them)."""
-    keys = np.sort(np.array(list(keys), dtype=str))
-    return np.searchsorted(keys, values, "right") > np.searchsorted(keys, values, "left")
-
-
 def write_features(video: VideoFeatures, path) -> None:
     with np.errstate(over="ignore"):  # an overflow is reported below, by video
         payload = np.ascontiguousarray(video.features, dtype="<f4")
@@ -297,6 +289,17 @@ def parse_segment_rows(path, lines: list[str], scored: bool, checks: Callable) -
     return seg
 
 
+def frame_checks(seg: Segments, frame_counts: dict[str, int]) -> list:
+    """The checks ``parse_segment_rows`` makes of rows against their videos'
+    frame counts: a row's video has a count, and its end is within it."""
+    video, end = seg.video_id, seg.end
+    frames = np.array([frame_counts.get(v, -1) for v in video.tolist()], dtype=np.int64)
+    return [
+        (frames < 0, lambda k: f"unknown video {str(video[k])!r}"),
+        (end > frames, lambda k: f"segment end {end[k]} exceeds {video[k]}'s {frames[k]} frames"),
+    ]
+
+
 def load_annotations(path, frame_counts: dict[str, int] | None = None) -> AnnotationSet:
     """Parse a segment annotation file, validating against frame counts if given."""
     path = Path(path)
@@ -317,18 +320,13 @@ def load_annotations(path, frame_counts: dict[str, int] | None = None) -> Annota
         )
 
     def checks(seg: Segments) -> list:
-        video, cls, start, end = seg.video_id, seg.class_id, seg.start, seg.end
+        cls, start, end = seg.class_id, seg.start, seg.end
         found = [
             ((cls < 1) | (cls > count), lambda k: f"class id {cls[k]} outside 1..{count}"),
             ((start < 0) | (end <= start), lambda k: f"bad segment [{start[k]}, {end[k]})"),
         ]
         if frame_counts is not None:
-            frames = np.array([frame_counts.get(v, -1) for v in video.tolist()], dtype=np.int64)
-            found += [
-                (frames < 0, lambda k: f"unknown video {str(video[k])!r}"),
-                (end > frames,
-                 lambda k: f"segment end {end[k]} exceeds {video[k]}'s {frames[k]} frames"),
-            ]
+            found += frame_checks(seg, frame_counts)
         return found
 
     return AnnotationSet(names, parse_segment_rows(path, lines, False, checks))

@@ -20,13 +20,15 @@ itself.
 A segment prediction counts as a true positive only when its IoU with an
 unmatched same-class ground truth in the same video is strictly above the
 threshold; matching is greedy in rank order, best IoU first, earliest ground
-truth on ties. Predictions and ground truth arrive as ``Segments`` records,
-the ground truth grouped by (class, video) with one stable sort. Per class,
-the ranked predictions get one IoU matrix against their own video's ground
-truths, padded to the largest group, and one stable argsort of its rows by
-descending IoU: at any threshold a row's hits are a prefix of its order, so
-the greedy pass at each threshold takes, row by row, the first untaken
-ground truth of that prefix.
+truth on ties. Predictions and ground truth arrive as ``Segments`` records
+whose rows were checked where their files were read; a prediction of a video
+without ground truth is a false positive, and one of a class outside the
+table is ranked in no class. The ground truth is grouped by (class, video)
+with one stable sort. Per class, the ranked predictions get one IoU matrix
+against their own video's ground truths, padded to the largest group, and one
+stable argsort of its rows by descending IoU: at any threshold a row's hits
+are a prefix of its order, so the greedy pass at each threshold takes, row by
+row, the first untaken ground truth of that prefix.
 
 Both metrics return arrays, per-class AP and the mean over classes (per IoU
 threshold for segments), and ``report.csv`` always has every column. Classes
@@ -42,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import AnnotationSet, Segments, member_of
+from .data import AnnotationSet, Segments
 from .localize import FrameScoreTrack, pairwise_iou
 from .nncore import Array
 
@@ -215,28 +217,17 @@ def segment_level_map(
     predictions: Segments,
     gt: AnnotationSet,
     thresholds: Sequence[float] = DEFAULT_STRONG_IOUS,
-    video_ids: set[str] | None = None,
 ) -> tuple[Array, Array]:
     """Detection AP per class and IoU threshold, and the per-threshold means.
 
-    ``video_ids``, when given, is the universe of evaluated videos and any
-    prediction outside it is an error; otherwise the ground truth's videos
-    define the universe.
+    Predictions are taken as given (``load_predictions`` checks a file's rows
+    against the score tracks): one of a video without ground truth is a false
+    positive of its class, and one of a class outside the table is ranked in
+    no class.
     """
     thresholds = iou_thresholds(thresholds)
     num_classes = gt.num_classes
     segments = gt.segments
-    known = video_ids if video_ids is not None else segments.video_id
-    unknown = ~member_of(predictions.video_id, known)
-    outside = (predictions.class_id < 1) | (predictions.class_id > num_classes)
-    if np.any(unknown | outside):
-        first = int(np.argmax(unknown | outside))
-        if unknown[first]:
-            video = str(predictions.video_id[first])
-            raise ValueError(f"prediction references unknown video {video!r}")
-        raise ValueError(
-            f"prediction class {predictions.class_id[first]} outside 1..{num_classes}"
-        )
     # one stable sort groups the ground truth by (class, video), input order within
     grouped = segments.take(np.lexsort((segments.video_id, segments.class_id)))
     bounds = np.searchsorted(grouped.class_id, np.arange(1, num_classes + 2))

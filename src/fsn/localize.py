@@ -15,7 +15,8 @@ per class and video, NMS keeps a subset of it, ``join_predictions`` joins
 and sorts them, and the prediction file (tab-separated, fixed header) is
 written from one and parsed into one by the row reader that also reads the
 annotations. Rows are checked only where they enter from outside, in
-``load_predictions``. ``localize`` works one video at a
+``load_predictions``, against the score tracks too when it is given them.
+``localize`` works one video at a
 time: each finished score track is handed to the caller, which writes or
 keeps it, and only the video's segments stay behind.
 """
@@ -29,7 +30,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .data import (
-    Segments, VideoFeatures, parse_segment_rows, read_lines, snippet_centers, span_bounds,
+    Segments, VideoFeatures, frame_checks, parse_segment_rows, read_lines, snippet_centers,
+    span_bounds,
 )
 from .model import Head, fsn_forward
 from .nncore import Array
@@ -280,8 +282,12 @@ def write_predictions(predictions: Segments, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_predictions(path) -> Segments:
-    """Parse a prediction file; a malformed row is an error naming its line."""
+def load_predictions(path, tracks: Sequence[FrameScoreTrack] | None = None) -> Segments:
+    """Parse a prediction file; a malformed row is an error naming its line.
+
+    With ``tracks``, a row must also name a video that has a track, a class of
+    the tracks' table, and end within its track.
+    """
     path = Path(path)
     lines = read_lines(path)
     if not lines or lines[0] != PREDICTION_HEADER:
@@ -289,11 +295,16 @@ def load_predictions(path) -> Segments:
 
     def checks(seg: Segments) -> list:
         start, end, cls, confidence = seg.start, seg.end, seg.class_id, seg.confidence
-        return [
+        found = [
             ((start < 0) | (end <= start), lambda k: f"bad segment [{start[k]}, {end[k]})"),
             (cls < 1, lambda k: f"class ids start at 1, got {cls[k]}"),
             (~((confidence >= 0.0) & (confidence <= 1.0)),
              lambda k: f"confidence {confidence[k]} outside [0, 1]"),
         ]
+        if tracks is not None:
+            count = max((t.num_classes for t in tracks), default=0)
+            found += frame_checks(seg, {t.video_id: t.frame_count for t in tracks})
+            found.append((cls > count, lambda k: f"class id {cls[k]} outside 1..{count}"))
+        return found
 
     return parse_segment_rows(path, lines, True, checks)

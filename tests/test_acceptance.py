@@ -140,7 +140,7 @@ def test_criterion_2_oracle_equivalence(criterion):
             for s in rng.choice(50, size=int(rng.integers(1, 5)), replace=False)
         ])
         preds = _random_segments(rng, int(rng.integers(1, 7)))
-        ap, _ = segment_level_map(preds, AnnotationSet(["a"], gts), (0.4,), video_ids={"v"})
+        ap, _ = segment_level_map(preds, AnnotationSet(["a"], gts), (0.4,))
         flags, order = match_predictions(
             [(v, c, s, e, p) for s, e, p, c, v in rows(preds)],
             gt_rows(gts),

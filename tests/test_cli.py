@@ -1394,9 +1394,7 @@ def test_eval_matches_library_result(corpus, predicted):
         annotations.class_names,
         segments.take(np.array([v in test_ids for v in segments.video_id.tolist()], dtype=bool)),
     )
-    _, segment_map = segment_level_map(
-        load_predictions(predicted / "predictions.tsv"), test_gt, video_ids=test_ids
-    )
+    _, segment_map = segment_level_map(load_predictions(predicted / "predictions.tsv"), test_gt)
     labels = {
         t.video_id: label_frames(
             t.frame_count, test_gt.segments.take(test_gt.segments.video_id == t.video_id)
@@ -1470,16 +1468,19 @@ def test_eval_rejects_predictions_for_unknown_video(corpus, predicted, tmp_path,
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
-    assert "no_such_video" in err
+    assert err == f"error: {bad}: line 2: unknown video 'no_such_video'\n"
 
 
 @pytest.mark.parametrize("row, message", [
-    ("{video}\t0\t{end}\t1\t0.5", "ends at frame {end}, past its track's {frames} frames"),
-    ("{video}\t0\t10\t99\t0.5", "prediction class 99 outside 1..3"),
+    ("{video}\t0\t{end}\t1\t0.5",
+     "line {line}: segment end {end} exceeds {video}'s {frames} frames"),
+    ("{video}\t0\t10\t99\t0.5", "line {line}: class id 99 outside 1..3"),
     ("{video}\t0\t99999999999999999999\t1\t0.5",
      "line {line}: integer field outside the int64 range"),
-], ids=["end-past-the-track", "class-outside-the-table", "bound-beyond-int64"])
+    # a row past its track comes before a row of bad confidence: it is the error
+    ("{video}\t0\t{end}\t1\t0.5\n{video}\t0\t10\t1\t1.5",
+     "line {line}: segment end {end} exceeds {video}'s {frames} frames"),
+], ids=["end-past-the-track", "class-outside-the-table", "bound-beyond-int64", "first-bad-row"])
 def test_eval_rejects_predictions_outside_the_tracks(
     corpus, predicted, tmp_path, capsys, row, message
 ):
@@ -1500,9 +1501,29 @@ def test_eval_rejects_predictions_outside_the_tracks(
         "--out", str(out),
     ])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
-    assert message.format(**values) in err
+    assert capsys.readouterr().err == f"error: {bad}: {message.format(**values)}\n"
+    assert not (out / "report.csv").exists()
+
+
+def test_eval_rejects_ground_truth_past_its_track(corpus, predicted, tmp_path, capsys):
+    track = load_features(sorted((predicted / "tracks").glob("*.fsnf"))[0])
+    annotations = tmp_path / "annotations.tsv"
+    annotations.write_text(
+        (corpus / "annotations.tsv").read_text() + f"{track.video_id}\t0\t99999\t1\n"
+    )
+    out = tmp_path / "out"
+    rc = main([
+        "eval",
+        "--annotations", str(annotations),
+        "--predictions", str(predicted / "predictions.tsv"),
+        "--tracks", str(predicted / "tracks"),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {annotations}: {track.video_id}: segment end 99999 exceeds "
+        f"{track.frame_count} frames\n"
+    )
     assert not (out / "report.csv").exists()
 
 

@@ -28,7 +28,7 @@ from fsn.data import (
     write_features,
     write_manifest,
 )
-from fsn.localize import PREDICTION_HEADER, load_predictions
+from fsn.localize import PREDICTION_HEADER, FrameScoreTrack, load_predictions
 from oracles import list_rebalance, window_majority_class, window_scan
 from records import ground_truth, gt_rows, rows, segments, synth_corpus
 
@@ -223,6 +223,7 @@ BAD_ANNOTATION_ROWS = {
 }
 
 # one bad row per check, and the message load_predictions gives for it
+# (against one 100-frame track of video v1 with two classes)
 BAD_PREDICTION_ROWS = {
     "field count": ("v1\t0\t5\t1", "expected 5 fields, got 4"),
     "non-integer field": ("v1\t0\tfive\t1\t0.5", "non-integer field"),
@@ -234,6 +235,9 @@ BAD_PREDICTION_ROWS = {
     "class id 0": ("v1\t0\t5\t0\t0.5", "class ids start at 1, got 0"),
     "confidence above 1": ("v1\t0\t5\t1\t1.5", "confidence 1.5 outside [0, 1]"),
     "confidence nan": ("v1\t0\t5\t1\tnan", "confidence nan outside [0, 1]"),
+    "unknown video": ("v9\t0\t5\t1\t0.5", "unknown video 'v9'"),
+    "class past the table": ("v1\t0\t5\t3\t0.5", "class id 3 outside 1..2"),
+    "end past the track": ("v1\t0\t101\t1\t0.5", "segment end 101 exceeds v1's 100 frames"),
 }
 
 
@@ -289,11 +293,12 @@ class TestAnnotationRows:
 
 class TestPredictionRows:
     def rejection(self, tmp_path, *rows) -> str:
-        """The error of loading a prediction file of ``rows``."""
+        """The error of loading a prediction file of ``rows`` against one
+        100-frame track of v1 with two classes."""
         path = tmp_path / "predictions.tsv"
         path.write_text(PREDICTION_HEADER + "\n" + "".join(f"{row}\n" for row in rows))
         with pytest.raises(ValueError) as err:
-            load_predictions(path)
+            load_predictions(path, [FrameScoreTrack("v1", np.zeros((100, 2)), False)])
         return str(err.value).removeprefix(f"{path}: ")
 
     @pytest.mark.parametrize("check", list(BAD_PREDICTION_ROWS))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsn.data import AnnotationSet
+from fsn.data import AnnotationSet, Segments
 from fsn.evaluate import (
     DEFAULT_STRONG_IOUS,
     DEFAULT_WEAK_IOUS,
@@ -20,7 +20,7 @@ from fsn.evaluate import (
     iou_thresholds,
     segment_level_map,
 )
-from fsn.localize import FrameScoreTrack
+from fsn.localize import PREDICTION_HEADER, FrameScoreTrack, load_predictions
 from oracles import ap_by_pr_points, iou_by_frames, match_predictions, pooled_frame_ap
 from records import ground_truth, gt_rows, load_report, rows, segments
 
@@ -389,22 +389,33 @@ class TestSegmentLevelMap:
         after, _ = segment_level_map(duplicated, self.annotations(gts), (0.5,))
         assert after[0, 0] <= before[0, 0]
 
-    def test_rejects_unknown_video(self):
-        gts = [(0, 10)]
-        preds = segments((0, 10, 0.9, 1, "mystery"))
-        with pytest.raises(ValueError, match="unknown video"):
-            segment_level_map(preds, self.annotations(gts))
-        # explicit universe admits videos without ground truth
-        ap, _ = segment_level_map(preds, self.annotations(gts), video_ids={"v", "mystery"})
-        assert ap[0, 0] == 0.0
+    def read(self, path, *rows) -> Segments:
+        """Predictions read from a file of ``rows`` against a two-class,
+        100-frame track of ``v``, as eval reads them."""
+        path.write_text(PREDICTION_HEADER + "\n" + "".join(f"{row}\n" for row in rows))
+        return load_predictions(path, [FrameScoreTrack("v", np.zeros((100, 2)), False)])
 
-    def test_first_bad_prediction_names_the_error(self):
+    def test_rejects_unknown_video(self, tmp_path):
         gts = [(0, 10)]
-        preds = segments((0, 10, 0.9), (0, 10, 0.9, 3), (0, 10, 0.9, 1, "mystery"))
-        with pytest.raises(ValueError, match=r"^prediction class 3 outside 1\.\.2$"):
-            segment_level_map(preds, self.annotations(gts))
-        with pytest.raises(ValueError, match="^prediction references unknown video 'mystery'$"):
-            segment_level_map(preds.take(np.array([2, 1])), self.annotations(gts))
+        # eval rejects the video where it reads the file
+        with pytest.raises(ValueError, match=r": line 3: unknown video 'mystery'$"):
+            self.read(tmp_path / "p.tsv", "v\t0\t10\t1\t0.5", "mystery\t0\t10\t1\t0.9")
+        # the metric itself counts a video without ground truth a false positive
+        preds = segments((0, 10, 0.9, 1, "mystery"), (0, 10, 0.5))
+        ap, _ = segment_level_map(preds, self.annotations(gts), (0.5,))
+        assert ap[0, 0] == 0.5
+
+    def test_first_bad_prediction_names_the_error(self, tmp_path):
+        gts = [(0, 10)]
+        bad = ["v\t0\t10\t1\t0.9", "v\t0\t10\t3\t0.9", "mystery\t0\t10\t1\t0.9"]
+        with pytest.raises(ValueError, match=r": line 3: class id 3 outside 1\.\.2$"):
+            self.read(tmp_path / "p.tsv", *bad)
+        with pytest.raises(ValueError, match=r": line 2: unknown video 'mystery'$"):
+            self.read(tmp_path / "p.tsv", bad[2], bad[1])
+        # the metric itself ranks a class outside 1..2 in no class
+        outside = segments((0, 10, 0.9, 3), (0, 10, 0.9, 0), (0, 10, 0.5))
+        ap, _ = segment_level_map(outside, self.annotations(gts), (0.5,))
+        assert ap.tolist() == [[1.0], [0.0]]
 
     def test_weak_default_thresholds(self):
         assert DEFAULT_WEAK_IOUS == (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -461,9 +472,7 @@ def test_segment_map_matches_the_greedy_oracle(gts, preds, thresholds):
     gt_record = ground_truth(*[(s, s + n, c, v) for s, n, c, v in gts])
     pred_record = segments(*[(s, s + n, p, c, v) for s, n, p, c, v in preds])
     thresholds = tuple(sorted(thresholds))
-    ap, _ = segment_level_map(
-        pred_record, AnnotationSet(["x", "y", "z"], gt_record), thresholds, video_ids={"a", "b", "c"}
-    )
+    ap, _ = segment_level_map(pred_record, AnnotationSet(["x", "y", "z"], gt_record), thresholds)
     for class_id in (1, 2, 3):
         class_preds = [p for p in oracle_rows(pred_record) if p[1] == class_id]
         class_gts = [g for g in gt_rows(gt_record) if g[1] == class_id]
