@@ -18,7 +18,7 @@ import signal
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -112,8 +112,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 @dataclass
 class RunConfig:
     """Merged settings for one command run: defaults, then the config file,
-    then flags. A ``None`` setting was not given; it is then taken from the
-    data or the model, or is ``ModelConfig``'s or ``SynthConfig``'s default."""
+    then flags. A ``None`` setting was not given. ``given`` holds the given
+    ``ModelConfig`` and ``SynthConfig`` settings, by name, written only by
+    ``build_config``; the rest are taken from the data or the model, or keep
+    their dataclass's default. ``seed`` seeds the corpus too."""
 
     features_dir: str | None = None
     annotations: str | None = None
@@ -123,12 +125,6 @@ class RunConfig:
     tracks: str | None = None
     out: str = "out"
     split: str | None = None
-    num_classes: int | None = None
-    feature_dim: int | None = None
-    hidden_channels: int | None = None
-    snippet_len: int | None = None
-    clip_len: int | None = None
-    dilations: tuple[int, ...] | None = None
     pooling: str = GMP
     learning_rate: float = 1e-4
     momentum: float = 0.9
@@ -139,20 +135,12 @@ class RunConfig:
     train_stride: int | None = None
     min_action_frames: int = 5
     weak_positions: int = 100
-    num_videos: int | None = None
-    frames_per_video: int | None = None
-    prototype_noise: float | None = None
-    context_ambiguity: bool | None = None
-    instance_density: float | None = None
-    train_fraction: float | None = None
-    single_class_videos: bool | None = None
-    min_instance_len: int | None = None
-    max_instance_len: int | None = None
     eval_iou: tuple[float, ...] | None = None
     predict_iou: float = 0.5
     ablate_mode: str = "temporal"
     gradcheck_seeds: int = 20
     seed: int = 42
+    given: dict = field(default_factory=dict)
 
 
 _PARSERS: dict[str, Callable] = {
@@ -164,11 +152,14 @@ _PARSERS: dict[str, Callable] = {
     "tuple[float, ...]": _parse_float_list,
 }
 
-# every recognized config key with the parser of its RunConfig field type
-# (optional fields parse like their inner type); flag names mirror these
+# every recognized config key, a field of RunConfig, ModelConfig or
+# SynthConfig, with the parser of its type (optional fields parse like their
+# inner type); flag names mirror these
 SCHEMA: dict[str, Callable] = {
     f.name: _PARSERS[f.type.removesuffix(" | None")]
-    for f in fields(RunConfig)
+    for config_type in (RunConfig, ModelConfig, SynthConfig)
+    for f in fields(config_type)
+    if f.name != "given"
 }
 
 
@@ -199,9 +190,13 @@ def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> Ru
     for values in (file_values, flag_values):
         for key, raw in values.items():
             try:
-                setattr(cfg, key, SCHEMA[key](raw))
+                value = SCHEMA[key](raw)
             except ValueError as err:
                 raise ValueError(f"config key {key!r}: {err}") from None
+            if hasattr(cfg, key):
+                setattr(cfg, key, value)
+            else:
+                cfg.given[key] = value
     if cfg.seed < 0:
         raise ValueError(f"config key 'seed': must be >= 0, got {cfg.seed}")
     return cfg
@@ -215,19 +210,18 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 
 def _given(cfg: RunConfig, config_type) -> dict:
     """The settings of ``config_type``'s fields that ``cfg`` gives."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(config_type)}
-    return {k: v for k, v in values.items() if v is not None}
+    return {f.name: cfg.given[f.name] for f in fields(config_type) if f.name in cfg.given}
 
 
 def _check_given(cfg: RunConfig, num_classes: int, feature_dim: int, source: str) -> None:
     """Stop if a given ``num_classes`` or ``feature_dim`` differs from what
     ``source`` (the data in training, the model in scoring) carries."""
-    if cfg.num_classes not in (None, num_classes):
-        raise ValueError(f"config asks for {cfg.num_classes} classes, {source} carries {num_classes}")
-    if cfg.feature_dim not in (None, feature_dim):
-        raise ValueError(
-            f"config asks for feature_dim {cfg.feature_dim}, {source} carries {feature_dim}"
-        )
+    asked = cfg.given.get("num_classes", num_classes)
+    if asked != num_classes:
+        raise ValueError(f"config asks for {asked} classes, {source} carries {num_classes}")
+    asked = cfg.given.get("feature_dim", feature_dim)
+    if asked != feature_dim:
+        raise ValueError(f"config asks for feature_dim {asked}, {source} carries {feature_dim}")
 
 
 def _model_config(cfg: RunConfig, num_classes: int, feature_dim: int) -> ModelConfig:
@@ -265,6 +259,12 @@ def _select_videos(
     return headers, split
 
 
+def _path(cfg: RunConfig, key: str) -> Path:
+    """The given ``model``, ``predictions`` or ``tracks`` path, or its default under ``out``."""
+    default = {"model": "model.fsn", "predictions": "predictions.tsv", "tracks": "tracks"}[key]
+    return Path(getattr(cfg, key) or Path(cfg.out) / default)
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,8 +297,9 @@ def _undone_on_failure(*directories: Path) -> Iterator[None]:
 
 
 def _synth_config(cfg: RunConfig) -> SynthConfig:
-    """The synth settings that are given; the rest keep SynthConfig's defaults."""
-    return SynthConfig(**_given(cfg, SynthConfig))
+    """The synth settings that are given and the run's seed; the rest keep
+    SynthConfig's defaults."""
+    return SynthConfig(**_given(cfg, SynthConfig), seed=cfg.seed)
 
 
 def _write_corpus(config: SynthConfig, out: Path) -> dict:
@@ -392,8 +393,8 @@ def _window_batches(
     frame_labels, owners, starts, classes = [], [], [], []
     for index, (header, segments) in enumerate(zip(headers, per_video)):
         kept = make_clips(
-            header, segments, clip_len=clip_len, snippet_len=model_config.snippet_len,
-            stride=stride, min_action_frames=cfg.min_action_frames,
+            header, segments, clip_len=clip_len, stride=stride,
+            min_action_frames=cfg.min_action_frames,
         )
         frame_labels.append(label_frames(header.frame_count, segments))
         owners.append(np.full(kept.size, index))
@@ -503,7 +504,7 @@ def _train(cfg: RunConfig, init_head: Callable[[ModelConfig, int], Head], batche
         loss = fsn_train_step(*next_batch(), head, optimizer)
         if step % cfg.log_every == 0:
             lines.append(f"{step},{loss:.6f}")
-    model_path = Path(cfg.model) if cfg.model else out / "model.fsn"
+    model_path = _path(cfg, "model")
     save_model(head, model_path)
     log_path = out / "train_log.csv"
     log_path.write_text("\n".join(lines) + "\n")
@@ -630,7 +631,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
             )
     nms_iou = nms_threshold_for(cfg.predict_iou)
     out = Path(cfg.out)
-    tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
+    tracks_dir = _path(cfg, "tracks")
     # eval scores every track it finds, so another run's tracks would count
     scored = {header.video_id for header in headers}
     stale = sorted(p.stem for p in tracks_dir.glob("*.fsnf") if p.stem not in scored)
@@ -640,9 +641,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
             f"not score, e.g. {', '.join(stale[:3])}; predict into a fresh --out "
             f"or --tracks"
         )
-    predictions_path = (
-        Path(cfg.predictions) if cfg.predictions else out / "predictions.tsv"
-    )
+    predictions_path = _path(cfg, "predictions")
     with _undone_on_failure(out, tracks_dir.parent, tracks_dir):
         # a fresh name each run: a killed run's leftovers are never moved in
         scratch = Path(tempfile.mkdtemp(prefix=f".{tracks_dir.name}-", dir=tracks_dir.parent))
@@ -706,11 +705,8 @@ def _load_tracks(tracks_dir: Path, num_classes: int) -> list[FrameScoreTrack]:
 def cmd_eval(cfg: RunConfig) -> dict:
     """Segment-level and frame-level evaluation of a prediction file."""
     _require(cfg, "annotations")
-    out = Path(cfg.out)
-    predictions_path = (
-        Path(cfg.predictions) if cfg.predictions else out / "predictions.tsv"
-    )
-    tracks_dir = Path(cfg.tracks) if cfg.tracks else out / "tracks"
+    predictions_path = _path(cfg, "predictions")
+    tracks_dir = _path(cfg, "tracks")
     annotations = load_annotations(cfg.annotations)
     tracks = _load_tracks(tracks_dir, annotations.num_classes)
     default = DEFAULT_STRONG_IOUS if tracks[0].includes_background else DEFAULT_WEAK_IOUS
@@ -773,8 +769,8 @@ def cmd_ablate(cfg: RunConfig) -> dict:
     for name, init_head, batches in variants[cfg.ablate_mode]:
         variant_out = str(Path(cfg.out) / name)
         train_cfg = replace(cfg, out=variant_out, model=None, predictions=None, tracks=None)
-        _train(train_cfg, init_head, batches)
-        run_cfg = replace(train_cfg, model=str(Path(variant_out) / "model.fsn"), split="test")
+        model_path = _train(train_cfg, init_head, batches)["model"]
+        run_cfg = replace(train_cfg, model=str(model_path), split="test")
         cmd_predict(run_cfg)
         reports[name] = cmd_eval(run_cfg)["result"]
     lines = _comparison_rows(tuple(reports), tuple(reports.values()))

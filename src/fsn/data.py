@@ -350,7 +350,6 @@ def make_clips(
     video: VideoFeatures | FeatureHeader,
     segments: Segments,
     clip_len: int = 35,
-    snippet_len: int = 5,
     stride: int | None = None,
     min_action_frames: int = 5,
 ) -> Array:
@@ -362,8 +361,6 @@ def make_clips(
     one window are skipped with a warning. Only the video's id and frame
     count are read, so a ``FeatureHeader`` serves as well.
     """
-    if clip_len % snippet_len != 0:
-        raise ValueError(f"clip_len {clip_len} is not a multiple of snippet_len {snippet_len}")
     if stride is None:
         stride = clip_len
     if stride < 1:

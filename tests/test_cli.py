@@ -101,9 +101,9 @@ def test_build_config_coerces_types():
     )
     assert cfg.iterations == 500
     assert cfg.eval_iou == (0.3, 0.5)
-    assert cfg.context_ambiguity is True
+    assert cfg.given == {"context_ambiguity": True}
     # settings the data or the model supply stay unset unless given
-    assert cfg.num_classes is None and cfg.feature_dim is None
+    assert "num_classes" not in cfg.given and "feature_dim" not in cfg.given
 
 
 def test_flags_override_config_file():
@@ -134,18 +134,53 @@ def test_bad_flag_value_fails_like_a_config_value(tmp_path, capsys, key, value):
 
 
 def test_schema_follows_run_config_fields():
-    keys = [f.name for f in fields(RunConfig)]
-    assert list(SCHEMA) == keys
+    # the keys are the fields of RunConfig, ModelConfig and SynthConfig, each
+    # name once; RunConfig.given is set by build_config alone
+    names = [f.name for t in (RunConfig, ModelConfig, SynthConfig) for f in fields(t)]
+    assert set(SCHEMA) == set(names) - {"given"}
     assert len(SCHEMA) == 38
+    # RunConfig declares no field of the two dataclasses but the run seed
+    run_fields = {f.name for f in fields(RunConfig)}
+    assert run_fields & {f.name for f in fields(ModelConfig) + fields(SynthConfig)} == {"seed"}
     parser = build_parser()
-    for key in keys:
+    for key in SCHEMA:
         args = parser.parse_args(["synth", "--" + key.replace("_", "-"), "1"])
         assert getattr(args, key) == "1"
-        assert getattr(build_config({}, {key: "1"}), key) == SCHEMA[key]("1")
+        cfg = build_config({}, {key: "1"})
+        assert cfg == build_config({key: "1"}, {})
+        assert {**vars(cfg), **cfg.given}[key] == SCHEMA[key]("1")
     assert SCHEMA["dilations"]("1,2,4") == (1, 2, 4)
     assert SCHEMA["eval_iou"]("0.3,0.5") == (0.3, 0.5)
     assert SCHEMA["context_ambiguity"]("off") is False
-    assert {f.name for f in fields(SynthConfig)} <= set(keys)
+
+
+# a valid value of each field that differs from the one it takes unset
+FIELD_FLAGS = {
+    "num_videos": "9", "frames_per_video": "500", "num_classes": "3", "feature_dim": "6",
+    "prototype_noise": "0.5", "context_ambiguity": "on", "instance_density": "0.3",
+    "seed": "5", "train_fraction": "0.5", "single_class_videos": "yes",
+    "min_instance_len": "10", "max_instance_len": "40",
+    "hidden_channels": "8", "snippet_len": "7", "clip_len": "40", "dilations": "1,3",
+}
+
+
+@pytest.mark.parametrize(
+    "config_type, key",
+    [(SynthConfig, f.name) for f in fields(SynthConfig)]
+    + [
+        (ModelConfig, f.name)
+        for f in fields(ModelConfig)
+        if f.name not in ("num_classes", "feature_dim")  # taken from the data
+    ],
+)
+def test_every_dataclass_field_is_a_flag(config_type, key):
+    def built(flags):
+        cfg = build_config({}, flags)
+        return cli._synth_config(cfg) if config_type is SynthConfig else cli._model_config(cfg, 3, 6)
+
+    args = build_parser().parse_args(["train", "--" + key.replace("_", "-"), FIELD_FLAGS[key]])
+    value = getattr(built({key: getattr(args, key)}), key)
+    assert value == SCHEMA[key](FIELD_FLAGS[key]) != getattr(built({}), key)
 
 
 def test_unset_settings_keep_the_dataclass_defaults():
@@ -524,7 +559,8 @@ def test_train_rejects_class_count_mismatch(corpus, capsys):
         "--num-classes", "9",
     ])
     assert rc == 1
-    assert "9 classes" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config asks for 9 classes, the data carries 3\n"
+    assert not (corpus.parent / "unused").exists()
 
 
 def test_train_reads_each_feature_file_once(corpus, tmp_path, monkeypatch):
@@ -1271,7 +1307,16 @@ def test_predict_rejects_class_count_mismatch(corpus, trained, tmp_path, capsys)
         "--num-classes", "5",
     ])
     assert rc == 1
-    assert "asks for 5" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config asks for 5 classes, the model carries 3\n"
+
+
+def test_predict_rejects_feature_dim_mismatch(corpus, trained, tmp_path, capsys):
+    out = tmp_path / "pred"
+    assert main([*predict_args(corpus, trained, out), "--feature-dim", "9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: config asks for feature_dim 9, the model carries 6\n"
+    )
+    assert not out.exists()
 
 
 def test_predict_rejects_a_model_with_an_empty_layer_table(corpus, trained, tmp_path, capsys):
