@@ -69,9 +69,7 @@ from .model import (
     fsn_loss_and_grads,
     fsn_train_step,
     head_parameters,
-    init_ablation,
     init_fsn,
-    init_wfsn,
     load_model,
     save_model,
 )
@@ -125,7 +123,7 @@ class RunConfig:
     tracks: str | None = None
     out: str = "out"
     split: str | None = None
-    pooling: str = GMP
+    pooling: str | None = None
     learning_rate: float = 1e-4
     momentum: float = 0.9
     weight_decay: float = 5e-4
@@ -213,20 +211,19 @@ def _given(cfg: RunConfig, config_type) -> dict:
     return {f.name: cfg.given[f.name] for f in fields(config_type) if f.name in cfg.given}
 
 
-def _check_given(cfg: RunConfig, num_classes: int, feature_dim: int, source: str) -> None:
-    """Stop if a given ``num_classes`` or ``feature_dim`` differs from what
+def _check_given(cfg: RunConfig, config: ModelConfig, pooling: str | None, source: str) -> None:
+    """Stop if a given architecture setting or pooling differs from what
     ``source`` (the data in training, the model in scoring) carries."""
-    asked = cfg.given.get("num_classes", num_classes)
-    if asked != num_classes:
-        raise ValueError(f"config asks for {asked} classes, {source} carries {num_classes}")
-    asked = cfg.given.get("feature_dim", feature_dim)
-    if asked != feature_dim:
-        raise ValueError(f"config asks for feature_dim {asked}, {source} carries {feature_dim}")
+    carried = {f.name: getattr(config, f.name) for f in fields(config)}
+    asked = {**_given(cfg, ModelConfig), "pooling": cfg.pooling or pooling}
+    for name, value in {**carried, "pooling": pooling}.items():
+        if asked.get(name, value) != value:
+            shown = ["none" if v is None else v for v in (asked[name], value)]
+            raise ValueError(f"config asks for {name} {shown[0]}, {source} carries {shown[1]}")
 
 
 def _model_config(cfg: RunConfig, num_classes: int, feature_dim: int) -> ModelConfig:
     """The given architecture settings; the rest keep ModelConfig's defaults."""
-    _check_given(cfg, num_classes, feature_dim, "the data")
     given = _given(cfg, ModelConfig)
     return ModelConfig(**{**given, "num_classes": num_classes, "feature_dim": feature_dim})
 
@@ -483,16 +480,18 @@ def _weak_batches(
     return next_batch
 
 
-def _train(cfg: RunConfig, init_head: Callable[[ModelConfig, int], Head], batches) -> dict:
-    """The SGD loop of a fresh ``init_head(model_config, seed)`` head over the
-    batch source ``batches(cfg, headers, annotations, model_config)`` of the
-    split; saves the model and the loss log. The loop settings are checked
+def _train(cfg: RunConfig, pooling: str | None) -> dict:
+    """The SGD loop of a fresh head with ``pooling`` over the split, drawn by
+    ``_window_batches`` for a dense head and ``_weak_batches`` for a pooled
+    one; saves the model and the loss log. The loop settings are checked
     before any file is read."""
     _require_positive(cfg, "iterations", "batch_size", "log_every", "weak_positions")
     headers, split, annotations = _load_corpus(cfg, "train")
     model_config = _model_config(cfg, annotations.num_classes, headers[0].feature_dim)
+    _check_given(cfg, model_config, pooling, "the data")
+    batches = _window_batches if pooling is None else _weak_batches
     next_batch = batches(cfg, headers, annotations, model_config)
-    head = init_head(model_config, cfg.seed)
+    head = init_fsn(model_config, cfg.seed, pooling)
     optimizer = OptimizerState(
         learning_rate=cfg.learning_rate,
         momentum=cfg.momentum,
@@ -512,13 +511,14 @@ def _train(cfg: RunConfig, init_head: Callable[[ModelConfig, int], Head], batche
 
 
 def cmd_train(cfg: RunConfig) -> dict:
-    """Train the dilated temporal head on dense frame labels."""
-    return _train(cfg, init_fsn, _window_batches)
+    """Train a dense head on frame labels."""
+    return _train(cfg, None)
 
 
 def cmd_train_weak(cfg: RunConfig) -> dict:
-    """Train the weakly supervised head from video-level labels only."""
-    return _train(cfg, functools.partial(init_wfsn, pooling=cfg.pooling), _weak_batches)
+    """Train the weakly supervised head from video-level labels only; GMP
+    unless a pooling is given."""
+    return _train(cfg, cfg.pooling or GMP)
 
 
 # A forked scoring worker costs its start and thousands of page faults. On 2
@@ -621,7 +621,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
     _require_positive(cfg, "weak_positions")
     _require(cfg, "model")
     head = load_model(cfg.model)
-    _check_given(cfg, head.config.num_classes, head.config.feature_dim, "the model")
+    _check_given(cfg, head.config, head.pooling, "the model")
     headers, split = _select_videos(cfg, "test", allow_empty=True)
     for header in headers:
         if header.feature_dim != head.config.feature_dim:
@@ -748,28 +748,27 @@ def _comparison_rows(
     return lines
 
 
+# each ablation mode's pair of heads: a name, a pooling and the architecture
+# settings that override the given ones
+ABLATIONS = {
+    "temporal": (("fsn", None, {}), ("ablation", None, {"dilations": ()})),
+    "pooling": (("gmp", GMP, {}), ("gap", GAP, {})),
+}
+
+
 def cmd_ablate(cfg: RunConfig) -> dict:
     """Train and evaluate a matched pair of heads; emit the side-by-side table."""
-    # built per call, so every name is looked up when the command runs
-    variants = {
-        "temporal": (
-            ("fsn", init_fsn, _window_batches),
-            ("ablation", init_ablation, _window_batches),
-        ),
-        "pooling": (
-            ("gmp", functools.partial(init_wfsn, pooling=GMP), _weak_batches),
-            ("gap", functools.partial(init_wfsn, pooling=GAP), _weak_batches),
-        ),
-    }
-    if cfg.ablate_mode not in variants:
+    if cfg.ablate_mode not in ABLATIONS:
         raise ValueError(
             f"ablate_mode must be 'temporal' or 'pooling', got {cfg.ablate_mode!r}"
         )
     reports = {}
-    for name, init_head, batches in variants[cfg.ablate_mode]:
-        variant_out = str(Path(cfg.out) / name)
-        train_cfg = replace(cfg, out=variant_out, model=None, predictions=None, tracks=None)
-        model_path = _train(train_cfg, init_head, batches)["model"]
+    for name, pooling, overrides in ABLATIONS[cfg.ablate_mode]:
+        train_cfg = replace(
+            cfg, out=str(Path(cfg.out) / name), model=None, predictions=None,
+            tracks=None, pooling=pooling, given={**cfg.given, **overrides},
+        )
+        model_path = _train(train_cfg, pooling)["model"]
         run_cfg = replace(train_cfg, model=str(model_path), split="test")
         cmd_predict(run_cfg)
         reports[name] = cmd_eval(run_cfg)["result"]
@@ -902,13 +901,13 @@ def gradcheck_suite(
 
         def build_weak(mode, attempt):
             case_rng = np.random.default_rng([seed, attempt, 13])
-            head = init_wfsn(small, seed * 101 + attempt, pooling=mode)
+            head = init_fsn(small, seed * 101 + attempt, mode)
             return head, case_rng.standard_normal((2, 5, 3)), np.eye(2)
 
         fsn_head, *clip_batch = _conditioned_case(build_fsn)
         cases = {
             "fsn_end_to_end": (fsn_head, *clip_batch),
-            "ablation_end_to_end": (init_ablation(small, seed), *clip_batch),
+            "ablation_end_to_end": (init_fsn(replace(small, dilations=()), seed), *clip_batch),
         }
         for mode in (GAP, GMP):
             cases[f"wfsn_end_to_end_{mode}"] = _conditioned_case(

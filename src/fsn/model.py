@@ -4,17 +4,18 @@ There is one head type, ``Head``: a trunk of dilated temporal convs with ReLU
 (possibly empty) followed by a conv classifier. What differs between the
 paper's models is configuration, not code:
 
-* FSN (``init_fsn``): three dilated convs, then a kernel-3 classifier
-  emitting K action channels plus background. ``pooling`` is None: snippet
-  scores are bilinearly upsampled to frame rate and trained with dense
-  framewise cross-entropy.
-* WFSN (``init_wfsn``): the same trunk, but the classifier emits K channels
-  and ``pooling`` (mean or max) reduces them to one video-level score vector
-  for weakly supervised training. Prediction drops the pooling.
-* The no-context ablation (``init_ablation``): an empty trunk and a kernel-1
-  classifier, trained and scored like FSN.
+* FSN: three dilated convs, then a kernel-3 classifier emitting K action
+  channels plus background. ``pooling`` is None: snippet scores are
+  bilinearly upsampled to frame rate and trained with dense framewise
+  cross-entropy.
+* WFSN: the same trunk, but the classifier emits K channels and ``pooling``
+  (mean or max) reduces them to one video-level score vector for weakly
+  supervised training. Prediction drops the pooling.
+* The no-context ablation: FSN with ``dilations=()``, an empty trunk and a
+  kernel-1 classifier on the features, trained and scored like FSN.
 
-Every head kind runs through the same three functions, which read the kind
+One initializer, ``init_fsn(config, seed, pooling)``, builds every head, and
+every head kind runs through the same three functions, which read the kind
 from ``head.pooling``: ``fsn_forward`` (class probabilities),
 ``fsn_loss_and_grads`` (softmax cross-entropy and its gradients) and
 ``fsn_train_step`` (the loss, the divergence check and the SGD update).
@@ -70,7 +71,8 @@ class ModelConfig:
 
     ``clip_len`` is the frame length of one training window and must be a
     multiple of ``snippet_len``; the trunk sees clip_len / snippet_len snippet
-    positions and emits one score vector per position.
+    positions and emits one score vector per position. ``dilations=()`` is
+    the head without a trunk.
     """
 
     num_classes: int
@@ -95,7 +97,7 @@ class ModelConfig:
                 f"clip_len {self.clip_len} must be a positive multiple of "
                 f"snippet_len {self.snippet_len}"
             )
-        if not self.dilations or any(d < 1 for d in self.dilations):
+        if any(d < 1 for d in self.dilations):
             raise ValueError(f"dilations must be positive, got {self.dilations}")
 
     @property
@@ -120,6 +122,8 @@ class Head:
     def __post_init__(self) -> None:
         if self.pooling not in (None, GAP, GMP):
             raise ValueError(f"pooling must be '{GAP}' or '{GMP}', got {self.pooling!r}")
+        if self.pooling is not None and not self.convs:
+            raise ValueError("a pooled head needs trunk layers")
         if self.classifier.out_channels != self.num_outputs:
             raise ValueError(
                 f"classifier emits {self.classifier.out_channels} channels, "
@@ -159,33 +163,20 @@ def _glorot_conv(rng, in_ch: int, out_ch: int, kernel: int, dilation: int) -> Co
     return ConvLayer1D(weights=weights, bias=np.zeros(out_ch), dilation=dilation)
 
 
-def _init_trunk(rng, config: ModelConfig) -> list[ConvLayer1D]:
+def init_fsn(config: ModelConfig, seed: int, pooling: str | None = None) -> Head:
+    """A fresh head of any kind: a trunk of ``config.dilations`` and a
+    kernel-3 classifier, or a kernel-1 classifier on the features when the
+    trunk is empty. The classifier emits K+1 channels for a dense head
+    (``pooling`` None) and K for a pooled one."""
+    rng = np.random.default_rng(seed)
     convs = []
     in_ch = config.feature_dim
     for dilation in config.dilations:
         convs.append(_glorot_conv(rng, in_ch, config.hidden_channels, 3, dilation))
         in_ch = config.hidden_channels
-    return convs
-
-
-def init_fsn(config: ModelConfig, seed: int) -> Head:
-    rng = np.random.default_rng(seed)
-    convs = _init_trunk(rng, config)
-    classifier = _glorot_conv(rng, config.hidden_channels, config.num_classes + 1, 3, 1)
-    return Head(config, convs, classifier)
-
-
-def init_wfsn(config: ModelConfig, seed: int, pooling: str = GMP) -> Head:
-    rng = np.random.default_rng(seed)
-    convs = _init_trunk(rng, config)
-    classifier = _glorot_conv(rng, config.hidden_channels, config.num_classes, 3, 1)
+    outputs = config.num_classes + (pooling is None)
+    classifier = _glorot_conv(rng, in_ch, outputs, 3 if convs else 1, 1)
     return Head(config, convs, classifier, pooling)
-
-
-def init_ablation(config: ModelConfig, seed: int) -> Head:
-    rng = np.random.default_rng(seed)
-    classifier = _glorot_conv(rng, config.feature_dim, config.num_classes + 1, 1, 1)
-    return Head(config, [], classifier)
 
 
 def _stack_forward(features: Array, head: Head) -> tuple[Array, tuple]:
@@ -418,10 +409,8 @@ def load_model(path) -> Head:
         if not np.isfinite(narrow).all():
             raise ValueError(f"{path}: layer {index} holds non-finite weights or biases as float32")
         chain = layer.out_channels
-    if kind == _NO_TRUNK and trunk:
-        raise ValueError(f"{path}: ablation head cannot carry trunk layers")
-    if kind != _NO_TRUNK and not trunk:
-        raise ValueError(f"{path}: missing trunk layers")
+    if (kind == _NO_TRUNK) == bool(trunk):
+        raise ValueError(f"{path}: head kind {kind} does not fit {len(trunk)} trunk layers")
     if any(layer.out_channels != hidden for layer in trunk):
         widths = [layer.out_channels for layer in trunk]
         raise ValueError(f"{path}: header hidden_channels {hidden}, trunk widths {widths}")
@@ -432,7 +421,7 @@ def load_model(path) -> Head:
             hidden_channels=hidden,
             snippet_len=snippet_len,
             clip_len=clip_len,
-            dilations=tuple(layer.dilation for layer in trunk) or (1, 2, 4),
+            dilations=tuple(layer.dilation for layer in trunk),
         )
         return Head(config, trunk, classifier, pools[pooling] if kind == _POOLED else None)
     except ValueError as err:  # a header value or the classifier is inconsistent

@@ -7,6 +7,7 @@ start to finish and are shared across criteria.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from fsn.model import (
     _stack_forward,
     fsn_forward,
     head_layers,
-    init_ablation,
     init_fsn,
     load_model,
 )
@@ -217,8 +217,9 @@ def test_criterion_3_structural_invariants(criterion):
     assert np.abs(up - expected).max() < 1e-12
 
     widths = {}
-    for make, expected_width in ((init_fsn, 17), (init_ablation, 1)):
-        probe_head = make(config, seed=4)
+    no_trunk = replace(config, dilations=())
+    for probe_config, expected_width in ((config, 17), (no_trunk, 1)):
+        probe_head = init_fsn(probe_config, seed=4)
         for layer in head_layers(probe_head):
             layer.weights[:] = np.abs(layer.weights) + 0.01
         positions = 41
@@ -232,7 +233,7 @@ def test_criterion_3_structural_invariants(criterion):
         assert changed.size == expected_width == receptive_field_snippets(probe_head)
 
     assert receptive_field(init_fsn(config, seed=0)) == 85
-    assert receptive_field(init_ablation(config, seed=0)) == 5
+    assert receptive_field(init_fsn(no_trunk, seed=0)) == 5
 
     elapsed = time.time() - started
     criterion(

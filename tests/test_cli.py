@@ -559,8 +559,37 @@ def test_train_rejects_class_count_mismatch(corpus, capsys):
         "--num-classes", "9",
     ])
     assert rc == 1
-    assert capsys.readouterr().err == "error: config asks for 9 classes, the data carries 3\n"
+    assert capsys.readouterr().err == "error: config asks for num_classes 9, the data carries 3\n"
     assert not (corpus.parent / "unused").exists()
+
+
+def test_train_rejects_a_pooling_it_does_not_apply(corpus, capsys):
+    rc = main([
+        "train",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--out", str(corpus.parent / "unused"),
+        "--pooling", "gap",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: config asks for pooling gap, the data carries none\n"
+    assert not (corpus.parent / "unused").exists()
+
+
+def test_train_with_empty_dilations_builds_the_head_without_trunk(corpus, tmp_path):
+    rc = main([
+        "train",
+        "--features-dir", str(corpus),
+        "--annotations", str(corpus / "annotations.tsv"),
+        "--out", str(tmp_path),
+        "--dilations", "",
+        "--iterations", "2",
+        "--log-every", "1",
+    ])
+    assert rc == 0
+    head = load_model(tmp_path / "model.fsn")
+    assert head.convs == [] and head.config.dilations == ()
+    assert head.classifier.kernel_size == 1
 
 
 def test_train_reads_each_feature_file_once(corpus, tmp_path, monkeypatch):
@@ -1307,7 +1336,7 @@ def test_predict_rejects_class_count_mismatch(corpus, trained, tmp_path, capsys)
         "--num-classes", "5",
     ])
     assert rc == 1
-    assert capsys.readouterr().err == "error: config asks for 5 classes, the model carries 3\n"
+    assert capsys.readouterr().err == "error: config asks for num_classes 5, the model carries 3\n"
 
 
 def test_predict_rejects_feature_dim_mismatch(corpus, trained, tmp_path, capsys):
@@ -1316,6 +1345,28 @@ def test_predict_rejects_feature_dim_mismatch(corpus, trained, tmp_path, capsys)
     assert capsys.readouterr().err == (
         "error: config asks for feature_dim 9, the model carries 6\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, flag, value, error",
+    [
+        ("dense", "--hidden-channels", "99", "hidden_channels 99, the model carries 8"),
+        ("dense", "--clip-len", "70", "clip_len 70, the model carries 35"),
+        ("dense", "--snippet-len", "7", "snippet_len 7, the model carries 5"),
+        ("dense", "--dilations", "1", "dilations (1,), the model carries (1, 2, 4)"),
+        ("dense", "--pooling", "gap", "pooling gap, the model carries none"),
+        ("weak", "--pooling", "gap", "pooling gap, the model carries gmp"),
+    ],
+    ids=["hidden-channels", "clip-len", "snippet-len", "dilations", "dense-pooling", "gmp-pooling"],
+)
+def test_predict_rejects_a_setting_the_model_does_not_carry(
+    corpus, trained, trained_weak, tmp_path, capsys, model, flag, value, error
+):
+    out = tmp_path / "pred"
+    model_dir = trained_weak if model == "weak" else trained
+    assert main([*predict_args(corpus, model_dir, out), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: config asks for {error}\n"
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Frame tracks, grouping, NMS, and prediction files."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from fsn.localize import (
     weak_score_track,
     write_predictions,
 )
-from fsn.model import ModelConfig, fsn_forward, init_ablation, init_fsn, init_wfsn
+from fsn.model import ModelConfig, fsn_forward, init_fsn
+from fsn.nncore import GMP
 from oracles import greedy_nms, interval_iou, iou_by_frames, threshold_runs
 from records import rows, segments
 
@@ -116,7 +119,7 @@ class TestSlidePredict:
             slide_predict(head, VideoFeatures("v", np.ones((3, 4))))
 
     def test_rejects_weak_head(self):
-        head = init_wfsn(CFG, seed=0)
+        head = init_fsn(CFG, 0, GMP)
         with pytest.raises(TypeError):
             slide_predict(head, VideoFeatures("v", np.ones((40, 4))))
 
@@ -124,7 +127,7 @@ class TestSlidePredict:
 class TestWeakScoreTrack:
     def test_one_span_per_frame_is_identity(self):
         rng = np.random.default_rng(3)
-        head = init_wfsn(CFG, seed=3)
+        head = init_fsn(CFG, 3, GMP)
         video = VideoFeatures("v", rng.standard_normal((20, 4)))
         track = weak_score_track(head, video, positions=20)
         np.testing.assert_allclose(
@@ -134,7 +137,7 @@ class TestWeakScoreTrack:
 
     def test_scores_are_constant_within_spans(self):
         rng = np.random.default_rng(4)
-        head = init_wfsn(CFG, seed=4)
+        head = init_fsn(CFG, 4, GMP)
         video = VideoFeatures("v", rng.standard_normal((20, 4)))
         track = weak_score_track(head, video, positions=5)
         for i in range(5):
@@ -143,7 +146,7 @@ class TestWeakScoreTrack:
 
     def test_segment_bounds_align_to_spans(self):
         rng = np.random.default_rng(5)
-        head = init_wfsn(CFG, seed=5)
+        head = init_fsn(CFG, 5, GMP)
         video = VideoFeatures("v", rng.standard_normal((40, 4)))
         track = weak_score_track(head, video, positions=8)
         for class_id in (1, 2):
@@ -152,9 +155,9 @@ class TestWeakScoreTrack:
             assert np.all(record.end % 5 == 0)
 
     @pytest.mark.parametrize("score, make", [
-        (slide_predict, lambda: init_wfsn(CFG, seed=7)),
+        (slide_predict, lambda: init_fsn(CFG, 7, GMP)),
         (weak_score_track, lambda: init_fsn(CFG, seed=7)),
-        (weak_score_track, lambda: init_ablation(CFG, seed=7)),
+        (weak_score_track, lambda: init_fsn(replace(CFG, dilations=()), seed=7)),
     ], ids=["slide-weak-head", "weak-dense-head", "weak-no-trunk-head"])
     def test_each_scoring_rule_rejects_the_other_head_kind(self, score, make):
         # both rules run the one forward, which would score either kind
@@ -163,7 +166,7 @@ class TestWeakScoreTrack:
 
     def test_positions_clamp_to_short_videos(self):
         rng = np.random.default_rng(6)
-        head = init_wfsn(CFG, seed=6)
+        head = init_fsn(CFG, 6, GMP)
         video = VideoFeatures("v", rng.standard_normal((7, 4)))
         track = weak_score_track(head, video, positions=100)
         assert track.frame_count == 7
@@ -180,7 +183,7 @@ class TestFloat32Features:
         assert video.features.dtype == np.float32
         widened = VideoFeatures("v", narrow.astype(np.float64))
         if weak:
-            head = init_wfsn(CFG, seed=8)
+            head = init_fsn(CFG, 8, GMP)
             tracks = [weak_score_track(head, v, positions=16) for v in (video, widened)]
         else:
             head = init_fsn(CFG, seed=8)
@@ -539,7 +542,7 @@ class TestLocalizePipelines:
 
     def test_weak_pipeline_runs_end_to_end(self):
         rng = np.random.default_rng(10)
-        head = init_wfsn(CFG, seed=10)
+        head = init_fsn(CFG, 10, GMP)
         videos = [VideoFeatures("v", rng.standard_normal((60, 4)))]
         predictions = localize(head, videos, eval_iou=0.3, positions=12)
         assert np.all(predictions.start % 5 == 0) and np.all(predictions.end % 5 == 0)

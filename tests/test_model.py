@@ -1,6 +1,7 @@
 """Head construction, forward/backward wiring, training steps, serialization."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from fsn.model import (
     head_decay_flags,
     head_layers,
     head_parameters,
-    init_ablation,
     init_fsn,
-    init_wfsn,
     load_model,
     save_model,
 )
@@ -36,6 +35,8 @@ from fsn.nncore import (
 from oracles import naive_conv1d, receptive_field, receptive_field_snippets
 
 TINY = ModelConfig(num_classes=2, feature_dim=5, hidden_channels=6, snippet_len=5, clip_len=35)
+# the no-context ablation: TINY without its trunk
+FLAT = replace(TINY, dilations=())
 
 
 def tiny_clips(rng, config, *label_values):
@@ -78,8 +79,8 @@ class TestModelConfig:
             dict(num_classes=2, feature_dim=0),
             dict(num_classes=2, feature_dim=4, clip_len=36),
             dict(num_classes=2, feature_dim=4, dilations=(1, 0, 4)),
-            dict(num_classes=2, feature_dim=4, dilations=()),
             dict(num_classes=2, feature_dim=4, hidden_channels=0),
+            dict(num_classes=2, feature_dim=4, snippet_len=0, clip_len=35),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -92,15 +93,15 @@ class TestInit:
         head = init_fsn(TINY, seed=0)
         dims = [(l.in_channels, l.out_channels, l.kernel_size, l.dilation) for l in head_layers(head)]
         assert dims == [(5, 6, 3, 1), (6, 6, 3, 2), (6, 6, 3, 4), (6, 3, 3, 1)]
-        weak = init_wfsn(TINY, seed=0)
+        weak = init_fsn(TINY, 0, GMP)
         assert head_layers(weak)[-1].out_channels == 2
-        flat = init_ablation(TINY, seed=0)
+        flat = init_fsn(FLAT, seed=0)
         assert head_layers(flat) == [flat.classifier]
         assert (flat.classifier.kernel_size, flat.classifier.dilation) == (1, 1)
         assert flat.classifier.in_channels == 5
 
     def test_biases_start_at_zero(self):
-        for head in (init_fsn(TINY, 3), init_wfsn(TINY, 3), init_ablation(TINY, 3)):
+        for head in (init_fsn(TINY, 3), init_fsn(TINY, 3, GMP), init_fsn(FLAT, 3)):
             for layer in head_layers(head):
                 assert np.all(layer.bias == 0.0)
 
@@ -122,7 +123,12 @@ class TestInit:
 
     def test_wfsn_rejects_unknown_pooling(self):
         with pytest.raises(ValueError):
-            init_wfsn(TINY, 0, pooling="sum")
+            init_fsn(TINY, 0, "sum")
+
+    @pytest.mark.parametrize("pooling", [GAP, GMP])
+    def test_pooled_head_without_trunk_is_rejected(self, pooling):
+        with pytest.raises(ValueError, match="a pooled head needs trunk layers"):
+            init_fsn(FLAT, 0, pooling)
 
 
 class TestFsnForward:
@@ -154,7 +160,7 @@ class TestFsnForward:
             fsn_forward(np.zeros((7, 4)), head, 35)
 
     def test_ablation_head_scores_frames_too(self):
-        head = init_ablation(TINY, seed=2)
+        head = init_fsn(FLAT, seed=2)
         scores = fsn_forward(np.random.default_rng(3).standard_normal((7, 5)), head, 35)
         assert scores.shape == (35, 3)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(35), atol=1e-12)
@@ -167,14 +173,16 @@ class TestReceptiveField:
         assert receptive_field(head) == 85
 
     def test_ablation_field_is_one_snippet(self):
-        head = init_ablation(TINY, seed=0)
+        head = init_fsn(FLAT, seed=0)
         assert receptive_field_snippets(head) == 1
         assert receptive_field(head) == 5
 
-    @pytest.mark.parametrize("make,width", [(init_fsn, 17), (init_ablation, 1)])
-    def test_probing_matches_formula(self, make, width):
+    @pytest.mark.parametrize(
+        "config,width", [(TINY, 17), (FLAT, 1)], ids=["init_fsn-17", "init_fsn_no_trunk-1"]
+    )
+    def test_probing_matches_formula(self, config, width):
         # positive weights, positive inputs: no ReLU dead zones, no cancellation
-        head = make(TINY, seed=4)
+        head = init_fsn(config, seed=4)
         for layer in head_layers(head):
             layer.weights[:] = np.abs(layer.weights) + 0.01
         rng = np.random.default_rng(5)
@@ -246,29 +254,29 @@ class TestFsnTraining:
     # a dense head takes (batch, 7, 5) windows with (batch, 35) frame labels,
     # a pooled one (batch, any, 5) features with (batch, 2) video labels
     @pytest.mark.parametrize(
-        "make, features_shape, labels_shape, match",
+        "pooling, features_shape, labels_shape, match",
         [
             # the dense rows keep the ids they had before the weak rows joined
-            pytest.param(init_fsn, (2, 6, 5), (2, 35), "features have shape",  # wrong snippet count
+            pytest.param(None, (2, 6, 5), (2, 35), "features have shape",  # wrong snippet count
                          id="features_shape0-labels_shape0-features have shape"),
-            pytest.param(init_fsn, (2, 7, 4), (2, 35), "features have shape",  # wrong feature dim
+            pytest.param(None, (2, 7, 4), (2, 35), "features have shape",  # wrong feature dim
                          id="features_shape1-labels_shape1-features have shape"),
-            pytest.param(init_fsn, (7, 5), (2, 35), "features have shape",  # not stacked
+            pytest.param(None, (7, 5), (2, 35), "features have shape",  # not stacked
                          id="features_shape2-labels_shape2-features have shape"),
-            pytest.param(init_fsn, (2, 7, 5), (2, 34), "labels have shape",  # wrong clip length
+            pytest.param(None, (2, 7, 5), (2, 34), "labels have shape",  # wrong clip length
                          id="features_shape3-labels_shape3-labels have shape"),
-            pytest.param(init_fsn, (2, 7, 5), (3, 35), "labels have shape",  # batch sizes differ
+            pytest.param(None, (2, 7, 5), (3, 35), "labels have shape",  # batch sizes differ
                          id="features_shape4-labels_shape4-labels have shape"),
-            pytest.param(init_wfsn, (0, 4, 5), (0, 2), "empty batch", id="weak-empty batch"),
-            pytest.param(init_wfsn, (4, 5), (1, 2), "features have shape", id="weak-not stacked"),
-            pytest.param(init_wfsn, (1, 4, 5), (1, 3), "labels have shape",
+            pytest.param(GMP, (0, 4, 5), (0, 2), "empty batch", id="weak-empty batch"),
+            pytest.param(GMP, (4, 5), (1, 2), "features have shape", id="weak-not stacked"),
+            pytest.param(GMP, (1, 4, 5), (1, 3), "labels have shape",
                          id="weak-wrong class count"),
-            pytest.param(init_wfsn, (2, 4, 5), (1, 2), "labels have shape",
+            pytest.param(GMP, (2, 4, 5), (1, 2), "labels have shape",
                          id="weak-batch sizes differ"),
         ],
     )
-    def test_rejects_misshapen_batch(self, make, features_shape, labels_shape, match):
-        head = make(TINY, 9)
+    def test_rejects_misshapen_batch(self, pooling, features_shape, labels_shape, match):
+        head = init_fsn(TINY, 9, pooling)
         # ones are valid labels for both kinds: class 1 frames, or all positives
         labels = np.ones(labels_shape, dtype=np.int64)
         with pytest.raises(ValueError, match=match):
@@ -285,7 +293,7 @@ class TestFsnTraining:
             labels = np.stack([l for _, l in batch])
         else:
             rng = np.random.default_rng(16)
-            head = init_wfsn(config, seed=16, pooling=pooling)
+            head = init_fsn(config, 16, pooling)
             features, labels = rng.standard_normal((2, 5, 3)), np.eye(2)
 
         def fn(params):
@@ -298,8 +306,8 @@ class TestWfsn:
     def test_constant_positions_make_pooling_irrelevant(self):
         # zero weights leave only the classifier bias, so every position
         # carries the same score vector and the pooling choice cannot matter
-        head_gap = init_wfsn(TINY, seed=12, pooling=GAP)
-        head_gmp = init_wfsn(TINY, seed=12, pooling=GMP)
+        head_gap = init_fsn(TINY, 12, GAP)
+        head_gmp = init_fsn(TINY, 12, GMP)
         for head in (head_gap, head_gmp):
             for layer in head_layers(head):
                 layer.weights[:] = 0.0
@@ -311,7 +319,7 @@ class TestWfsn:
 
     def test_one_hot_position_drives_gmp_argmax(self):
         config = ModelConfig(num_classes=3, feature_dim=3, hidden_channels=4, snippet_len=1, clip_len=4)
-        head = init_wfsn(config, seed=0, pooling=GMP)
+        head = init_fsn(config, 0, GMP)
         for layer in head.convs:
             layer.weights[:] = 0.0
         # identity-ish trunk is zero; drive the classifier bias path instead
@@ -325,14 +333,14 @@ class TestWfsn:
 
     def test_predict_mode_rows_are_distributions(self):
         rng = np.random.default_rng(13)
-        head = init_wfsn(TINY, seed=13)
+        head = init_fsn(TINY, 13, GMP)
         scores = fsn_forward(rng.standard_normal((8, 5)), head)
         assert scores.shape == (8, 2)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(8), atol=1e-12)
 
     @pytest.mark.parametrize("pooling", [GAP, GMP])
     def test_forward_is_the_softmax_of_the_position_logits(self, pooling):
-        head = init_wfsn(TINY, seed=17, pooling=pooling)
+        head = init_fsn(TINY, 17, pooling)
         x = np.random.default_rng(17).standard_normal((3, 8, 5)).astype(np.float32)
         scores = fsn_forward(x, head)
         assert scores.tobytes() == framewise_softmax(position_logits(x, head)).tobytes()
@@ -351,7 +359,7 @@ class TestWfsn:
                 features.append(feats)
                 labels.append(np.eye(2)[cls - 1])
         features, labels = np.stack(features), np.stack(labels)
-        head = init_wfsn(config, seed=14, pooling=GMP)
+        head = init_fsn(config, 14, GMP)
         opt = OptimizerState(learning_rate=0.1, momentum=0.9)
         initial = fsn_loss_and_grads(features, labels, head)[0]
         for _ in range(150):
@@ -360,7 +368,7 @@ class TestWfsn:
 
     def test_multi_label_loss_averages_over_positives(self):
         rng = np.random.default_rng(15)
-        head = init_wfsn(TINY, seed=15, pooling=GAP)
+        head = init_fsn(TINY, 15, GAP)
         feats = rng.standard_normal((6, 5))
         probs = pooled_probs(feats, head)
         expected = -(np.log(probs[0]) + np.log(probs[1])) / 2.0
@@ -368,7 +376,7 @@ class TestWfsn:
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_label_without_positives(self):
-        head = init_wfsn(TINY, seed=0)
+        head = init_fsn(TINY, 0, GMP)
         with pytest.raises(ValueError, match="multi-hot"):
             fsn_loss_and_grads(np.zeros((1, 4, 5)), np.zeros((1, 2)), head)
 
@@ -398,13 +406,13 @@ class TestBatchedTraining:
 
     def test_ablation_batch_matches_single_samples(self):
         rng = np.random.default_rng(51)
-        head = init_ablation(TINY, seed=51)
+        head = init_fsn(FLAT, seed=51)
         _assert_batch_matches_singles(*tiny_clips(rng, TINY, 1, 2, 1), head)
 
     @pytest.mark.parametrize("pooling", [GAP, GMP])
     def test_wfsn_batch_matches_single_samples(self, pooling):
         rng = np.random.default_rng(52)
-        head = init_wfsn(TINY, seed=52, pooling=pooling)
+        head = init_fsn(TINY, 52, pooling)
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
         features = np.stack([rng.standard_normal((9, 5)) for _ in labels])
         _assert_batch_matches_singles(features, labels, head)
@@ -424,14 +432,12 @@ def _full_stack_backward(grad_logits, cache):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [init_fsn, lambda config, seed: init_wfsn(config, seed, pooling=GMP), init_ablation],
-    ids=["dense", "weak", "no-context"],
+    "config,pooling", [(TINY, None), (TINY, GMP), (FLAT, None)], ids=["dense", "weak", "no-context"]
 )
-def test_stack_backward_matches_the_full_backward_bytes(make):
+def test_stack_backward_matches_the_full_backward_bytes(config, pooling):
     # the first layer skips its input gradient; no parameter gradient may move
     rng = np.random.default_rng(53)
-    head = make(TINY, 53)
+    head = init_fsn(config, 53, pooling)
     logits, cache = _stack_forward(rng.standard_normal((4, 9, TINY.feature_dim)), head)
     probe = rng.standard_normal(logits.shape)
     got = _stack_backward(probe, cache)
@@ -441,11 +447,11 @@ def test_stack_backward_matches_the_full_backward_bytes(make):
 
 
 class TestModelBoundary:
-    @pytest.mark.parametrize("make", [init_fsn, init_wfsn], ids=["dense", "weak"])
+    @pytest.mark.parametrize("pooling", [None, GMP], ids=["dense", "weak"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_features_are_rejected_by_the_loss(self, make, value):
+    def test_non_finite_features_are_rejected_by_the_loss(self, pooling, value):
         rng = np.random.default_rng(53)
-        head = make(TINY, 53)
+        head = init_fsn(TINY, 53, pooling)
         features, labels = tiny_clips(rng, TINY, 1, 1)
         if head.pooling is not None:
             labels = np.eye(2)
@@ -459,7 +465,7 @@ class TestModelBoundary:
         with pytest.raises(ValueError, match="non-finite"):
             fsn_forward(features, init_fsn(TINY, seed=55), 35)
         with pytest.raises(ValueError, match="non-finite"):
-            fsn_forward(features, init_wfsn(TINY, seed=55))
+            fsn_forward(features, init_fsn(TINY, 55, GMP))
 
 
 # float32 keeps about 7 significant digits; a step's loss and gradients may
@@ -486,12 +492,10 @@ def _assert_float32_follows_the_widening(narrow, labels, head):
 
 class TestFloat32Features:
     @pytest.mark.parametrize(
-        "make",
-        [init_fsn, lambda config, seed: init_wfsn(config, seed, pooling=GMP), init_ablation],
-        ids=["dense", "weak", "no-context"],
+        "config,pooling", [(TINY, None), (TINY, GMP), (FLAT, None)], ids=["dense", "weak", "no-context"]
     )
-    def test_activations_stay_float32(self, make):
-        head = make(TINY, 58)
+    def test_activations_stay_float32(self, config, pooling):
+        head = init_fsn(config, 58, pooling)
         features = np.random.default_rng(58).standard_normal((3, 9, 5)).astype(np.float32)
         logits, (caches, cls_cache) = _stack_forward(features, head)
         assert logits.dtype == np.float32
@@ -510,13 +514,13 @@ class TestFloat32Features:
         rng = np.random.default_rng(57)
         features = rng.standard_normal((3, 9, 5)).astype(np.float32)
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        head = init_wfsn(TINY, seed=57, pooling=pooling)
+        head = init_fsn(TINY, 57, pooling)
         _assert_float32_follows_the_widening(features, labels, head)
 
-    @pytest.mark.parametrize("make", [init_fsn, init_ablation], ids=["dense", "no-context"])
-    def test_float64_features_match_the_naive_convolutions(self, make):
+    @pytest.mark.parametrize("config", [TINY, FLAT], ids=["dense", "no-context"])
+    def test_float64_features_match_the_naive_convolutions(self, config):
         # float64 input computes in float64, as the gradient checks need
-        head = make(TINY, 59)
+        head = init_fsn(config, 59)
         x = np.random.default_rng(59).standard_normal((9, 5))
         logits, _ = _stack_forward(x, head)
         expected = x
@@ -535,9 +539,9 @@ class TestSerialization:
         "make",
         [
             lambda: init_fsn(TINY, seed=20),
-            lambda: init_wfsn(TINY, seed=21, pooling=GAP),
-            lambda: init_wfsn(TINY, seed=22, pooling=GMP),
-            lambda: init_ablation(TINY, seed=23),
+            lambda: init_fsn(TINY, 21, GAP),
+            lambda: init_fsn(TINY, 22, GMP),
+            lambda: init_fsn(FLAT, seed=23),
         ],
     )
     def test_round_trip_is_bit_exact(self, tmp_path, make):
@@ -553,6 +557,8 @@ class TestSerialization:
             assert a.dilation == b.dilation
         assert loaded.pooling == head.pooling
         assert len(loaded.convs) == len(head.convs)
+        # the file keeps no dilations; a head without trunk loads with none
+        assert loaded.config.dilations == tuple(conv.dilation for conv in head.convs)
 
     def test_rewrite_produces_identical_bytes(self, tmp_path):
         head = init_fsn(TINY, seed=24)
@@ -603,10 +609,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"model.fsn: header hidden_channels 7, trunk widths \[6, 6, 6\]"):
             load_model(path)
 
-    @pytest.mark.parametrize("make", [init_fsn, init_ablation], ids=["dense", "no-trunk"])
-    def test_head_without_pooling_must_carry_the_gmp_code(self, tmp_path, make):
+    @pytest.mark.parametrize("config", [TINY, FLAT], ids=["dense", "no-trunk"])
+    def test_head_without_pooling_must_carry_the_gmp_code(self, tmp_path, config):
         path = tmp_path / "model.fsn"
-        save_model(make(TINY, 31), path)
+        save_model(init_fsn(config, 31), path)
         raw = bytearray(path.read_bytes())
         raw[9] = 0  # header pooling code: GMP's 1 -> GAP's 0
         path.write_bytes(bytes(raw))
@@ -647,15 +653,15 @@ PINNED_MODELS = {
         "eccb95921f7ab2adb30cb0962fe64485b42009c510652465fda307e9510d1a36",
     ),
     "weak_gap": (
-        lambda: init_wfsn(TINY, 0, pooling=GAP),
+        lambda: init_fsn(TINY, 0, GAP),
         "baff1675baa2c32e88410523da056ecbcc1ed5b7505cc17e9af221d8b892c8e8",
     ),
     "weak_gmp": (
-        lambda: init_wfsn(TINY, 0, pooling=GMP),
+        lambda: init_fsn(TINY, 0, GMP),
         "700c2bf2f314905cceabdd048626d429322975a9e07ec73ede4fbd52bd592925",
     ),
     "no_trunk": (
-        lambda: init_ablation(TINY, 0),
+        lambda: init_fsn(FLAT, 0),
         "8ef2bf5b0abfd28f179c468634a34066cc7bdf6bada4ddecabd2b42015068dad",
     ),
 }
